@@ -429,15 +429,11 @@ def antipode(space: PreBraidedSpace, n: int, *,
 # Characters and coalgebra checks
 # ---------------------------------------------------------------------------
 
-def _pair_covector(f: SparseLinearMap, g: SparseLinearMap) -> SparseLinearMap:
-    return tensor(f, g)
-
-
 def check_braided_character(space: PreBraidedSpace, name: str) -> CharacterReport:
     """A covector eps is a braided character when (eps (x) eps) o sigma
     equals eps (x) eps. Success is recorded on the space."""
     eps = space.character(name)
-    ee = _pair_covector(eps, eps)
+    ee = tensor(eps, eps)
     lhs = ee.compose(space.braiding)
     if lhs == ee:
         space.verified_characters.add(name)
@@ -465,8 +461,8 @@ def check_character_compat(space: PreBraidedSpace, name1: str, name2: str) -> Co
     (g (x) f) o sigma = f (x) g, entrywise on the d^2 source."""
     f = space.character(name1)
     g = space.character(name2)
-    fg = _pair_covector(f, g)
-    gf = _pair_covector(g, f)
+    fg = tensor(f, g)
+    gf = tensor(g, f)
     for lhs, rhs in ((fg.compose(space.braiding), gf), (gf.compose(space.braiding), fg)):
         if lhs != rhs:
             diff = lhs.sub_map(rhs)

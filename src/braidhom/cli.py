@@ -39,10 +39,8 @@ from .complexes import (
     hyper_boundary,
     left_diff,
     rack_contraction,
-    repeated_neighbor_span,
     right_diff,
     signed_binomial,
-    unit_factor_span,
 )
 from .homology import (
     ResourceCapError,
@@ -52,7 +50,6 @@ from .homology import (
     betti,
     certify_acyclic,
     integral_homology,
-    subquotient,
 )
 from . import scenario as sc_mod
 from .scenario import Scenario, ScenarioError
@@ -83,7 +80,8 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("complex", "homology"):
         q = sub.add_parser(name, parents=[common])
         q.add_argument("--named", help="named complex (rack, bar, leibniz, ...)")
-        q.add_argument("--diff", help="left | right | combined | hyper:<k>")
+        q.add_argument("--diff", help="left | right | combined | face | hyper-left | hyper-right"
+                       " | hyper:<k>")
         q.add_argument("--left-char")
         q.add_argument("--right-char")
         q.add_argument("--module", help="coefficient module name (diff complexes)")
@@ -103,7 +101,13 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# Each of these selects the complex on its own; a user flag from the group
+# suppresses the scenario's defaults for the rest of it.
+_COMPLEX_SELECTORS = ("named", "diff", "module", "bimodule")
+
+
 def _apply_computation_defaults(args, scenario: Scenario):
+    user_selected = any(getattr(args, attr, None) for attr in _COMPLEX_SELECTORS)
     for comp in scenario.computations:
         if comp.get("command") != args.command:
             continue
@@ -111,6 +115,8 @@ def _apply_computation_defaults(args, scenario: Scenario):
             if key == "command":
                 continue
             attr = key.replace("-", "_")
+            if user_selected and attr in _COMPLEX_SELECTORS:
+                continue
             if getattr(args, attr, None) in (None, False):
                 setattr(args, attr, value)
         break
@@ -266,6 +272,18 @@ def _run_check(space, args, report) -> bool:
 # complex / homology
 # ---------------------------------------------------------------------------
 
+# The differentials --diff may name besides hyper:<k>; coefficient systems
+# come from --module and --bimodule, classical complexes from --named.
+_DIFF_KINDS = ("left", "right", "combined", "face", "hyper-left", "hyper-right")
+
+
+def _declared(table: dict, name: str, kind: str):
+    if name not in table:
+        declared = ", ".join(sorted(table)) or "none"
+        raise ExactError(f"unknown {kind} {name!r}; declared {kind}s: {declared}")
+    return table[name]
+
+
 def _spec_from_args(space, args) -> DifferentialSpec:
     named = getattr(args, "named", None)
     if named:
@@ -280,13 +298,20 @@ def _spec_from_args(space, args) -> DifferentialSpec:
         if getattr(args, "right_char", None):
             params["right_char"] = args.right_char
         if getattr(args, "bimodule", None):
-            params["bimodule"] = space.bimodules[args.bimodule]
+            params["bimodule"] = _declared(space.bimodules, args.bimodule, "bimodule")
         return DifferentialSpec(kind="named", name=named, params=params)
     diff = getattr(args, "diff", None) or "combined"
     hyper_order = 1
     if diff.startswith("hyper:"):
-        hyper_order = int(diff.split(":", 1)[1])
+        order = diff.split(":", 1)[1]
+        try:
+            hyper_order = int(order)
+        except ValueError:
+            raise ExactError(f"--diff hyper:<k> needs an integer k, not {order!r}") from None
         diff = "hyper-left"
+    elif diff not in _DIFF_KINDS:
+        raise ExactError(f"unknown --diff kind {diff!r}; use hyper:<k> or one of: "
+                         + ", ".join(_DIFF_KINDS))
     lc = getattr(args, "left_char", None)
     rc = getattr(args, "right_char", None)
     if lc is None and len(space.characters) == 1:
@@ -303,28 +328,13 @@ def _spec_from_args(space, args) -> DifferentialSpec:
                             hyper_order=hyper_order)
     if getattr(args, "module", None):
         spec = DifferentialSpec(kind="coeff", left_char=lc, right_char=rc,
-                                module=space.modules[args.module])
+                                module=_declared(space.modules, args.module, "module"))
         check_braided_module(space, spec.module)
     if getattr(args, "bimodule", None):
-        spec = DifferentialSpec(kind="bimodule", bimodule=space.bimodules[args.bimodule])
+        spec = DifferentialSpec(kind="bimodule",
+                                bimodule=_declared(space.bimodules, args.bimodule, "bimodule"))
         check_bimodule(space, spec.bimodule)
     return spec
-
-
-def _normalize_complex(space, complex_):
-    payload = space.payload
-    if isinstance(payload, st.ShelfTable):
-        preds = {n: repeated_neighbor_span(space.dim, n)
-                 for n in range(complex_.n_max + 1)}
-    elif isinstance(payload, st.AlgebraData) and space.unit_index is not None:
-        lead = complex_.dims[0]
-        preds = {n: unit_factor_span(space.dim, n, space.unit_index, lead_dim=lead)
-                 for n in range(complex_.n_max + 1)}
-    else:
-        raise ExactError("--normalized needs a shelf payload or a distinguished unit")
-    _, quot = subquotient(complex_, lambda n, f: preds[n](f))
-    quot.builder = complex_.builder + ":normalized"
-    return quot
 
 
 def _complex_report(space, complex_) -> dict:
@@ -359,13 +369,15 @@ def _dump_matrices(space, complex_, outdir):
     return written
 
 
-def _run_complex(space, args, report) -> bool:
-    spec = _spec_from_args(space, args)
+def _complex_from_args(space, args):
     n_max = args.max_degree if args.max_degree is not None else 4
-    c = assemble(space, spec, n_max, allow_unverified=args.allow_unverified,
-                 basis_cap=args.basis_cap)
-    if getattr(args, "normalized", False) and spec.kind != "named":
-        c = _normalize_complex(space, c)
+    return assemble(space, _spec_from_args(space, args), n_max,
+                    allow_unverified=args.allow_unverified, basis_cap=args.basis_cap,
+                    normalized=bool(args.normalized))
+
+
+def _run_complex(space, args, report) -> bool:
+    c = _complex_from_args(space, args)
     report["complex"] = _complex_report(space, c)
     if getattr(args, "dump_matrices", None):
         report["dumped"] = _dump_matrices(space, c, args.dump_matrices)
@@ -373,12 +385,7 @@ def _run_complex(space, args, report) -> bool:
 
 
 def _run_homology(space, args, report) -> bool:
-    spec = _spec_from_args(space, args)
-    n_max = args.max_degree if args.max_degree is not None else 4
-    c = assemble(space, spec, n_max, allow_unverified=args.allow_unverified,
-                 basis_cap=args.basis_cap)
-    if getattr(args, "normalized", False) and spec.kind != "named":
-        c = _normalize_complex(space, c)
+    c = _complex_from_args(space, args)
     report["complex"] = _complex_report(space, c)
     if space.ring is ZZ:
         hom = integral_homology(c)
@@ -390,8 +397,6 @@ def _run_homology(space, args, report) -> bool:
         if hom.ring_name == "Z":
             entry["torsion"] = h.torsion
         degrees[str(n)] = entry
-    # timing stays on the HomologyReport object; the CLI report must be
-    # byte-identical across runs
     report["homology"] = {"ring": hom.ring_name, "degrees": degrees}
     return True
 
@@ -556,6 +561,8 @@ _SUITES = {
 def run(command: str, scenario: Scenario, args) -> tuple[int, dict]:
     report: dict = {"command": command, "ring": None}
     try:
+        if getattr(args, "max_degree", None) is not None and args.max_degree < 0:
+            raise ExactError(f"--max-degree must be 0 or more, not {args.max_degree}")
         ring = _ring_for(args, scenario)
         report["ring"] = ring.name
         space = sc_mod.build_space(scenario, ring)

@@ -690,40 +690,67 @@ def unit_factor_span(d: int, n: int, unit_index: int,
 
 
 # ---------------------------------------------------------------------------
-# Named classical complexes
+# One assembly path for every complex
 # ---------------------------------------------------------------------------
 
-def _simple_complex(space, n_max, builder, diff_fn, step=-1, dims=None, cap=None) -> ChainComplex:
-    d = space.dim
-    dims = dims or [d ** n for n in range(n_max + 1)]
-    homology.ensure_cap(dims, cap)
-    diffs = {}
-    if step == -1:
-        for n in range(1, n_max + 1):
-            diffs[n] = diff_fn(n)
-    else:
-        for n in range(0, n_max):
-            diffs[n] = diff_fn(n)
-    return build_chain_complex(space.ring, dims, diffs, step, builder)
+def _degenerate(space, lead, n):
+    return repeated_neighbor_span(space.dim, n)
 
+
+def _unit_bearing(space, lead, n):
+    return unit_factor_span(space.dim, n, space.unit_index, lead)
+
+
+def _unit_free(space, lead, n):
+    bearing = unit_factor_span(space.dim, n, space.unit_index, lead)
+    return lambda flat: not bearing(flat)
+
+
+def _assemble(space, lead, step, n_max, diff_fn, builder, *, span=None,
+              keep="quotient", normalized=False, cap=None) -> ChainComplex:
+    """The complex on (lead block) (x) V^(x)n for n = 0..n_max whose boundary
+    out of degree n is diff_fn(n), of degree step. With a span (a function
+    (space, lead, n) -> basis-index predicate), only the kept half is built:
+    the restriction to the span (keep="sub") or the quotient by it
+    (keep="quotient"). normalized adds the degenerate span to a complex that
+    has none of its own."""
+    if normalized:
+        if span is not None:
+            raise ExactError(f"the {builder} complex already projects onto a span "
+                             "of its own; --normalized does not apply")
+        if isinstance(space.payload, st.ShelfTable):
+            span = _degenerate
+        elif isinstance(space.payload, st.AlgebraData) and space.unit_index is not None:
+            span = _unit_bearing
+        else:
+            raise ExactError("--normalized needs a shelf payload or a distinguished unit")
+        keep, builder = "quotient", builder + ":normalized"
+    dims = [lead * space.dim ** n for n in range(n_max + 1)]
+    homology.ensure_cap(dims, cap)
+    diffs = {n: diff_fn(n) for n in range(n_max + 1) if 0 <= n + step <= n_max}
+    c = build_chain_complex(space.ring, dims, diffs, step, builder, basis_cap=cap)
+    if span is None:
+        return c
+    preds = {n: span(space, lead, n) for n in range(n_max + 1)}
+    kept = subquotient(c, lambda n, flat: preds[n](flat), keep)
+    kept.builder = builder
+    return kept
+
+
+# ---------------------------------------------------------------------------
+# Named classical complexes: one table row each
+# ---------------------------------------------------------------------------
 
 def _require_payload(space, kind):
     payload = space.payload
-    if kind == "shelf":
+    if kind in ("shelf", "spindle"):
         if not isinstance(payload, st.ShelfTable):
             raise ExactError("this complex needs a shelf payload")
-    else:
+        if kind == "spindle" and not st.check_shelf(payload).spindle:
+            raise ExactError("quandle complex needs an idempotent self-distributive table")
+    elif kind is not None:
         if not (isinstance(payload, st.AlgebraData) and payload.kind == kind):
             raise ExactError(f"this complex needs a {kind} payload")
-    return payload
-
-
-def _ensure_verified_char(space, name):
-    if name not in space.verified_characters:
-        from .braiding import check_braided_character
-        rep = check_braided_character(space, name)
-        if not rep.ok:
-            raise ExactError(f"character {name!r} is not a braided character")
 
 
 def _ensure_ybe(space):
@@ -734,227 +761,45 @@ def _ensure_ybe(space):
             raise ExactError("braiding fails the Yang-Baxter equation")
 
 
-def named_complex(space: PreBraidedSpace, name: str, n_max: int,
-                  params: Optional[dict] = None) -> ChainComplex:
-    """Assemble one of the classical complexes. Quotient constructions
-    (quandle, bar, group, hochschild, cobar, cartier) project onto the
-    canonical basis complement; restrictions (leibniz) verify stability."""
-    params = dict(params or {})
-    builders = {
-        "koszul": _named_koszul,
-        "shelf": _named_shelf,
-        "rack": _named_rack,
-        "quandle": _named_quandle,
-        "twisted-rack": _named_twisted_rack,
-        "partial-derivative": _named_partial_derivative,
-        "bar": _named_bar,
-        "group": _named_group,
-        "hochschild": _named_hochschild,
-        "leibniz": _named_leibniz,
-        "graded-leibniz": _named_graded_leibniz,
-        "cobar": _named_cobar,
-        "cartier": _named_cartier,
-    }
-    if name not in builders:
-        raise ExactError(f"unknown named complex {name!r}")
-    return builders[name](space, n_max, params)
+def _ensure_verified(space, name, complex_name, co):
+    """Verify a character (a cocharacter when co) the complex is built from."""
+    from .braiding import check_braided_character, check_braided_cocharacter
+    kind = "cocharacter" if co else "character"
+    named = space.cocharacters if co else space.characters
+    verified = space.verified_cocharacters if co else space.verified_characters
+    check = check_braided_cocharacter if co else check_braided_character
+    if name not in named:
+        raise ExactError(f"{complex_name} complex needs the {name} {kind}")
+    if name not in verified and not check(space, name).ok:
+        raise ExactError(f"{kind} {name!r} is not a braided {kind}")
 
 
-def _named_koszul(space, n_max, params):
-    char = params.get("character")
-    if char is None:
-        if len(space.characters) != 1:
-            raise ExactError("koszul complex needs a character parameter")
-        char = next(iter(space.characters))
-    _ensure_ybe(space)
-    _ensure_verified_char(space, char)
-    return _simple_complex(space, n_max, f"koszul[{char}]",
-                           lambda n: left_diff(space, char, n),
-                           cap=params.get("basis_cap"))
+# Carrier spaces --------------------------------------------------------------
 
-
-def _named_shelf(space, n_max, params):
-    _require_payload(space, "shelf")
-    _ensure_ybe(space)
-    _ensure_verified_char(space, "ones")
-    return _simple_complex(space, n_max, "shelf",
-                           lambda n: left_diff(space, "ones", n),
-                           cap=params.get("basis_cap"))
-
-
-def _named_rack(space, n_max, params):
-    _require_payload(space, "shelf")
-    _ensure_ybe(space)
-    _ensure_verified_char(space, "ones")
-    return _simple_complex(space, n_max, "rack",
-                           lambda n: combined_diff(space, "ones", "ones", n),
-                           cap=params.get("basis_cap"))
-
-
-def _named_quandle(space, n_max, params):
-    t = _require_payload(space, "shelf")
-    rep = st.check_shelf(t)
-    if not rep.spindle:
-        raise ExactError("quandle complex needs an idempotent self-distributive table")
-    rack = _named_rack(space, n_max, params)
-    pred = {n: repeated_neighbor_span(space.dim, n) for n in range(n_max + 1)}
-    _, quot = subquotient(rack, lambda n, flat: pred[n](flat))
-    quot.builder = "quandle"
-    return quot
-
-
-def _named_twisted_rack(space, n_max, params):
-    _require_payload(space, "shelf")
-    _ensure_ybe(space)
-    _ensure_verified_char(space, "ones")
-    twist = params.get("twist")
-    if twist is None:
-        raise ExactError("twisted rack complex needs a twist parameter")
-    name = f"twist:{twist}"
-    if name not in space.characters:
-        space.add_character(name, st.twist_character(twist, space.dim, space.ring))
-    _ensure_verified_char(space, name)
-    return _simple_complex(
-        space, n_max, f"twisted-rack[{twist}]",
-        lambda n: left_diff(space, "ones", n).sub_map(right_diff(space, name, n)),
-        cap=params.get("basis_cap"))
-
-
-def _named_partial_derivative(space, n_max, params):
-    t = _require_payload(space, "shelf")
-    _ensure_ybe(space)
-    a = params.get("element")
-    if a is None:
-        raise ExactError("partial derivative complex needs an element parameter")
-    name = f"dirac:{a}"
-    if name not in space.characters:
-        space.add_character(name, st.dirac_character(t, int(a), space.ring))
-    _ensure_verified_char(space, name)
-    return _simple_complex(space, n_max, f"partial-derivative[{a}]",
-                           lambda n: left_diff(space, name, n),
-                           cap=params.get("basis_cap"))
+def _itself(space):
+    return space
 
 
 def _unitalized(space):
-    """Return (space2, original_dim): the braided space of the payload with
-    a unit adjoined when absent."""
+    """The braided space of the payload, with a unit adjoined when absent."""
     payload = space.payload
     if payload.unit_index is not None:
-        return space, None
+        return space
     data = st.adjoin_unit(payload)
     if payload.kind == "associative":
-        space2 = st.assoc_braiding(data)
-    else:
-        space2 = st.leibniz_braiding(data)
-    _ensure_ybe(space2)
-    return space2, payload.dim
+        return st.assoc_braiding(data)
+    return st.leibniz_braiding(data)
 
 
-def _quotient_by_unit(space2, n_max, diff_fn, builder, lead_dim=1, cap=None):
-    base = space2.dim
-    dims = [lead_dim * base ** n for n in range(n_max + 1)]
-    homology.ensure_cap(dims, cap)
-    diffs = {n: diff_fn(n) for n in range(1, n_max + 1)}
-    amb = build_chain_complex(space2.ring, dims, diffs, -1, builder + ":ambient")
-    preds = {n: unit_factor_span(base, n, space2.unit_index, lead_dim)
-             for n in range(n_max + 1)}
-    _, quot = subquotient(amb, lambda n, flat: preds[n](flat))
-    quot.builder = builder
-    return quot
-
-
-def _named_bar(space, n_max, params):
-    payload = _require_payload(space, "associative")
-    space2, _ = _unitalized(space)
-    _ensure_ybe(space2)
-    if "counit" not in space2.characters:
-        raise ExactError("bar complex needs the counit character (vanishing off the unit)")
-    _ensure_verified_char(space2, "counit")
-    return _quotient_by_unit(
-        space2, n_max,
-        lambda n: combined_diff(space2, "counit", "counit", n), "bar",
-        cap=params.get("basis_cap"))
-
-
-def _named_group(space, n_max, params):
-    _require_payload(space, "associative")
-    space2, _ = _unitalized(space)
-    _ensure_ybe(space2)
-    lc = params.get("left_char", "counit")
-    rc = params.get("right_char", lc)
-    _ensure_verified_char(space2, lc)
-    _ensure_verified_char(space2, rc)
-    return _quotient_by_unit(
-        space2, n_max,
-        lambda n: combined_diff(space2, lc, rc, n), f"group[{lc},{rc}]",
-        cap=params.get("basis_cap"))
-
-
-def _named_hochschild(space, n_max, params):
-    _require_payload(space, "associative")
-    space2, _ = _unitalized(space)
-    _ensure_ybe(space2)
-    bim = params.get("bimodule")
-    if bim is None:
-        bim = regular_bimodule(space2)
-    if not bim.verified:
-        rep = check_bimodule(space2, bim)
-        if not rep.ok:
-            raise ExactError("bimodule fails its axioms")
-
-    def diff_fn(n):
-        left, right = bimodule_diff(space2, bim, n)
-        return left.sub_map(right)
-
-    return _quotient_by_unit(space2, n_max, diff_fn, "hochschild",
-                             lead_dim=bim.dim, cap=params.get("basis_cap"))
-
-
-def _restrict_to_unit_free(space2, n_max, diff_fn, builder, cap=None):
-    base = space2.dim
-    dims = [base ** n for n in range(n_max + 1)]
-    homology.ensure_cap(dims, cap)
-    diffs = {n: diff_fn(n) for n in range(1, n_max + 1)}
-    amb = build_chain_complex(space2.ring, dims, diffs, -1, builder + ":ambient")
-    preds = {n: unit_factor_span(base, n, space2.unit_index) for n in range(n_max + 1)}
-    sub, _ = subquotient(amb, lambda n, flat: not preds[n](flat))
-    sub.builder = builder
-    return sub
-
-
-def _named_leibniz(space, n_max, params):
-    _require_payload(space, "leibniz")
-    space2, _ = _unitalized(space)
-    _ensure_ybe(space2)
-    char = params.get("character", "counit")
-    if char not in space2.characters:
-        raise ExactError("leibniz complex needs the counit character")
-    _ensure_verified_char(space2, char)
-    return _restrict_to_unit_free(
-        space2, n_max, lambda n: left_diff(space2, char, n), "leibniz",
-        cap=params.get("basis_cap"))
-
-
-def _named_graded_leibniz(space, n_max, params):
-    payload = _require_payload(space, "leibniz")
-    if payload.unit_index is None:
-        data = st.adjoin_unit(payload)
-    else:
-        data = payload
+def _graded_leibniz(space):
+    payload = space.payload
+    data = payload if payload.unit_index is not None else st.adjoin_unit(payload)
     if data.grading is None:
         raise ExactError("graded complex needs a grading")
-    space2 = st.graded_leibniz_braiding(data)
-    _ensure_ybe(space2)
-    char = params.get("character", "counit")
-    if char not in space2.characters:
-        raise ExactError("graded leibniz complex needs the counit character")
-    _ensure_verified_char(space2, char)
-    return _restrict_to_unit_free(
-        space2, n_max, lambda n: left_diff(space2, char, n), "graded-leibniz",
-        cap=params.get("basis_cap"))
+    return st.graded_leibniz_braiding(data)
 
 
-def _extended_coalgebra_space(space):
+def _extended_coalgebra(space):
     """Counital carrier for the reduced coalgebra complexes: extend a raw
     coalgebra by a formal group-like, or reuse an already-extended one whose
     group-like is a distinguished basis vector."""
@@ -967,56 +812,160 @@ def _extended_coalgebra_space(space):
         raise ExactError(
             "reduced coalgebra complexes need either a counit-free coalgebra "
             "or a distinguished group-like basis vector")
-    space2 = st.coassoc_braiding(data)
-    _ensure_ybe(space2)
-    from .braiding import check_braided_cocharacter
-    rep = check_braided_cocharacter(space2, "unit")
-    if not rep.ok:
-        raise ExactError("extension unit is not group-like")
-    return space2
+    return st.coassoc_braiding(data)
 
 
-def _named_cobar(space, n_max, params):
-    _require_payload(space, "coalgebra")
-    space2 = _extended_coalgebra_space(space)
-    base = space2.dim
-    dims = [base ** n for n in range(n_max + 1)]
-    homology.ensure_cap(dims, params.get("basis_cap"))
-    diffs = {n: left_codiff(space2, "unit", n) for n in range(0, n_max)}
-    amb = build_chain_complex(space2.ring, dims, diffs, +1, "cobar:ambient")
-    preds = {n: unit_factor_span(base, n, space2.unit_index) for n in range(n_max + 1)}
-    _, quot = subquotient(amb, lambda n, flat: preds[n](flat))
-    quot.builder = "cobar"
-    return quot
+# Characters, as (carrier, params) -> names in label order ---------------------
+
+def _fixed(*names):
+    return lambda space, params: names
 
 
-def _named_cartier(space, n_max, params):
-    _require_payload(space, "coalgebra")
-    space2 = _extended_coalgebra_space(space)
+def _sole_character(space, params):
+    char = params.get("character")
+    if char is None:
+        if len(space.characters) != 1:
+            raise ExactError("koszul complex needs a character parameter")
+        char = next(iter(space.characters))
+    return (char,)
+
+
+def _counit_character(space, params):
+    return (params.get("character", "counit"),)
+
+
+def _group_characters(space, params):
+    lc = params.get("left_char", "counit")
+    return (lc, params.get("right_char", lc))
+
+
+def _twist_character(space, params):
+    twist = params.get("twist")
+    if twist is None:
+        raise ExactError("twisted rack complex needs a twist parameter")
+    name = f"twist:{twist}"
+    if name not in space.characters:
+        space.add_character(name, st.twist_character(twist, space.dim, space.ring))
+    return ("ones", name)
+
+
+def _dirac_character(space, params):
+    a = params.get("element")
+    if a is None:
+        raise ExactError("partial derivative complex needs an element parameter")
+    name = f"dirac:{a}"
+    if name not in space.characters:
+        space.add_character(name, st.dirac_character(space.payload, int(a), space.ring))
+    return (name,)
+
+
+# Differentials, as (carrier, characters, params) -> (lead dim, n -> boundary) --
+
+def _left(space, chars, params):
+    return 1, lambda n: left_diff(space, chars[0], n)
+
+
+def _combined(space, chars, params):
+    return 1, lambda n: combined_diff(space, chars[0], chars[-1], n)
+
+
+def _left_co(space, chars, params):
+    return 1, lambda n: left_codiff(space, chars[0], n)
+
+
+def _bimodule(space, chars, params):
+    bim = params.get("bimodule")
+    if bim is None:
+        bim = regular_bimodule(space)
+    if not bim.verified and not check_bimodule(space, bim).ok:
+        raise ExactError("bimodule fails its axioms")
+    return bim.dim, lambda n: _difference(bimodule_diff(space, bim, n))
+
+
+def _bicomodule(space, chars, params):
     bic = params.get("bicomodule")
     if bic is None:
-        bic = coalgebra_self_bicomodule(space2)
-    if not bic.verified:
-        rep = check_bicomodule(space2, bic)
-        if not rep.ok:
-            raise ExactError("bicomodule fails its axioms")
-    base = space2.dim
-    dims = [bic.dim * base ** n for n in range(n_max + 1)]
-    homology.ensure_cap(dims, params.get("basis_cap"))
+        bic = coalgebra_self_bicomodule(space)
+    if not bic.verified and not check_bicomodule(space, bic).ok:
+        raise ExactError("bicomodule fails its axioms")
+    return bic.dim, lambda n: _difference(bicomodule_codiff(space, bic, n))
 
-    def diff_fn(n):
-        left, right = bicomodule_codiff(space2, bic, n)
-        return left.sub_map(right)
 
-    diffs = {n: diff_fn(n) for n in range(0, n_max)}
-    amb = build_chain_complex(space2.ring, dims, diffs, +1, "cartier:ambient")
-    # dual to the unit quotient on the algebra side: here the unit-free
-    # tensors span a stable subcomplex (the coactions may shed the unit)
-    preds = {n: unit_factor_span(base, n, space2.unit_index, lead_dim=bic.dim)
-             for n in range(n_max + 1)}
-    sub, _ = subquotient(amb, lambda n, flat: not preds[n](flat))
-    sub.builder = "cartier"
-    return sub
+def _difference(pair):
+    left, right = pair
+    return left.sub_map(right)
+
+
+@dataclass(frozen=True)
+class _Named:
+    """A classical complex: the payload kind it needs ("spindle" is an
+    idempotent shelf), the space it lives on, the characters (cocharacters
+    for cochain complexes) it is built from, its boundary, its builder name
+    (formatted with the characters and the parameters), and the span it is
+    restricted to (keep="sub") or divided by (keep="quotient")."""
+    payload: Optional[str]
+    carrier: Callable
+    chars: Callable
+    diff: Callable
+    label: str
+    span: Optional[Callable] = None
+    keep: str = "quotient"
+    step: int = -1
+
+
+# Quotients by the unit (bar, group, hochschild, cobar) and by repeated
+# neighbours (quandle) kill the degenerate tensors. Leibniz and Cartier keep
+# the unit-free tensors instead: there the unit-bearing ones are not a
+# subcomplex, while the unit-free ones are.
+_NAMED = {
+    "koszul": _Named(None, _itself, _sole_character, _left, "koszul[{0}]"),
+    "shelf": _Named("shelf", _itself, _fixed("ones"), _left, "shelf"),
+    "rack": _Named("shelf", _itself, _fixed("ones"), _combined, "rack"),
+    "quandle": _Named("spindle", _itself, _fixed("ones"), _combined, "quandle",
+                      _degenerate),
+    "twisted-rack": _Named("shelf", _itself, _twist_character, _combined,
+                           "twisted-rack[{twist}]"),
+    "partial-derivative": _Named("shelf", _itself, _dirac_character, _left,
+                                 "partial-derivative[{element}]"),
+    "bar": _Named("associative", _unitalized, _fixed("counit"), _combined, "bar",
+                  _unit_bearing),
+    "group": _Named("associative", _unitalized, _group_characters, _combined,
+                    "group[{0},{1}]", _unit_bearing),
+    "hochschild": _Named("associative", _unitalized, _fixed(), _bimodule, "hochschild",
+                         _unit_bearing),
+    "leibniz": _Named("leibniz", _unitalized, _counit_character, _left, "leibniz",
+                      _unit_free, "sub"),
+    "graded-leibniz": _Named("leibniz", _graded_leibniz, _counit_character, _left,
+                             "graded-leibniz", _unit_free, "sub"),
+    "cobar": _Named("coalgebra", _extended_coalgebra, _fixed("unit"), _left_co, "cobar",
+                    _unit_bearing, step=1),
+    "cartier": _Named("coalgebra", _extended_coalgebra, _fixed("unit"), _bicomodule,
+                      "cartier", _unit_free, "sub", step=1),
+}
+
+
+def named_complex(space: PreBraidedSpace, name: str, n_max: int,
+                  params: Optional[dict] = None) -> ChainComplex:
+    """Assemble one of the classical complexes. Quotient constructions
+    (quandle, bar, group, hochschild, cobar) project onto the canonical basis
+    complement; restrictions (leibniz, graded-leibniz, cartier) verify
+    stability. params may hold the characters, twist, element, bimodule or
+    bicomodule the complex takes, basis_cap, and normalized (quotient by the
+    degenerate span, for complexes without a span of their own)."""
+    params = dict(params or {})
+    row = _NAMED.get(name)
+    if row is None:
+        raise ExactError(f"unknown named complex {name!r}")
+    _require_payload(space, row.payload)
+    space2 = row.carrier(space)
+    _ensure_ybe(space2)
+    chars = row.chars(space2, params)
+    for char in chars:
+        _ensure_verified(space2, char, name, co=row.step > 0)
+    lead, diff_fn = row.diff(space2, chars, params)
+    return _assemble(space2, lead, row.step, n_max, diff_fn,
+                     row.label.format(*chars, **params), span=row.span, keep=row.keep,
+                     normalized=bool(params.get("normalized")), cap=params.get("basis_cap"))
 
 
 # ---------------------------------------------------------------------------
@@ -1072,23 +1021,6 @@ def build_spec_diff(space: PreBraidedSpace, spec: DifferentialSpec, n: int, *,
         return coeff_diff(space, spec.module, spec.comodule, n, "left",
                           allow_unverified=allow_unverified)
     if kind == "bimodule":
-        left, right = bimodule_diff(space, spec.bimodule, n,
-                                    allow_unverified=allow_unverified)
-        return left.sub_map(right)
+        return _difference(bimodule_diff(space, spec.bimodule, n,
+                                         allow_unverified=allow_unverified))
     raise ExactError(f"unknown differential kind {spec.kind!r}")
-
-
-def spec_dims(space: PreBraidedSpace, spec: DifferentialSpec, n_max: int) -> list[int]:
-    d = space.dim
-    lead = 1
-    if spec.kind == "coeff":
-        lead = (spec.module.dim if spec.module else 1) * (spec.comodule.dim if spec.comodule else 1)
-    if spec.kind == "bimodule":
-        lead = spec.bimodule.dim
-    return [lead * d ** n for n in range(n_max + 1)]
-
-
-def spec_step(spec: DifferentialSpec) -> int:
-    if spec.kind.startswith("hyper"):
-        return -spec.hyper_order
-    return -1

@@ -8,7 +8,6 @@ plain ints. Floating point is never used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -216,23 +215,6 @@ def digits_of(flat: int, dims: Iterable[int]) -> tuple[int, ...]:
     if flat:
         raise ExactError("flat index out of range")
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class TensorIndex:
-    """A basis vector of a tensor product, both as digits and flat index."""
-
-    dims: tuple[int, ...]
-    flat: int
-
-    @staticmethod
-    def from_digits(digits: Iterable[int], dims: Iterable[int]) -> "TensorIndex":
-        dims = tuple(dims)
-        return TensorIndex(dims, flat_index(digits, dims))
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return digits_of(self.flat, self.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +448,6 @@ def compose(f: SparseLinearMap, g: SparseLinearMap) -> SparseLinearMap:
 
 def tensor(f: SparseLinearMap, g: SparseLinearMap) -> SparseLinearMap:
     return f.tensor(g)
-
-
-def compose_chain(maps: list[SparseLinearMap]) -> SparseLinearMap:
-    """Compose maps[0] o maps[1] o ... (last applied first)."""
-    out = maps[0]
-    for m in maps[1:]:
-        out = out.compose(m)
-    return out
 
 
 # ---------------------------------------------------------------------------

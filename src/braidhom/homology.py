@@ -8,7 +8,6 @@ located failures.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -118,26 +117,30 @@ def build_chain_complex(ring: Ring, dims: list[int], diffs: dict[int, SparseLine
 
 
 def assemble(space, spec, n_max: int, *, allow_unverified: bool = False,
-             basis_cap: Optional[int] = None) -> ChainComplex:
+             basis_cap: Optional[int] = None, normalized: bool = False) -> ChainComplex:
     """Build the complex described by a DifferentialSpec degree by degree,
-    with the square-zero check of build_chain_complex."""
+    with the square-zero check of build_chain_complex. normalized passes to
+    the quotient by the degenerate span (repeated neighbours for shelves,
+    unit-bearing tensors for unital algebras)."""
     from . import complexes as cx
 
     if spec.kind == "named":
         params = dict(spec.params)
         if basis_cap is not None:
             params["basis_cap"] = basis_cap
+        if normalized:
+            params["normalized"] = True
         return cx.named_complex(space, spec.name, n_max, params)
-    dims = cx.spec_dims(space, spec, n_max)
-    ensure_cap(dims, basis_cap)
-    step = cx.spec_step(spec)
-    diffs = {}
-    for n in range(1, n_max + 1):
-        if n + step < 0:
-            continue
-        diffs[n] = cx.build_spec_diff(space, spec, n, allow_unverified=allow_unverified)
-    return build_chain_complex(space.ring, dims, diffs, step, spec.describe(),
-                               basis_cap=basis_cap)
+    lead = 1
+    if spec.kind == "coeff":
+        lead = (spec.module.dim if spec.module else 1) * (spec.comodule.dim if spec.comodule else 1)
+    if spec.kind == "bimodule":
+        lead = spec.bimodule.dim
+    step = -spec.hyper_order if spec.kind.startswith("hyper") else -1
+    return cx._assemble(
+        space, lead, step, n_max,
+        lambda n: cx.build_spec_diff(space, spec, n, allow_unverified=allow_unverified),
+        spec.describe(), normalized=normalized, cap=basis_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +153,6 @@ class DegreeHomology:
     space_dim: int
     free_rank: int
     torsion: list[int] = field(default_factory=list)
-    boundary_shape: Optional[tuple[int, int]] = None
-    boundary_nnz: int = 0
 
 
 @dataclass
@@ -160,7 +161,6 @@ class HomologyReport:
     builder: str
     degrees: dict[int, DegreeHomology]
     square_zero_verified: bool = True
-    seconds: float = 0.0
 
     def free_ranks(self) -> dict[int, int]:
         return {n: h.free_rank for n, h in sorted(self.degrees.items())}
@@ -169,7 +169,6 @@ class HomologyReport:
 def betti(c: ChainComplex, coefficients: Optional[Ring] = None) -> HomologyReport:
     """Free ranks over a field: dim - rank(out) - rank(in) per degree, with
     boundaries beyond the stored range treated as zero."""
-    t0 = time.monotonic()
     if coefficients is None:
         coefficients = c.ring if c.ring.is_field else QQ
     if not coefficients.is_field:
@@ -181,20 +180,14 @@ def betti(c: ChainComplex, coefficients: Optional[Ring] = None) -> HomologyRepor
     for n in range(c.n_max + 1):
         out_rank = ranks.get(n, 0)
         in_rank = ranks.get(n - c.step, 0)
-        m = c.diffs.get(n)
-        degrees[n] = DegreeHomology(
-            n, c.dims[n], c.dims[n] - out_rank - in_rank, [],
-            (m.rows, m.cols) if m is not None else None,
-            m.nnz if m is not None else 0)
-    return HomologyReport(coefficients.name, c.builder, degrees,
-                          seconds=time.monotonic() - t0)
+        degrees[n] = DegreeHomology(n, c.dims[n], c.dims[n] - out_rank - in_rank)
+    return HomologyReport(coefficients.name, c.builder, degrees)
 
 
 def integral_homology(c: ChainComplex) -> HomologyReport:
     """Free rank and torsion per degree from the Smith normal forms of the
     outgoing and incoming boundaries; no basis alignment is needed for the
     invariant factors."""
-    t0 = time.monotonic()
     factors: dict[int, list[int]] = {}
     for n, m in c.diffs.items():
         factors[n] = smith_normal_form(m)
@@ -203,12 +196,9 @@ def integral_homology(c: ChainComplex) -> HomologyReport:
         out_rank = len(factors.get(n, []))
         incoming = factors.get(n - c.step, [])
         torsion = sorted(f for f in incoming if f > 1)
-        m = c.diffs.get(n)
-        degrees[n] = DegreeHomology(
-            n, c.dims[n], c.dims[n] - out_rank - len(incoming), torsion,
-            (m.rows, m.cols) if m is not None else None,
-            m.nnz if m is not None else 0)
-    return HomologyReport("Z", c.builder, degrees, seconds=time.monotonic() - t0)
+        degrees[n] = DegreeHomology(n, c.dims[n], c.dims[n] - out_rank - len(incoming),
+                                    torsion)
+    return HomologyReport("Z", c.builder, degrees)
 
 
 @dataclass
@@ -245,23 +235,28 @@ def certify_acyclic(c: ChainComplex, homotopy: dict[int, SparseLinearMap]) -> Ac
     return AcyclicityReport(certified, all(certified.values()))
 
 
-def subquotient(c: ChainComplex, predicate: Callable[[int, int], bool]
-                ) -> tuple[ChainComplex, ChainComplex]:
-    """Split along a basis-index predicate (True = inside the span).
+def subquotient(c: ChainComplex, predicate: Callable[[int, int], bool],
+                keep: str) -> ChainComplex:
+    """One half of the split along a basis-index predicate (True = inside the
+    span): the restricted complex on the span (keep="sub") or the quotient
+    complex on its complement (keep="quotient"), with induced boundaries.
 
-    Verifies that the span is boundary-stable (an escaping basis tensor is
-    an error naming it), then returns the restricted complex on the span and
-    the quotient complex on the complement, with induced boundaries."""
+    Either way the span must be boundary-stable; an escaping basis tensor is
+    an error naming it. Only the kept half is built and square-zero checked."""
+    if keep not in ("sub", "quotient"):
+        raise ExactError(f"keep must be 'sub' or 'quotient', not {keep!r}")
     span_idx: dict[int, list[int]] = {}
-    comp_idx: dict[int, list[int]] = {}
     in_span: dict[int, set[int]] = {}
+    kept_idx: dict[int, list[int]] = {}
     for n in range(c.n_max + 1):
         sel = [j for j in range(c.dims[n]) if predicate(n, j)]
         span_idx[n] = sel
         in_span[n] = set(sel)
-        comp_idx[n] = [j for j in range(c.dims[n]) if j not in in_span[n]]
-    sub_diffs = {}
-    quot_diffs = {}
+        if keep == "sub":
+            kept_idx[n] = sel
+        else:
+            kept_idx[n] = [j for j in range(c.dims[n]) if j not in in_span[n]]
+    diffs = {}
     for n, m in c.diffs.items():
         target = n + c.step
         tgt_span = in_span[target]
@@ -269,10 +264,7 @@ def subquotient(c: ChainComplex, predicate: Callable[[int, int], bool]
             for r in m.column(j):
                 if r not in tgt_span:
                     raise SpanStabilityError(n, j, r)
-        sub_diffs[n] = m.submatrix(span_idx[target], span_idx[n])
-        quot_diffs[n] = m.submatrix(comp_idx[target], comp_idx[n])
-    sub = build_chain_complex(c.ring, [len(span_idx[n]) for n in range(c.n_max + 1)],
-                              sub_diffs, c.step, c.builder + ":sub")
-    quot = build_chain_complex(c.ring, [len(comp_idx[n]) for n in range(c.n_max + 1)],
-                               quot_diffs, c.step, c.builder + ":quot")
-    return sub, quot
+        diffs[n] = m.submatrix(kept_idx[target], kept_idx[n])
+    suffix = ":sub" if keep == "sub" else ":quot"
+    return build_chain_complex(c.ring, [len(kept_idx[n]) for n in range(c.n_max + 1)],
+                               diffs, c.step, c.builder + suffix)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +33,9 @@ SL2_DOC = {
                      [2, 1, 1, -2], [1, 2, 1, 2]],
     },
 }
+
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def write(tmp_path, doc, name="scenario.json"):
@@ -313,11 +318,66 @@ def test_homology_with_bimodule_flag(tmp_path, capsys):
 def test_shipped_scenarios_run(capsys):
     """Every scenario file in the repository passes check and runs its
     default homology computation."""
-    root = Path(__file__).parent.parent / "scenarios"
-    files = sorted(root.glob("*.json"))
+    files = sorted(SCENARIOS.glob("*.json"))
     assert files, "no shipped scenarios found"
     for f in files:
         assert cli.main(["check", str(f), "--json"]) == 0, f.name
         capsys.readouterr()
         assert cli.main(["homology", str(f), "--json"]) == 0, f.name
         capsys.readouterr()
+
+
+def test_named_normalized_rack_is_quandle(tmp_path, capsys):
+    path = write(tmp_path, R3_DOC)
+    reports = []
+    for named in (["rack", "--normalized"], ["quandle"]):
+        code = cli.main(["homology", path, "--named", *named, "--max-degree", "4", "--json"])
+        assert code == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    rack, quandle = reports
+    assert rack["complex"]["builder"] == "rack:normalized"
+    assert rack["complex"]["degrees"] == quandle["complex"]["degrees"]
+    assert rack["homology"] == quandle["homology"]
+
+
+def test_named_normalized_rejected_when_complex_projects(capsys):
+    code = cli.main(["homology", str(SCENARIOS / "dual_numbers.json"),
+                     "--named", "bar", "--normalized", "--json"])
+    assert code == 2
+    assert "already projects" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--module", "nope"], "unknown module 'nope'; declared modules: none"),
+    (["--bimodule", "nope"], "unknown bimodule 'nope'; declared bimodules: none"),
+    (["--diff", "hyper:abc"], "--diff hyper:<k> needs an integer k, not 'abc'"),
+    (["--max-degree", "-1"], "--max-degree must be 0 or more, not -1"),
+    (["--diff", "bimodule"], "unknown --diff kind 'bimodule'; use hyper:<k> or one of: "
+                             "left, right, combined, face, hyper-left, hyper-right"),
+    (["--diff", "bogus", "--max-degree", "0"], "unknown --diff kind 'bogus'; use hyper:<k> "
+     "or one of: left, right, combined, face, hyper-left, hyper-right"),
+])
+def test_bad_flag_exits_2_with_message(tmp_path, capsys, flags, message):
+    doc = {k: v for k, v in R3_DOC.items() if k != "computations"}
+    code = cli.main(["homology", write(tmp_path, doc), *flags, "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == message
+
+
+def test_user_diff_suppresses_scenario_named_complex(capsys):
+    code = cli.main(["homology", str(SCENARIOS / "dihedral3.json"), "--diff", "bogus",
+                     "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith("unknown --diff kind 'bogus'")
+
+
+def test_benchmark_trace_targets_exist():
+    """perfbench/tracer.py wraps package functions by name and refuses to
+    install when one it measures is gone; run that check here."""
+    root = Path(__file__).parent.parent
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import braidhom.cli; "
+            "from tracer import Tracer; Tracer().install()")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src"),
+                           str(root / "perfbench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

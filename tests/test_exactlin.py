@@ -8,7 +8,6 @@ from braidhom import (
     PrimeField,
     QQ,
     SparseLinearMap,
-    TensorIndex,
     ZZ,
     compose,
     kernel_dimension,
@@ -82,9 +81,6 @@ def test_tensor_index_roundtrip():
     dims = (3, 3, 3)
     for flat in range(27):
         assert flat_index(digits_of(flat, dims), dims) == flat
-    ti = TensorIndex.from_digits((1, 0, 2), dims)
-    assert ti.flat == 1 * 9 + 0 * 3 + 2
-    assert ti.digits == (1, 0, 2)
 
 
 def test_tensor_index_big_endian():

@@ -243,7 +243,8 @@ def test_certify_shape_mismatch(r3):
 def test_subquotient_degenerate_span(r3):
     c = named_complex(r3, "rack", 4)
     preds = {n: repeated_neighbor_span(3, n) for n in range(5)}
-    sub, quot = subquotient(c, lambda n, f: preds[n](f))
+    sub = subquotient(c, lambda n, f: preds[n](f), "sub")
+    quot = subquotient(c, lambda n, f: preds[n](f), "quotient")
     assert quot.dims == [1, 3, 6, 12, 24]
     assert sub.dims == [0, 0, 3, 15, 57]
     # ranks add up
@@ -255,16 +256,17 @@ def test_subquotient_unit_span_group_algebra(kz2):
     spec = DifferentialSpec(kind="combined", left_char="aug", right_char="aug")
     c = assemble(kz2, spec, 4)
     preds = {n: unit_factor_span(2, n, 0) for n in range(5)}
-    sub, quot = subquotient(c, lambda n, f: preds[n](f))
+    quot = subquotient(c, lambda n, f: preds[n](f), "quotient")
     assert quot.dims == [1, 1, 1, 1, 1]
 
 
 def test_subquotient_rejects_unstable_span(r3):
     c = named_complex(r3, "rack", 3)
     rng = random.Random(5)
-    with pytest.raises(SpanStabilityError) as err:
-        subquotient(c, lambda n, f: rng.random() < 0.5)
-    assert err.value.escaping_index is not None
+    for keep in ("sub", "quotient"):
+        with pytest.raises(SpanStabilityError) as err:
+            subquotient(c, lambda n, f: rng.random() < 0.5, keep)
+        assert err.value.escaping_index is not None
 
 
 # -- homology operations -------------------------------------------------------------------
