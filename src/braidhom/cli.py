@@ -324,6 +324,11 @@ def _spec_from_args(space, args) -> DifferentialSpec:
         if name not in space.characters:
             space.add_character(name, st.twist_character(tw, space.dim, space.ring))
         rc = name
+    char = rc if diff in ("right", "hyper-right") else lc
+    if char is None and not (getattr(args, "module", None) or getattr(args, "bimodule", None)):
+        declared = ", ".join(sorted(space.characters)) or "none"
+        raise ExactError(f"the {diff} differential needs --left-char; "
+                         f"declared characters: {declared}")
     spec = DifferentialSpec(kind=diff, left_char=lc, right_char=rc,
                             hyper_order=hyper_order)
     if getattr(args, "module", None):

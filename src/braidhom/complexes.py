@@ -664,13 +664,15 @@ def check_simplicial(space: PreBraidedSpace, left_char: str, right_char: str,
 # Spans for quotient / restricted complexes
 # ---------------------------------------------------------------------------
 
-def repeated_neighbor_span(d: int, n: int) -> Callable[[int], bool]:
+def repeated_neighbor_span(d: int, n: int, lead_dim: int = 1) -> Callable[[int], bool]:
     """Basis tensors with some equal adjacent pair of digits (the image of
-    the diagonal degeneracies)."""
+    the diagonal degeneracies); an optional leading coefficient block is
+    ignored."""
     from .exactlin import digits_of
+    dims = (lead_dim,) + (d,) * n
 
     def pred(flat: int) -> bool:
-        digs = digits_of(flat, (d,) * n)
+        digs = digits_of(flat, dims)[1:]
         return any(digs[i] == digs[i + 1] for i in range(n - 1))
     return pred
 
@@ -680,12 +682,10 @@ def unit_factor_span(d: int, n: int, unit_index: int,
     """Basis tensors with the unit index in some tensor slot; an optional
     leading coefficient block is ignored."""
     from .exactlin import digits_of
-    dims = ((lead_dim,) if lead_dim > 1 else ()) + (d,) * n
-    skip = 1 if lead_dim > 1 else 0
+    dims = (lead_dim,) + (d,) * n
 
     def pred(flat: int) -> bool:
-        digs = digits_of(flat, dims)
-        return unit_index in digs[skip:]
+        return unit_index in digits_of(flat, dims)[1:]
     return pred
 
 
@@ -694,7 +694,7 @@ def unit_factor_span(d: int, n: int, unit_index: int,
 # ---------------------------------------------------------------------------
 
 def _degenerate(space, lead, n):
-    return repeated_neighbor_span(space.dim, n)
+    return repeated_neighbor_span(space.dim, n, lead)
 
 
 def _unit_bearing(space, lead, n):

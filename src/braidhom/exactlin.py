@@ -451,9 +451,13 @@ def tensor(f: SparseLinearMap, g: SparseLinearMap) -> SparseLinearMap:
 
 
 # ---------------------------------------------------------------------------
-# Rank / kernel over a field. Integer input is promoted to Q. The rational
-# path clears denominators and eliminates fraction-free, stripping row
-# contents (gcds) to keep intermediate integers small.
+# Elimination. One kernel serves rank over F_p, rank over Q and the Smith
+# form over Z; only the row update differs. Each pivot is the shortest row,
+# then its entry whose column meets the fewest rows, read from a map of rows
+# by length. Over Q rows are kept integral: denominators are cleared, and
+# each update a*row - b*prow is divided by its content (gcd) to keep the
+# integers small. The Smith form takes +-1 pivots first and never divides
+# out contents (see smith_normal_form).
 # ---------------------------------------------------------------------------
 
 def _strip_content(row: dict) -> dict:
@@ -467,123 +471,119 @@ def _strip_content(row: dict) -> dict:
     return row
 
 
-def _integer_rows(m: SparseLinearMap) -> list[dict]:
+def _row_dicts(m: SparseLinearMap) -> list[dict]:
     rows: dict[int, dict] = {}
     for r, c, v in m.entries():
         rows.setdefault(r, {})[c] = v
+    return list(rows.values())
+
+
+def _integer_rows(m: SparseLinearMap) -> list[dict]:
     out = []
-    for row in rows.values():
-        if any(isinstance(v, Fraction) for v in row.values()):
-            denlcm = 1
-            for v in row.values():
-                denlcm = denlcm * Fraction(v).denominator // math.gcd(denlcm, Fraction(v).denominator)
-            row = {c: int(Fraction(v) * denlcm) for c, v in row.items()}
-        out.append(_strip_content(row))
+    for row in _row_dicts(m):
+        den = math.lcm(*(v.denominator for v in row.values()))
+        out.append(_strip_content({c: int(v * den) for c, v in row.items()}))
     return out
 
 
-def _rank_fraction_free(rows: list[dict]) -> int:
-    colrows: dict[int, set[int]] = {}
-    alive = set(range(len(rows)))
-    for i, row in enumerate(rows):
-        for c in row:
-            colrows.setdefault(c, set()).add(i)
-    rank = 0
-    while alive:
-        best = None
-        for i in alive:
-            row = rows[i]
-            lr = len(row) - 1
-            for c, v in row.items():
-                key = (lr * (len(colrows[c]) - 1), abs(v))
-                if best is None or key < best[0]:
-                    best = (key, i, c)
-                    if key[0] == 0 and key[1] == 1:
-                        break
-            else:
-                continue
-            break
-        _, pi, pc = best
-        prow = rows[pi]
-        pv = prow[pc]
-        rank += 1
-        alive.discard(pi)
-        for c in prow:
-            colrows[c].discard(pi)
-        for i in list(colrows.get(pc, ())):
-            if i not in alive:
-                continue
-            row = rows[i]
-            b = row[pc]
-            new: dict[int, int] = {}
-            for c in row.keys() | prow.keys():
-                val = pv * row.get(c, 0) - b * prow.get(c, 0)
-                if val:
-                    new[c] = val
-            new = _strip_content(new)
+class _Elimination:
+    """Sparse rows under elimination, with the rows meeting each column and
+    the rows of each length, so pivot choice reads the shortest rows first
+    instead of scanning every row."""
+
+    def __init__(self, rows: Iterable[dict]):
+        self.rows: dict[int, dict] = {}
+        self.cols: dict[int, set[int]] = {}
+        self.bylen: dict[int, set[int]] = {}
+        for i, row in enumerate(rows):
+            self.rows[i] = row
             for c in row:
-                colrows[c].discard(i)
-            rows[i] = new
-            if not new:
-                alive.discard(i)
-            else:
-                for c in new:
-                    colrows.setdefault(c, set()).add(i)
-    return rank
+                self.cols.setdefault(c, set()).add(i)
+            self.bylen.setdefault(len(row), set()).add(i)
+
+    def _unfile(self, i: int, n: int):
+        bucket = self.bylen[n]
+        bucket.discard(i)
+        if not bucket:
+            del self.bylen[n]
+
+    def pivot(self, among: Optional[set] = None) -> Optional[tuple[int, int]]:
+        """The shortest row holding an entry with a value in among (any entry
+        when among is None), and such an entry's column meeting the fewest
+        rows."""
+        cols = self.cols
+        for n in sorted(self.bylen):
+            for i in self.bylen[n]:
+                row = self.rows[i]
+                if among is None:
+                    return i, min(row, key=lambda c: len(cols[c]))
+                if not among.isdisjoint(row.values()):
+                    return i, min((c for c, v in row.items() if v in among),
+                                  key=lambda c: len(cols[c]))
+        return None
+
+    def pop(self, i: int) -> dict:
+        row = self.rows.pop(i)
+        for c in row:
+            self.cols[c].discard(i)
+        self._unfile(i, len(row))
+        return row
+
+    def replace(self, i: int, new: dict, touched: Iterable[int]):
+        """Set row i to new, which differs from it only in the touched columns."""
+        old = self.rows[i]
+        for c in touched:
+            if c in new:
+                if c not in old:
+                    self.cols.setdefault(c, set()).add(i)
+            elif c in old:
+                self.cols[c].discard(i)
+        if len(new) != len(old):
+            self._unfile(i, len(old))
+            if new:
+                self.bylen.setdefault(len(new), set()).add(i)
+        if new:
+            self.rows[i] = new
+        else:
+            del self.rows[i]
+
+    def eliminate(self, i: int, c: int, update):
+        """Drop pivot row i and clear column c from every other row with
+        update(row, prow, c)."""
+        prow = self.pop(i)
+        for j in list(self.cols[c]):
+            self.replace(j, update(self.rows[j], prow, c), prow)
 
 
-def _rank_mod_p(m: SparseLinearMap, p: int) -> int:
-    rows_map: dict[int, dict] = {}
-    for r, c, v in m.entries():
-        w = v % p
-        if w:
-            rows_map.setdefault(r, {})[c] = w
-    rows = list(rows_map.values())
-    colrows: dict[int, set[int]] = {}
-    alive = set(range(len(rows)))
-    for i, row in enumerate(rows):
-        for c in row:
-            colrows.setdefault(c, set()).add(i)
-    rank = 0
-    while alive:
-        best = None
-        for i in alive:
-            row = rows[i]
-            lr = len(row) - 1
-            for c in row:
-                key = lr * (len(colrows[c]) - 1)
-                if best is None or key < best[0]:
-                    best = (key, i, c)
-                if key == 0:
-                    break
-            if best[0] == 0:
-                break
-        _, pi, pc = best
-        prow = rows[pi]
-        pinv = pow(prow[pc], -1, p)
-        rank += 1
-        alive.discard(pi)
-        for c in prow:
-            colrows[c].discard(pi)
-        for i in list(colrows.get(pc, ())):
-            if i not in alive:
-                continue
-            row = rows[i]
-            factor = row[pc] * pinv % p
-            new = {}
-            for c in row.keys() | prow.keys():
-                val = (row.get(c, 0) - factor * prow.get(c, 0)) % p
-                if val:
-                    new[c] = val
-            for c in row:
-                colrows[c].discard(i)
-            rows[i] = new
-            if not new:
-                alive.discard(i)
-            else:
-                for c in new:
-                    colrows.setdefault(c, set()).add(i)
-    return rank
+def _addmul(row: dict, src: dict, q: int, p: int = 0) -> dict:
+    """row + q*src as a new dict, over Z, or over F_p when p is given."""
+    new = dict(row)
+    for c, v in src.items():
+        s = new.get(c, 0) + q * v
+        if p:
+            s %= p
+        if s:
+            new[c] = s
+        else:
+            del new[c]
+    return new
+
+
+def _mod_p_update(p: int):
+    return lambda row, prow, pc: _addmul(row, prow, -row[pc] * pow(prow[pc], -1, p) % p, p)
+
+
+def _fraction_free_update(row: dict, prow: dict, pc: int) -> dict:
+    a, b = prow[pc], row[pc]
+    g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    return _strip_content(_addmul(row, prow, -b))
+
+
+def _unit_update(row: dict, prow: dict, pc: int) -> dict:
+    return _addmul(row, prow, -row[pc] * prow[pc])
 
 
 def rank(m: SparseLinearMap) -> int:
@@ -591,8 +591,14 @@ def rank(m: SparseLinearMap) -> int:
     if m.is_zero():
         return 0
     if isinstance(m.ring, PrimeField):
-        return _rank_mod_p(m, m.ring.p)
-    return _rank_fraction_free(_integer_rows(m))
+        elim, update = _Elimination(_row_dicts(m)), _mod_p_update(m.ring.p)
+    else:
+        elim, update = _Elimination(_integer_rows(m)), _fraction_free_update
+    r = 0
+    while (piv := elim.pivot()) is not None:
+        elim.eliminate(*piv, update)
+        r += 1
+    return r
 
 
 def kernel_dimension(m: SparseLinearMap) -> int:
@@ -603,103 +609,81 @@ def kernel_dimension(m: SparseLinearMap) -> int:
 # Smith normal form over Z.
 # ---------------------------------------------------------------------------
 
-def _int_rows_checked(m: SparseLinearMap) -> dict[int, dict]:
-    rows: dict[int, dict] = {}
-    for r, c, v in m.entries():
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ExactError("Smith normal form needs integer entries")
-            v = v.numerator
-        rows.setdefault(r, {})[c] = v
-    return rows
+_UNITS = {1, -1}
+
+
+def _euclid_pivot(elim: _Elimination) -> int:
+    """One Euclidean pivot on a matrix without unit entries. Starting from the
+    shortest row's entry of least absolute value, clear its column by row
+    operations and its row by column operations, switching to any smaller
+    remainder produced. Drops the finished pivot row and returns the pivot."""
+    rows, cols = elim.rows, elim.cols
+    pr = next(iter(elim.bylen[min(elim.bylen)]))
+    pc = min(rows[pr], key=lambda c: (abs(rows[pr][c]), len(cols[c])))
+    while True:
+        prow = rows[pr]
+        pv = prow[pc]
+        if pv < 0:
+            prow = {c: -v for c, v in prow.items()}
+            elim.replace(pr, prow, ())
+            pv = -pv
+        switched = False
+        for r2 in list(cols[pc]):
+            if r2 == pr:
+                continue
+            q, rem = divmod(rows[r2][pc], pv)
+            if q:
+                elim.replace(r2, _addmul(rows[r2], prow, -q), prow)
+            if rem:
+                pr, switched = r2, True
+                break
+        if switched:
+            continue
+        # Column pc now meets only row pr, so each column operation just
+        # reduces one entry of row pr modulo the pivot.
+        new = dict(prow)
+        for c2, v in prow.items():
+            if c2 == pc:
+                continue
+            rem = v % pv
+            if rem:
+                new[c2] = rem
+                pc, switched = c2, True
+                break
+            del new[c2]
+        elim.replace(pr, new, prow)
+        if not switched:
+            elim.pop(pr)
+            return pv
 
 
 def smith_normal_form(m: SparseLinearMap) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
-    Elimination picks pivots of minimal absolute value (then minimal fill),
-    clears the pivot column by row operations and the pivot row by column
-    operations, switching to any smaller remainder it produces. Divisibility
-    of the collected pivots is normalized at the end via gcd/lcm exchanges,
-    which realize diag(a, b) ~ diag(gcd(a,b), lcm(a,b)).
+    Pivots are +-1 entries first: the shortest row holding a unit, then its
+    unit column meeting the fewest rows. A unit pivot clears its column by
+    row operations and contributes the factor 1; its row is dropped, since
+    column operations would clear it without touching any other row. Only
+    when no unit entry is left does a Euclidean step run, from the shortest
+    row's entry of least absolute value, switching to any smaller remainder.
+    Row contents are never divided out. The non-unit pivots are normalized
+    to a divisibility chain at the end via gcd/lcm exchanges, which realize
+    diag(a, b) ~ diag(gcd(a,b), lcm(a,b)).
     """
-    rows = _int_rows_checked(m)
-    colrows: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            colrows.setdefault(c, set()).add(r)
-
-    def row_addmul(dst: int, src: int, q: int):
-        """rows[dst] += q * rows[src], maintaining the column index."""
-        drow = rows[dst]
-        for c, v in rows[src].items():
-            s = drow.get(c, 0) + q * v
-            if s:
-                if c not in drow:
-                    colrows.setdefault(c, set()).add(dst)
-                drow[c] = s
-            else:
-                if c in drow:
-                    del drow[c]
-                    colrows[c].discard(dst)
-
+    rows = _row_dicts(m)
+    if any(v.denominator != 1 for row in rows for v in row.values()):
+        raise ExactError("Smith normal form needs integer entries")
+    elim = _Elimination([{c: int(v) for c, v in row.items()} for row in rows])
+    units = 0
     pivots: list[int] = []
-    while True:
-        best = None
-        for r, row in rows.items():
-            if not row:
-                continue
-            lr = len(row) - 1
-            for c, v in row.items():
-                key = (abs(v), lr * (len(colrows[c]) - 1))
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-            if best is not None and best[0][0] == 1 and best[0][1] == 0:
-                break
-        if best is None:
-            break
-        _, pr, pc = best
-        while True:
-            pv = rows[pr][pc]
-            if pv < 0:
-                rows[pr] = {c: -v for c, v in rows[pr].items()}
-                pv = -pv
-            switched = False
-            for r2 in list(colrows[pc]):
-                if r2 == pr:
-                    continue
-                q, rem = divmod(rows[r2][pc], pv)
-                row_addmul(r2, pr, -q)
-                if rem:
-                    pr = r2
-                    switched = True
-                    break
-            if switched:
-                continue
-            # Column is clear; clear the pivot row by column operations.
-            # Since column pc now meets only row pr, each operation just
-            # reduces an entry of row pr modulo the pivot.
-            prow = rows[pr]
-            switched = False
-            for c2 in list(prow):
-                if c2 == pc:
-                    continue
-                q, rem = divmod(prow[c2], pv)
-                if rem:
-                    prow[c2] = rem
-                    pc = c2
-                    switched = True
-                    break
-                del prow[c2]
-                colrows[c2].discard(pr)
-            if switched:
-                continue
-            break
-        pivots.append(rows[pr][pc])
-        del rows[pr]
-        colrows[pc].discard(pr)
+    while elim.rows:
+        piv = elim.pivot(_UNITS)
+        if piv is None:
+            pivots.append(_euclid_pivot(elim))
+        else:
+            elim.eliminate(*piv, _unit_update)
+            units += 1
 
-    # Normalize to a divisibility chain.
     changed = True
     while changed:
         changed = False
@@ -709,8 +693,7 @@ def smith_normal_form(m: SparseLinearMap) -> list[int]:
                     g = math.gcd(pivots[i], pivots[j])
                     pivots[i], pivots[j] = g, pivots[i] * pivots[j] // g
                     changed = True
-    pivots.sort()
-    return pivots
+    return [1] * units + sorted(pivots)
 
 
 # ---------------------------------------------------------------------------

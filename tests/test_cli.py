@@ -16,6 +16,11 @@ R3_DOC = {
     "computations": [{"command": "homology", "named": "rack", "max_degree": 3}],
 }
 
+# R3 acting on itself from the right: m . b = m <| b.
+R3_SELF_MODULE = {"dim": 3, "side": "right",
+                  "action": [[(2 * b - a) % 3, a * 3 + b, 1]
+                             for a in range(3) for b in range(3)]}
+
 KZ2_DOC = {
     "ring": "q",
     "structure": {
@@ -117,9 +122,7 @@ def test_build_space_coalgebra_extension(tmp_path):
 
 def test_build_space_module(tmp_path):
     doc = dict(R3_DOC)
-    doc["modules"] = {"self": {"dim": 3, "side": "right",
-                               "action": [[(2 * b - a) % 3, a * 3 + b, 1]
-                                          for a in range(3) for b in range(3)]}}
+    doc["modules"] = {"self": R3_SELF_MODULE}
     sc = parse(write(tmp_path, doc))
     space = build_space(sc)
     assert "self" in space.modules
@@ -362,6 +365,26 @@ def test_bad_flag_exits_2_with_message(tmp_path, capsys, flags, message):
     code = cli.main(["homology", write(tmp_path, doc), *flags, "--json"])
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"] == message
+
+
+def test_several_characters_need_left_char(capsys):
+    code = cli.main(["complex", str(SCENARIOS / "group_algebra_z2.json"), "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "the combined differential needs --left-char; declared characters: aug, sign")
+
+
+def test_normalized_with_coefficient_module(tmp_path, capsys):
+    doc = dict(R3_DOC)
+    doc["modules"] = {"self": R3_SELF_MODULE}
+    code = cli.main(["homology", write(tmp_path, doc), "--module", "self", "--normalized",
+                     "--max-degree", "3", "--json"])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["complex"]["square_zero_verified"] is True
+    dims = {int(n): d["dim"] for n, d in rep["complex"]["degrees"].items()}
+    # the module block times the words of length n with no equal neighbours
+    assert dims == {0: 3, **{n: 3 * 3 * 2 ** (n - 1) for n in (1, 2, 3)}}
 
 
 def test_user_diff_suppresses_scenario_named_complex(capsys):

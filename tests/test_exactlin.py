@@ -10,13 +10,16 @@ from braidhom import (
     SparseLinearMap,
     ZZ,
     compose,
+    dihedral_shelf,
     kernel_dimension,
     rank,
     ring_from_name,
+    shelf_braiding,
     smith_normal_form,
     tensor,
     try_inverse,
 )
+from braidhom.complexes import named_complex
 from braidhom.exactlin import digits_of, flat_index
 
 from helpers import (
@@ -39,6 +42,21 @@ def random_sparse(rows, cols, ring, rng, density=0.4, span=5):
                 if v:
                     entries.append((r, c, v))
     return SparseLinearMap.from_entries(rows, cols, entries, ring)
+
+
+def unimodular_mix(dense, rng, steps):
+    """dense under random elementary unimodular row and column operations."""
+    a = [list(row) for row in dense]
+    for _ in range(steps):
+        q = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(len(a)), 2)
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        else:
+            i, j = rng.sample(range(len(a[0])), 2)
+            for row in a:
+                row[i] += q * row[j]
+    return a
 
 
 # -- rings -------------------------------------------------------------------
@@ -242,6 +260,38 @@ def test_snf_divisibility_chain_and_rank():
         for a, b in zip(fs, fs[1:]):
             assert b % a == 0
         assert len(fs) == rank(m.with_ring(QQ))
+
+
+def test_snf_of_disguised_diagonal():
+    # 12x15 U.D.V; the factors 2 and 3 recombine into 1 and 6, so the
+    # normalized chain of D is 1^4 2^2 6^4.
+    diag = [1, 2, 6, 0, 1, 3, 2, 6, 0, 1, 6, 2]
+    d = [[diag[i] if i == j else 0 for j in range(15)] for i in range(12)]
+    rng = random.Random(47)
+    for _ in range(5):
+        m = from_dense(unimodular_mix(d, rng, 60), ZZ)
+        assert smith_normal_form(m) == [1, 1, 1, 1, 2, 2, 6, 6, 6, 6]
+
+
+def test_snf_without_unit_entries_matches_oracle():
+    rng = random.Random(53)
+    for _ in range(12):
+        dense = [[rng.choice((0, 0, 2, -2, 3, -3, 4, 6, -9)) for _ in range(5)]
+                 for _ in range(4)]
+        assert smith_normal_form(from_dense(dense, ZZ)) == snf_by_minor_gcds(dense)
+
+
+def test_rack_boundaries_universal_coefficients():
+    # R4 rack boundaries: rank over Q is the number of invariant factors,
+    # rank over F_p the number of them prime to p.
+    c = named_complex(shelf_braiding(dihedral_shelf(4)), "rack", 5)
+    for n in (4, 5):
+        m = c.diffs[n]
+        factors = smith_normal_form(m)
+        assert any(f % 2 == 0 for f in factors)
+        assert len(factors) == rank(m.with_ring(QQ))
+        for p in (2, 5, 7):
+            assert rank(m.with_ring(PrimeField(p))) == sum(1 for f in factors if f % p)
 
 
 def test_snf_rejects_fractions():
