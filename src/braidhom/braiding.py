@@ -368,38 +368,76 @@ def braid_lift(space: PreBraidedSpace, s: Permutation, n: int, sign: int = 1, *,
     return out
 
 
+def _check_shuffle_args(space: PreBraidedSpace, p: int, q: int, sign: int,
+                        allow_unverified: bool):
+    space.require_ybe(allow_unverified)
+    if p < 0 or q < 0:
+        raise ExactError("shuffle indices must be nonnegative")
+    if sign not in (1, -1):
+        raise ExactError("sign must be +1 or -1")
+
+
 def shuffle_coproduct(space: PreBraidedSpace, p: int, q: int, sign: int = 1, *,
                       allow_unverified: bool = False) -> SparseLinearMap:
-    """Sum of inverse-permutation lifts over the (p,q)-shuffles, as an
-    endomorphism matrix of V^(x)(p+q) read as V^p (x) V^q."""
+    """Quantum coshuffle: the sum of the inverse-permutation lifts over the
+    (p,q)-shuffles, as an endomorphism matrix of V^(x)(p+q) read as
+    V^p (x) V^q.
+
+    Built one strand at a time from cached neighbours. The last strand
+    either ends the right block or crosses the q strands of the right block
+    to end the left one:
+
+        D(p,0) = D(0,q) = Id,
+        D(p,q) = (D(p,q-1) (x) Id_1) + (Id_(p-1) (x) L_q) o (D(p-1,q) (x) Id_1),
+
+    where L_q lifts the permutation pulling strand q+1 of q+1 to the left.
+    """
     key = (p, q, sign)
     got = space._coshuffle_cache.get(key)
     if got is None:
-        space.require_ybe(allow_unverified)
-        n = p + q
-        out = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
-        for s in shuffle_set(p, q):
-            out = out.add_map(braid_lift(space, s.inverse(), n, sign,
-                                         allow_unverified=allow_unverified))
-        got = out
+        _check_shuffle_args(space, p, q, sign, allow_unverified)
+        if p == 0 or q == 0:
+            got = space.identity_power(p + q)
+        else:
+            one = space.identity_power(1)
+            stay = shuffle_coproduct(space, p, q - 1, sign, allow_unverified=allow_unverified)
+            rest = shuffle_coproduct(space, p - 1, q, sign, allow_unverified=allow_unverified)
+            cross = braid_lift(space, moving_permutation(q + 1, q + 1, to_left=True), q + 1,
+                               sign, allow_unverified=allow_unverified)
+            got = tensor(stay, one).add_map(
+                tensor(space.identity_power(p - 1), cross).compose(tensor(rest, one)))
         space._coshuffle_cache[key] = got
     return got
 
 
 def shuffle_product(space: PreBraidedSpace, p: int, q: int, sign: int = 1, *,
                     allow_unverified: bool = False) -> SparseLinearMap:
-    """Sum of permutation lifts over the (p,q)-shuffles (the shuffle-style
-    product V^p (x) V^q -> V^(x)(p+q))."""
+    """Quantum shuffle product V^p (x) V^q -> V^(x)(p+q): the sum of the
+    permutation lifts over the (p,q)-shuffles.
+
+    Built one strand at a time from cached neighbours. The last output
+    strand is either the last strand of the right block or the last strand
+    of the left block, first crossed over the q strands of the right block:
+
+        S(p,0) = S(0,q) = Id,
+        S(p,q) = (S(p,q-1) (x) Id_1) + (S(p-1,q) (x) Id_1) o (Id_(p-1) (x) R_q),
+
+    where R_q lifts the permutation pulling strand 1 of q+1 to the right.
+    """
     key = (p, q, sign)
     got = space._shuffle_cache.get(key)
     if got is None:
-        space.require_ybe(allow_unverified)
-        n = p + q
-        out = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
-        for s in shuffle_set(p, q):
-            out = out.add_map(braid_lift(space, s, n, sign,
-                                         allow_unverified=allow_unverified))
-        got = out
+        _check_shuffle_args(space, p, q, sign, allow_unverified)
+        if p == 0 or q == 0:
+            got = space.identity_power(p + q)
+        else:
+            one = space.identity_power(1)
+            stay = shuffle_product(space, p, q - 1, sign, allow_unverified=allow_unverified)
+            rest = shuffle_product(space, p - 1, q, sign, allow_unverified=allow_unverified)
+            cross = braid_lift(space, moving_permutation(1, q + 1, to_left=False), q + 1,
+                               sign, allow_unverified=allow_unverified)
+            got = tensor(stay, one).add_map(
+                tensor(rest, one).compose(tensor(space.identity_power(p - 1), cross)))
         space._shuffle_cache[key] = got
     return got
 

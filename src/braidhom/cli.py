@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -447,6 +448,14 @@ def _suite_simplicial(space, args, report) -> bool:
 def _suite_hyper(space, args, report) -> bool:
     lc, _ = _default_chars(space, args)
     n_max = args.max_degree if args.max_degree is not None else 6
+    built: dict = {}
+
+    def boundary(order, degree, side):
+        key = (order, degree, side)
+        if key not in built:
+            built[key] = hyper_boundary(space, lc, order, degree, side)
+        return built[key]
+
     ok = True
     checked = 0
     for n in range(1, n_max + 1):
@@ -455,10 +464,8 @@ def _suite_hyper(space, args, report) -> bool:
                 if k + m > n:
                     continue
                 for side in ("left", "right"):
-                    lhs = hyper_boundary(space, lc, m, n - k, side).compose(
-                        hyper_boundary(space, lc, k, n, side))
-                    rhs = hyper_boundary(space, lc, m + k, n, side).scale(
-                        signed_binomial(m, k))
+                    lhs = boundary(m, n - k, side).compose(boundary(k, n, side))
+                    rhs = boundary(m + k, n, side).scale(signed_binomial(m, k))
                     ok &= lhs == rhs
                     checked += 1
     report["hyper"] = {"ok": ok, "identities_checked": checked, "max_degree": n_max}
@@ -611,6 +618,19 @@ def _render_human(report, indent=0):
     return lines
 
 
+def _emit(text: str) -> None:
+    """Print to stdout. A reader that closes the pipe early (``| head``)
+    gets the output it read, and the run keeps its own exit code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Later flushes, including the one at interpreter exit, go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -619,7 +639,7 @@ def main(argv=None) -> int:
         payload = {"command": args.command, "error": "invalid scenario",
                    "details": e.errors}
         if args.json:
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+            _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         else:
             print("invalid scenario:", file=sys.stderr)
             for msg in e.errors:
@@ -631,9 +651,9 @@ def main(argv=None) -> int:
     _apply_computation_defaults(args, scenario)
     code, report = run(args.command, scenario, args)
     if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        _emit(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
-        print("\n".join(_render_human(report)))
+        _emit("\n".join(_render_human(report)))
     return code
 
 

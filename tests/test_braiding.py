@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,8 @@ from braidhom import (
     trivial_shelf,
 )
 from braidhom.braiding import block_swap_permutation, make_flip, moving_permutation
+from braidhom.exactlin import ring_from_name
+from braidhom.scenario import build_space, parse as parse_scenario
 from braidhom.structures import ShelfTable, cyclic_shelf
 
 from conftest import kz2_data, verify_space
@@ -251,6 +255,59 @@ def test_coshuffle_lifts_inverses(r3):
     for s in shuffle_set(p, q):
         total = total.add_map(braid_lift(r3, s.inverse(), 3))
     assert total == shuffle_coproduct(r3, p, q, sign=1)
+
+
+def lift_sum(space, p, q, sign, inverse):
+    """Oracle: the (co)shuffle as the literal sum of lifts over shuffle_set."""
+    n = p + q
+    total = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
+    for s in shuffle_set(p, q):
+        total = total.add_map(braid_lift(space, s.inverse() if inverse else s, n, sign,
+                                         allow_unverified=True))
+    return total
+
+
+def assert_recursion_matches_sums(make_space, max_total):
+    for sign in (1, -1):
+        built, oracle = make_space(), make_space()
+        for n in range(max_total + 1):
+            for p in range(n + 1):
+                q = n - p
+                assert shuffle_coproduct(built, p, q, sign, allow_unverified=True) == \
+                    lift_sum(oracle, p, q, sign, True), ("coshuffle", p, q, sign)
+                assert shuffle_product(built, p, q, sign, allow_unverified=True) == \
+                    lift_sum(oracle, p, q, sign, False), ("shuffle", p, q, sign)
+
+
+def test_shuffle_recursion_matches_lift_sums_r3():
+    assert_recursion_matches_sums(lambda: shelf_braiding(dihedral_shelf(3), ZZ), 5)
+
+
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("ring_name", ["q", "fp:3"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_shuffle_recursion_matches_lift_sums_scenarios(name, ring_name):
+    sc = parse_scenario(SCENARIO_DIR / name)
+    ring = ring_from_name(ring_name)
+    # sl2 over Q stops at total degree 4: degree 5 alone takes about 4 s there,
+    # and the same braiding is covered to degree 5 over F3.
+    max_total = 4 if (name, ring_name) == ("sl2.json", "q") else 5
+    assert_recursion_matches_sums(lambda: build_space(sc, ring), max_total)
+
+
+def test_shuffle_recursion_matches_lift_sums_without_ybe():
+    # the recursion follows the canonical reduced words, so it agrees with
+    # the sums even where the lift depends on the word
+    rng = random.Random(7)
+    entries = [(i, j, rng.randint(-2, 2)) for i in range(4) for j in range(4)]
+
+    def make():
+        return PreBraidedSpace(2, ZZ, SparseLinearMap.from_entries(4, 4, entries, ZZ))
+
+    assert not check_ybe(make()).ok
+    assert_recursion_matches_sums(make, 5)
 
 
 # -- extended braiding and antipode ----------------------------------------------
