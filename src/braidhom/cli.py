@@ -129,20 +129,21 @@ def _ring_for(args, scenario: Scenario) -> Ring:
     return scenario.ring
 
 
-def _fmt_scalar(ring: Ring, v) -> str:
-    return ring.fmt(v)
+def _ybe_entry(space) -> dict:
+    """The report entry of check_ybe(space), with the first violation's
+    entries formatted in the space's ring."""
+    ybe = check_ybe(space)
+    entry = {"ok": ybe.ok}
+    if ybe.violation:
+        r, c, lhs, rhs = ybe.violation
+        entry["first_violation"] = {"row": r, "col": c,
+                                    "lhs": space.ring.fmt(lhs), "rhs": space.ring.fmt(rhs)}
+    return entry
 
 
 def _verify_space(space, report, allow_unverified):
     """YBE and character gates; populates report['verification']."""
-    ver = {}
-    ybe = check_ybe(space)
-    ver["ybe"] = {"ok": ybe.ok}
-    if not ybe.ok and ybe.violation:
-        r, c, lhs, rhs = ybe.violation
-        ver["ybe"]["first_violation"] = {
-            "row": r, "col": c,
-            "lhs": _fmt_scalar(space.ring, lhs), "rhs": _fmt_scalar(space.ring, rhs)}
+    ver = {"ybe": _ybe_entry(space)}
     chars = {}
     for name in sorted(space.characters):
         rep = check_braided_character(space, name)
@@ -155,7 +156,7 @@ def _verify_space(space, report, allow_unverified):
     if cochars:
         ver["cocharacters"] = cochars
     report["verification"] = ver
-    ok = ybe.ok and all(c["braided"] for c in chars.values())
+    ok = ver["ybe"]["ok"] and all(c["braided"] for c in chars.values())
     if not ok and not allow_unverified:
         raise UnverifiedError(
             "the braiding or a character failed verification "
@@ -168,16 +169,8 @@ def _verify_space(space, report, allow_unverified):
 # ---------------------------------------------------------------------------
 
 def _run_check(space, args, report) -> bool:
-    ring = space.ring
-    ok = True
-    ybe = check_ybe(space)
-    entry = {"ok": ybe.ok}
-    if ybe.violation:
-        r, c, lhs, rhs = ybe.violation
-        entry["first_violation"] = {"row": r, "col": c,
-                                    "lhs": ring.fmt(lhs), "rhs": ring.fmt(rhs)}
-    report["ybe"] = entry
-    ok &= ybe.ok
+    report["ybe"] = _ybe_entry(space)
+    ok = report["ybe"]["ok"]
 
     payload = space.payload
     if isinstance(payload, st.ShelfTable):

@@ -1,8 +1,13 @@
 """Exact coefficient rings and sparse linear maps on tensor-power index spaces.
 
-All arithmetic is exact: integers are arbitrary precision, rationals are
-`fractions.Fraction`, prime-field elements are reduced residues stored as
-plain ints. Floating point is never used.
+All arithmetic is exact and scalars are plain Python numbers: integers are
+arbitrary precision ints, a rational is an int when it is integral and a
+`fractions.Fraction` otherwise, and prime-field elements are reduced residues
+stored as ints. A ring is a coercion plus a modulus (its characteristic,
+0 for Z and Q): maps compute with the number operators and reduce mod p over
+F_p. `coerce` gives the canonical form; an integral result of arithmetic on
+Fractions may stay a Fraction, which equals and hashes like the int.
+Floating point is never used.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ def _is_prime(p: int) -> bool:
 
 
 class Ring:
-    """One of Z, Q, F_p. Scalars are plain int / Fraction / int residues;
-    the ring object supplies arithmetic, parsing and formatting."""
+    """One of Z, Q, F_p. Scalars are plain ints, or Fractions for proper
+    rationals; the ring object supplies coercion, the modulus
+    (characteristic), units, parsing and formatting."""
 
     name: str = "?"
     is_field: bool = False
@@ -41,21 +47,6 @@ class Ring:
 
     def coerce(self, x):
         raise NotImplementedError
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -106,8 +97,10 @@ class RationalField(Ring):
     def coerce(self, x):
         if isinstance(x, bool):
             raise ExactError("booleans are not ring scalars")
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+        if isinstance(x, int):
+            return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         raise ExactError(f"cannot coerce {x!r} into Q")
 
     def is_unit(self, a) -> bool:
@@ -116,7 +109,7 @@ class RationalField(Ring):
     def inv(self, a):
         if a == 0:
             raise ExactError("division by zero in Q")
-        return 1 / Fraction(a)
+        return self.coerce(1 / Fraction(a))
 
     def fmt(self, a) -> str:
         a = Fraction(a)
@@ -144,18 +137,6 @@ class PrimeField(Ring):
                 raise ExactError(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(den, -1, self.p) % self.p
         raise ExactError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def is_unit(self, a) -> bool:
         return a % self.p != 0
@@ -221,6 +202,23 @@ def digits_of(flat: int, dims: Iterable[int]) -> tuple[int, ...]:
 # Sparse linear maps
 # ---------------------------------------------------------------------------
 
+def _axpy(acc: dict, src, q, p: int = 0) -> dict:
+    """acc += q*src in place and return acc; src yields (index, value) pairs.
+    Over F_p (p nonzero) each sum is reduced mod p. A cancelled entry is
+    dropped as soon as it occurs, so an index that cancels and comes back
+    moves to the end of the dict order: subquotient names the first escaping
+    index of a column in that order."""
+    for c, v in src:
+        s = acc.get(c, 0) + q * v
+        if p:
+            s %= p
+        if s:
+            acc[c] = s
+        else:
+            acc.pop(c, None)
+    return acc
+
+
 class SparseLinearMap:
     """A linear map k^cols -> k^rows over an exact ring, stored column-major.
 
@@ -243,19 +241,14 @@ class SparseLinearMap:
     @staticmethod
     def from_entries(rows: int, cols: int, entries: Iterable, ring: Ring) -> "SparseLinearMap":
         """Build from (row, col, value) triples; duplicates accumulate."""
+        p = ring.characteristic
         data: dict[int, dict] = {}
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ExactError(f"entry ({r},{c}) outside {rows}x{cols}")
-            v = ring.coerce(v)
-            col = data.setdefault(c, {})
-            v = ring.add(col[r], v) if r in col else v
-            if ring.is_zero(v):
-                col.pop(r, None)
-                if not col:
-                    del data[c]
-            else:
-                col[r] = v
+            col = _axpy(data.setdefault(c, {}), ((r, ring.coerce(v)),), 1, p)
+            if not col:
+                del data[c]
         return SparseLinearMap(rows, cols, ring, data)
 
     @staticmethod
@@ -312,54 +305,30 @@ class SparseLinearMap:
 
     # -- algebra ------------------------------------------------------------
 
-    def apply(self, vec: dict) -> dict:
-        """Apply to a sparse column vector {index: scalar}."""
-        ring = self.ring
-        acc: dict[int, object] = {}
-        for j, v in vec.items():
-            col = self._cols.get(j)
-            if col is None:
-                continue
-            for r, w in col.items():
-                s = ring.add(acc[r], ring.mul(w, v)) if r in acc else ring.mul(w, v)
-                if ring.is_zero(s):
-                    acc.pop(r, None)
-                else:
-                    acc[r] = s
-        return acc
-
     def compose(self, other: "SparseLinearMap") -> "SparseLinearMap":
         """self o other (other is applied first)."""
         if self.ring != other.ring:
             raise ExactError("ring mismatch in compose")
         if self.cols != other.rows:
             raise ExactError(f"compose shape mismatch: {self.rows}x{self.cols} o {other.rows}x{other.cols}")
-        ring = self.ring
-        mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+        p = self.ring.characteristic
         mine = self._cols
         out: dict[int, dict] = {}
         for j, col in other._cols.items():
             acc: dict[int, object] = {}
             for r, v in col.items():
                 fc = mine.get(r)
-                if fc is None:
-                    continue
-                for rr, w in fc.items():
-                    s = add(acc[rr], mul(w, v)) if rr in acc else mul(w, v)
-                    if is_zero(s):
-                        acc.pop(rr, None)
-                    else:
-                        acc[rr] = s
+                if fc is not None:
+                    _axpy(acc, fc.items(), v, p)
             if acc:
                 out[j] = acc
-        return SparseLinearMap(self.rows, other.cols, ring, out)
+        return SparseLinearMap(self.rows, other.cols, self.ring, out)
 
     def tensor(self, other: "SparseLinearMap") -> "SparseLinearMap":
         """Kronecker product; the left factor is the most significant block."""
         if self.ring != other.ring:
             raise ExactError("ring mismatch in tensor")
-        ring = self.ring
-        mul = ring.mul
+        p = self.ring.characteristic
         orows, ocols = other.rows, other.cols
         out: dict[int, dict] = {}
         for jf, colf in self._cols.items():
@@ -368,42 +337,37 @@ class SparseLinearMap:
                 for rf, vf in colf.items():
                     base = rf * orows
                     for rg, vg in colg.items():
-                        col[base + rg] = mul(vf, vg)
+                        col[base + rg] = vf * vg % p if p else vf * vg
                 out[jf * ocols + jg] = col
-        return SparseLinearMap(self.rows * orows, self.cols * ocols, ring, out)
+        return SparseLinearMap(self.rows * orows, self.cols * ocols, self.ring, out)
 
     def add_map(self, other: "SparseLinearMap") -> "SparseLinearMap":
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
             raise ExactError("shape or ring mismatch in add")
-        ring = self.ring
+        p = self.ring.characteristic
         out = {j: dict(col) for j, col in self._cols.items()}
         for j, col in other._cols.items():
-            mine = out.setdefault(j, {})
-            for r, v in col.items():
-                s = ring.add(mine[r], v) if r in mine else v
-                if ring.is_zero(s):
-                    mine.pop(r, None)
-                else:
-                    mine[r] = s
-            if not mine:
+            if not _axpy(out.setdefault(j, {}), col.items(), 1, p):
                 del out[j]
-        return SparseLinearMap(self.rows, self.cols, ring, out)
+        return SparseLinearMap(self.rows, self.cols, self.ring, out)
 
     def sub_map(self, other: "SparseLinearMap") -> "SparseLinearMap":
-        return self.add_map(other.scale(self.ring.neg(self.ring.one)))
+        return self.add_map(other.neg())
 
     def scale(self, s) -> "SparseLinearMap":
         ring = self.ring
         s = ring.coerce(s)
-        if ring.is_zero(s):
+        if s == 0:
             return SparseLinearMap.zero(self.rows, self.cols, ring)
-        if s == ring.one:
+        if s == 1:
             return self
-        out = {j: {r: ring.mul(s, v) for r, v in col.items()} for j, col in self._cols.items()}
+        p = ring.characteristic
+        out = {j: {r: s * v % p if p else s * v for r, v in col.items()}
+               for j, col in self._cols.items()}
         return SparseLinearMap(self.rows, self.cols, ring, out)
 
     def neg(self) -> "SparseLinearMap":
-        return self.scale(self.ring.neg(self.ring.one))
+        return self.scale(-1)
 
     def transpose(self) -> "SparseLinearMap":
         out: dict[int, dict] = {}
@@ -420,8 +384,8 @@ class SparseLinearMap:
         for j, col in self._cols.items():
             newcol = {}
             for r, v in col.items():
-                w = ring.coerce(v if not isinstance(v, Fraction) else Fraction(v))
-                if not ring.is_zero(w):
+                w = ring.coerce(v)
+                if w:
                     newcol[r] = w
             if newcol:
                 out[j] = newcol
@@ -555,22 +519,9 @@ class _Elimination:
             self.replace(j, update(self.rows[j], prow, c), prow)
 
 
-def _addmul(row: dict, src: dict, q: int, p: int = 0) -> dict:
-    """row + q*src as a new dict, over Z, or over F_p when p is given."""
-    new = dict(row)
-    for c, v in src.items():
-        s = new.get(c, 0) + q * v
-        if p:
-            s %= p
-        if s:
-            new[c] = s
-        else:
-            del new[c]
-    return new
-
-
 def _mod_p_update(p: int):
-    return lambda row, prow, pc: _addmul(row, prow, -row[pc] * pow(prow[pc], -1, p) % p, p)
+    return lambda row, prow, pc: _axpy(dict(row), prow.items(),
+                                       -row[pc] * pow(prow[pc], -1, p) % p, p)
 
 
 def _fraction_free_update(row: dict, prow: dict, pc: int) -> dict:
@@ -579,11 +530,11 @@ def _fraction_free_update(row: dict, prow: dict, pc: int) -> dict:
     a, b = a // g, b // g
     if a != 1:
         row = {c: a * v for c, v in row.items()}
-    return _strip_content(_addmul(row, prow, -b))
+    return _strip_content(_axpy(dict(row), prow.items(), -b))
 
 
 def _unit_update(row: dict, prow: dict, pc: int) -> dict:
-    return _addmul(row, prow, -row[pc] * prow[pc])
+    return _axpy(dict(row), prow.items(), -row[pc] * prow[pc])
 
 
 def rank(m: SparseLinearMap) -> int:
@@ -633,7 +584,7 @@ def _euclid_pivot(elim: _Elimination) -> int:
                 continue
             q, rem = divmod(rows[r2][pc], pv)
             if q:
-                elim.replace(r2, _addmul(rows[r2], prow, -q), prow)
+                elim.replace(r2, _axpy(dict(rows[r2]), prow.items(), -q), prow)
             if rem:
                 pr, switched = r2, True
                 break
@@ -718,7 +669,7 @@ def try_inverse(m: SparseLinearMap) -> Optional[SparseLinearMap]:
     for col in range(n):
         piv = None
         for r in range(col, n):
-            if not field.is_zero(a[r][col]):
+            if a[r][col]:
                 piv = r
                 break
         if piv is None:
@@ -726,18 +677,18 @@ def try_inverse(m: SparseLinearMap) -> Optional[SparseLinearMap]:
         a[col], a[piv] = a[piv], a[col]
         inv[col], inv[piv] = inv[piv], inv[col]
         pv = field.inv(a[col][col])
-        a[col] = [field.mul(pv, x) for x in a[col]]
-        inv[col] = [field.mul(pv, x) for x in inv[col]]
+        a[col] = [field.coerce(pv * x) for x in a[col]]
+        inv[col] = [field.coerce(pv * x) for x in inv[col]]
         for r in range(n):
-            if r == col or field.is_zero(a[r][col]):
-                continue
             f = a[r][col]
-            a[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[r], a[col])]
-            inv[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(inv[r], inv[col])]
-    entries = [(r, c, inv[r][c]) for r in range(n) for c in range(n) if not field.is_zero(inv[r][c])]
+            if r == col or not f:
+                continue
+            a[r] = [field.coerce(x - f * y) for x, y in zip(a[r], a[col])]
+            inv[r] = [field.coerce(x - f * y) for x, y in zip(inv[r], inv[col])]
+    entries = [(r, c, inv[r][c]) for r in range(n) for c in range(n) if inv[r][c]]
     out = SparseLinearMap.from_entries(n, n, entries, field)
     if m.ring is ZZ:
-        if any(Fraction(v).denominator != 1 for _, _, v in out.entries()):
+        if any(v.denominator != 1 for _, _, v in out.entries()):
             return None
         return out.with_ring(ZZ)
     return out

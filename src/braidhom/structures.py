@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlin import ExactError, Ring, SparseLinearMap, ZZ
+from .exactlin import ExactError, Ring, SparseLinearMap, ZZ, _axpy
 from .braiding import PreBraidedSpace, make_flip
 
 
@@ -197,12 +197,6 @@ def algebra_from_constants(kind: str, dim: int, triples, ring: Ring, *,
                        grading=list(grading) if grading is not None else None)
 
 
-def _unit_column(a: AlgebraData) -> SparseLinearMap:
-    if a.unit_index is None:
-        raise ExactError("structure has no distinguished unit")
-    return SparseLinearMap.from_entries(a.dim, 1, [(a.unit_index, 0, a.ring.one)], a.ring)
-
-
 @dataclass
 class AlgebraReport:
     associative: bool
@@ -233,16 +227,10 @@ def _mul_basis(a: AlgebraData, i: int, j: int) -> dict:
 
 def _mul_vec(a: AlgebraData, vec: dict, j: int, on_left: bool) -> dict:
     """Multiply a sparse vector by basis vector e_j (on the stated side)."""
-    ring = a.ring
     out: dict[int, object] = {}
     for i, v in vec.items():
         col = _mul_basis(a, i, j) if on_left is False else _mul_basis(a, j, i)
-        for k, w in col.items():
-            s = ring.add(out[k], ring.mul(v, w)) if k in out else ring.mul(v, w)
-            if ring.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+        _axpy(out, col.items(), v, a.ring.characteristic)
     return out
 
 
@@ -280,7 +268,6 @@ def check_leibniz(a: AlgebraData) -> LeibnizReport:
     if a.kind != "leibniz":
         raise ExactError("check_leibniz expects leibniz structure data")
     d = a.dim
-    ring = a.ring
     witness = None
     for i in range(d):
         for j in range(d):
@@ -288,13 +275,7 @@ def check_leibniz(a: AlgebraData) -> LeibnizReport:
                 lhs = _mul_vec(a, _mul_basis(a, j, k), i, on_left=True)
                 t1 = _mul_vec(a, _mul_basis(a, i, j), k, on_left=False)
                 t2 = _mul_vec(a, _mul_basis(a, i, k), j, on_left=False)
-                rhs = dict(t1)
-                for m, v in t2.items():
-                    s = ring.sub(rhs.get(m, ring.zero), v)
-                    if ring.is_zero(s):
-                        rhs.pop(m, None)
-                    else:
-                        rhs[m] = s
+                rhs = _axpy(t1, t2.items(), -1, a.ring.characteristic)
                 if lhs != rhs:
                     witness = (i, j, k)
                     break
@@ -315,10 +296,8 @@ def algebra_character_check(a: AlgebraData, covector: SparseLinearMap) -> Covect
     eps = [covector.entry(0, j) for j in range(a.dim)]
     for i in range(a.dim):
         for j in range(a.dim):
-            val = ring.zero
-            for k, v in _mul_basis(a, i, j).items():
-                val = ring.add(val, ring.mul(v, eps[k]))
-            if val != ring.mul(eps[i], eps[j]):
+            val = sum(v * eps[k] for k, v in _mul_basis(a, i, j).items())
+            if ring.coerce(val - eps[i] * eps[j]):
                 return CovectorReport(False, (i, j))
     if a.unit_index is not None and eps[a.unit_index] != ring.one:
         return CovectorReport(False, ("unit",))
@@ -331,10 +310,7 @@ def lie_character_check(a: AlgebraData, covector: SparseLinearMap) -> CovectorRe
     eps = [covector.entry(0, j) for j in range(a.dim)]
     for i in range(a.dim):
         for j in range(a.dim):
-            val = ring.zero
-            for k, v in _mul_basis(a, i, j).items():
-                val = ring.add(val, ring.mul(v, eps[k]))
-            if not ring.is_zero(val):
+            if ring.coerce(sum(v * eps[k] for k, v in _mul_basis(a, i, j).items())):
                 return CovectorReport(False, (i, j))
     if a.unit_index is not None and eps[a.unit_index] != ring.one:
         return CovectorReport(False, ("unit",))
@@ -416,7 +392,7 @@ def koszul_braiding(grading: list[int], ring: Ring = ZZ) -> PreBraidedSpace:
     entries = []
     for a in range(d):
         for b in range(d):
-            v = one if (grading[a] * grading[b]) % 2 == 0 else ring.neg(one)
+            v = one if (grading[a] * grading[b]) % 2 == 0 else -one
             entries.append((b * d + a, a * d + b, v))
     sigma = SparseLinearMap.from_entries(d * d, d * d, entries, ring)
     space = PreBraidedSpace(d, ring, sigma, grading=grading)
@@ -427,7 +403,7 @@ def koszul_braiding(grading: list[int], ring: Ring = ZZ) -> PreBraidedSpace:
 def q_flip_braiding(q, ring: Ring) -> PreBraidedSpace:
     """One-dimensional braiding x (x) x -> q * x (x) x, q nonzero."""
     qv = ring.coerce(q)
-    if ring.is_zero(qv):
+    if qv == 0:
         raise ExactError("q must be nonzero")
     sigma = SparseLinearMap.from_entries(1, 1, [(0, 0, qv)], ring)
     space = PreBraidedSpace(1, ring, sigma)
@@ -488,7 +464,7 @@ def leibniz_braiding(a: AlgebraData) -> PreBraidedSpace:
             for k, v in _mul_basis(a, i, j).items():
                 entries.append((u * d + k, i * d + j, v))
             for k, v in _mul_basis(a, j, i).items():
-                inv_entries.append((k * d + u, i * d + j, ring.neg(v)))
+                inv_entries.append((k * d + u, i * d + j, -v))
     sigma = SparseLinearMap.from_entries(d * d, d * d, entries, ring)
     delta_entries = [(u * d + u, u, ring.one)]
     for v in range(d):
@@ -522,7 +498,7 @@ def graded_leibniz_braiding(a: AlgebraData) -> PreBraidedSpace:
     entries = []
     for i in range(d):
         for j in range(d):
-            s = ring.one if (a.grading[i] * a.grading[j]) % 2 == 0 else ring.neg(ring.one)
+            s = 1 if (a.grading[i] * a.grading[j]) % 2 == 0 else -1
             entries.append((j * d + i, i * d + j, s))
             for k, v in _mul_basis(a, i, j).items():
                 entries.append((u * d + k, i * d + j, v))
@@ -547,10 +523,10 @@ def coassoc_braiding(a: AlgebraData) -> PreBraidedSpace:
     eps = [a.counit.entry(0, j) for j in range(d)]
     entries = []
     for v in range(d):
-        if ring.is_zero(eps[v]):
+        if eps[v] == 0:
             continue
         for r, c, val in a.operation.entries():
-            entries.append((r, v * d + c, ring.mul(eps[v], val)))
+            entries.append((r, v * d + c, eps[v] * val))
     sigma = SparseLinearMap.from_entries(d * d, d * d, entries, ring)
     space = PreBraidedSpace(d, ring, sigma, unit_index=a.unit_index, payload=a)
     space.add_character("counit", a.counit)

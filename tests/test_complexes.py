@@ -149,7 +149,7 @@ def leibniz_restricted_oracle(data, n, grading=None):
                         continue
                     image = v[:i] + (target,) + v[i + 1:j] + v[j + 1:]
                     row = pos_prev[flat_index(image, (d,) * (n - 1))]
-                    entries.append((row, col, ring.mul(coeff, sign)))
+                    entries.append((row, col, coeff * sign))
     return SparseLinearMap.from_entries(len(kept_prev), len(kept_n), entries, ring)
 
 
@@ -174,10 +174,10 @@ def group_oracle(data, eps, zeta, n):
                     continue
                 image = v[:i] + (target,) + v[i + 2:]
                 row = pos_prev[flat_index(image, (d,) * (n - 1))]
-                entries.append((row, col, ring.mul(coeff, (-1) ** (i + 1))))
+                entries.append((row, col, coeff * (-1) ** (i + 1)))
         if zeta[v[n - 1]]:
             row = pos_prev[flat_index(v[:-1], (d,) * (n - 1))]
-            entries.append((row, col, ring.mul(zeta[v[n - 1]], (-1) ** n)))
+            entries.append((row, col, zeta[v[n - 1]] * (-1) ** n))
     return SparseLinearMap.from_entries(len(kept_prev), len(kept_n), entries, ring)
 
 
@@ -202,10 +202,10 @@ def hochschild_oracle(data, n):
                     continue
                 image = v[:i] + (target,) + v[i + 2:]
                 row = pos_prev[(m, flat_index(image, (d,) * (n - 1)))]
-                entries.append((row, col, ring.mul(coeff, (-1) ** (i + 1))))
+                entries.append((row, col, coeff * (-1) ** (i + 1)))
         for target, coeff in data.operation.column(v[n - 1] * d + m).items():
             row = pos_prev[(target, flat_index(v[:-1], (d,) * (n - 1)))]
-            entries.append((row, col, ring.mul(coeff, (-1) ** n)))
+            entries.append((row, col, coeff * (-1) ** n))
     return SparseLinearMap.from_entries(len(kept_prev), len(kept_n), entries, ring)
 
 
@@ -221,7 +221,7 @@ def cobar_oracle(data, n):
                 a, b = divmod(row, d)
                 image = v[:i] + (a, b) + v[i + 1:]
                 entries.append((flat_index(image, (d,) * (n + 1)), flat,
-                                ring.mul(coeff, (-1) ** (i + 1))))
+                                coeff * (-1) ** (i + 1)))
     return SparseLinearMap.from_entries(d ** (n + 1), d ** n, entries, ring)
 
 

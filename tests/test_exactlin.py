@@ -21,6 +21,9 @@ from braidhom import (
 )
 from braidhom.complexes import named_complex
 from braidhom.exactlin import digits_of, flat_index
+from braidhom.structures import adjoin_unit, leibniz_braiding
+
+from conftest import sl2_data
 
 from helpers import (
     dense_kron,
@@ -42,6 +45,36 @@ def random_sparse(rows, cols, ring, rng, density=0.4, span=5):
                 if v:
                     entries.append((r, c, v))
     return SparseLinearMap.from_entries(rows, cols, entries, ring)
+
+
+# Entry values per ring: fractions over Q, and over F7 values that cancel
+# mod 7 in sums and products.
+F7 = PrimeField(7)
+RING_VALUES = [
+    pytest.param(ZZ, tuple(range(-5, 6)), id="ZZ"),
+    pytest.param(QQ, (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), 3, -1), id="QQ"),
+    pytest.param(F7, (1, 2, 3, 4, 5, 6, 7, -1, 9), id="F7"),
+]
+
+
+def random_over(rows, cols, ring, values, rng, density=0.5):
+    entries = [(r, c, rng.choice(values)) for r in range(rows) for c in range(cols)
+               if rng.random() < density]
+    return SparseLinearMap.from_entries(rows, cols, entries, ring)
+
+
+def reduced(dense, ring):
+    """The dense oracle's result read in ring (mod p over F_p)."""
+    p = ring.characteristic
+    return [[x % p for x in row] for row in dense] if p else dense
+
+
+def assert_canonical(m):
+    """No stored zeros, and residues in range(p) over F_p."""
+    p = m.ring.characteristic
+    for _, _, v in m.entries():
+        assert v != 0
+        assert not p or 0 < v < p
 
 
 def unimodular_mix(dense, rng, steps):
@@ -78,11 +111,21 @@ def test_rational_parse_is_reduced():
     assert QQ.fmt(QQ.parse("5")) == "5"
 
 
+def test_rational_scalars_are_ints_when_integral():
+    assert type(QQ.coerce(3)) is int
+    assert type(QQ.coerce(Fraction(4, 2))) is int
+    assert type(QQ.coerce(Fraction(1, 2))) is Fraction
+    c = named_complex(leibniz_braiding(adjoin_unit(sl2_data(QQ))), "leibniz", 3)
+    assert c.diffs
+    for m in c.diffs.values():
+        assert all(type(v) is int for _, _, v in m.entries())
+
+
 def test_prime_field_arithmetic():
     f5 = PrimeField(5)
     assert f5.coerce(-3) == 2
     assert f5.coerce(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
-    assert f5.mul(3, 4) == 2
+    assert f5.coerce(3 * 4) == 2
     assert f5.inv(2) == 3
     with pytest.raises(ExactError):
         f5.coerce(Fraction(1, 5))
@@ -109,9 +152,15 @@ def test_tensor_index_big_endian():
 
 # -- map algebra -------------------------------------------------------------
 
-def test_entries_canonical_no_zeros():
-    m = SparseLinearMap.from_entries(2, 2, [(0, 0, 1), (0, 0, -1), (1, 1, 2)], ZZ)
-    assert list(m.entries()) == [(1, 1, 2)]
+@pytest.mark.parametrize("ring, cancel, keep", [
+    (ZZ, (1, -1), 2),
+    (QQ, (Fraction(1, 2), Fraction(-1, 2)), Fraction(2, 3)),
+    (F7, (3, 4), 9),
+], ids=["ZZ", "QQ", "F7"])
+def test_entries_canonical_no_zeros(ring, cancel, keep):
+    m = SparseLinearMap.from_entries(2, 2, [(0, 0, cancel[0]), (0, 0, cancel[1]),
+                                            (1, 1, keep), (1, 0, 0)], ring)
+    assert list(m.entries()) == [(1, 1, ring.coerce(keep))]
     assert m.nnz == 1
 
 
@@ -133,14 +182,21 @@ def test_compose_shape_mismatch():
         compose(f, g)
 
 
-def test_compose_matches_dense_oracle():
+@pytest.mark.parametrize("ring, values", RING_VALUES)
+def test_compose_matches_dense_oracle(ring, values):
     rng = random.Random(7)
     for _ in range(10):
-        f = random_sparse(8, 8, QQ, rng)
-        g = random_sparse(8, 8, QQ, rng)
-        got = dense_of(compose(f, g))
-        want = dense_matmul(dense_of(f), dense_of(g))
-        assert got == want
+        f = random_over(8, 8, ring, values, rng)
+        g = random_over(8, 8, ring, values, rng)
+        h = random_over(8, 8, ring, values, rng)
+        fg = compose(f, g)
+        assert_canonical(fg)
+        assert dense_of(fg) == reduced(dense_matmul(dense_of(f), dense_of(g)), ring)
+        diff = fg.sub_map(h)
+        assert_canonical(diff)
+        assert dense_of(diff) == reduced(
+            [[x - y for x, y in zip(a, b)] for a, b in zip(dense_of(fg), dense_of(h))], ring)
+        assert fg.sub_map(fg).is_zero()
 
 
 def test_compose_associative():
@@ -161,12 +217,15 @@ def test_tensor_identities():
     assert tensor(SparseLinearMap.identity(1, ZZ), f) == f
 
 
-def test_tensor_matches_kron_oracle():
+@pytest.mark.parametrize("ring, values", RING_VALUES)
+def test_tensor_matches_kron_oracle(ring, values):
     rng = random.Random(11)
     for _ in range(6):
-        f = random_sparse(2, 2, QQ, rng)
-        g = random_sparse(2, 2, QQ, rng)
-        assert dense_of(tensor(f, g)) == dense_kron(dense_of(f), dense_of(g))
+        f = random_over(2, 3, ring, values, rng)
+        g = random_over(3, 2, ring, values, rng)
+        fg = tensor(f, g)
+        assert_canonical(fg)
+        assert dense_of(fg) == reduced(dense_kron(dense_of(f), dense_of(g)), ring)
 
 
 def test_tensor_associative():
