@@ -30,7 +30,9 @@ from .braiding import (
 )
 from . import structures as st
 from .complexes import (
+    NAMED_COMPLEXES,
     DifferentialSpec,
+    assemble,
     check_bimodule,
     check_braided_module,
     check_naturality,
@@ -38,6 +40,7 @@ from .complexes import (
     concat_homotopy,
     face_sum,
     hyper_boundary,
+    left_codiff,
     left_diff,
     rack_contraction,
     right_diff,
@@ -47,7 +50,6 @@ from .homology import (
     ResourceCapError,
     SquareZeroError,
     SpanStabilityError,
-    assemble,
     betti,
     certify_acyclic,
     integral_homology,
@@ -109,6 +111,7 @@ _COMPLEX_SELECTORS = ("named", "diff", "module", "bimodule")
 
 def _apply_computation_defaults(args, scenario: Scenario):
     user_selected = any(getattr(args, attr, None) for attr in _COMPLEX_SELECTORS)
+    args.from_scenario = set()
     for comp in scenario.computations:
         if comp.get("command") != args.command:
             continue
@@ -120,6 +123,7 @@ def _apply_computation_defaults(args, scenario: Scenario):
                 continue
             if getattr(args, attr, None) in (None, False):
                 setattr(args, attr, value)
+                args.from_scenario.add(attr)
         break
 
 
@@ -270,6 +274,19 @@ def _run_check(space, args, report) -> bool:
 # come from --module and --bimodule, classical complexes from --named.
 _DIFF_KINDS = ("left", "right", "combined", "face", "hyper-left", "hyper-right")
 
+# The named complexes that read each of these flags. Any other complex would
+# ignore the flag, so a user flag it does not read is refused; values filled
+# in from the scenario's defaults are not checked.
+_NAMED_READERS = {
+    "left_char": ("koszul", "group", "leibniz", "graded-leibniz"),
+    "right_char": ("group",),
+    "twist": ("twisted-rack",),
+    "element": ("partial-derivative",),
+    "bimodule": ("hochschild",),
+    "module": (),
+    "diff": (),
+}
+
 
 def _declared(table: dict, name: str, kind: str):
     if name not in table:
@@ -281,6 +298,12 @@ def _declared(table: dict, name: str, kind: str):
 def _spec_from_args(space, args) -> DifferentialSpec:
     named = getattr(args, "named", None)
     if named:
+        defaulted = getattr(args, "from_scenario", ())
+        for attr, readers in _NAMED_READERS.items():
+            given = getattr(args, attr, None) is not None and attr not in defaulted
+            if given and named in NAMED_COMPLEXES and named not in readers:
+                flag = "--" + attr.replace("_", "-")
+                raise ExactError(f"the {named} complex does not read {flag}")
         params = {}
         if getattr(args, "twist", None) is not None:
             params["twist"] = space.ring.parse(args.twist)
@@ -530,7 +553,9 @@ def _suite_duality(space, args, report) -> bool:
         raise ExactError("the duality suite needs an associative payload")
     n_max = args.max_degree if args.max_degree is not None else 4
     lc, _ = _default_chars(space, args)
-    eps = space.characters[lc]
+    if lc is None:
+        raise ExactError("the duality suite needs a character; declared characters: none")
+    eps = _declared(space.characters, lc, "character")
     co = st.dual_coalgebra(payload)
     cospace = st.coassoc_braiding(co)
     ok = cospace.braiding == space.braiding.transpose()
@@ -538,7 +563,6 @@ def _suite_duality(space, args, report) -> bool:
     check_ybe(cospace)
     cospace.add_cocharacter("dual", eps.transpose())
     check_braided_cocharacter(cospace, "dual")
-    from .complexes import left_codiff
     degreewise = True
     for n in range(0, n_max):
         up = left_codiff(cospace, "dual", n)

@@ -1,10 +1,11 @@
 """Builders of braided differentials, faces, degeneracies, hyper-boundaries,
 homotopies, coefficient differentials and the classical named complexes.
 
-All maps are plain sparse matrices between tensor-power index spaces. Left
-differentials evaluate a character on the first strand after pulling each
-strand leftward through the (negated) braiding; right differentials are the
-mirror image with an alternating global sign.
+All maps are plain sparse matrices between tensor-power index spaces. Every
+boundary is one formula (_pull): the negated quantum coshuffle pulls k
+strands to one end, where a braided module action (a character, or eps^(x)k
+for the hyper-boundaries) eats them. The codifferentials are its dual with
+the shuffle product (_push).
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .exactlin import ExactError, SparseLinearMap, tensor
+from .exactlin import ExactError, SparseLinearMap, digits_of, tensor
 from .braiding import (
     PreBraidedSpace,
+    UnverifiedError,
     block_flip,
     braid_lift,
+    check_braided_character,
+    check_braided_cocharacter,
+    check_ybe,
     extended_braiding,
     moving_permutation,
     shuffle_coproduct,
@@ -26,6 +31,55 @@ from .braiding import (
 from . import homology
 from .homology import ChainComplex, build_chain_complex, subquotient
 from . import structures as st
+
+
+# ---------------------------------------------------------------------------
+# The one boundary formula and its dual
+# ---------------------------------------------------------------------------
+
+def _around(lead: int, m: SparseLinearMap, trail: int) -> SparseLinearMap:
+    """Id_lead (x) m (x) Id_trail; an identity block of dimension 1 costs no
+    tensor call."""
+    if trail != 1:
+        m = tensor(m, SparseLinearMap.identity(trail, m.ring))
+    if lead != 1:
+        m = tensor(SparseLinearMap.identity(lead, m.ring), m)
+    return m
+
+
+def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side: str, *,
+          lead: int = 1, trail: int = 1, allow_unverified: bool = False) -> SparseLinearMap:
+    """The degree -k boundary on lead (x) V^(x)n (x) trail,
+
+        (action (x) Id) o (Id_lead (x) Delta^(-sigma)_(k,n-k) (x) Id_trail):
+
+    the negated coshuffle pulls k strands to one end and the action eats
+    them, lead (x) V^(x)k -> lead on the left, V^(x)k (x) trail -> trail on
+    the right. The right family carries the sign (-1)^(kn - k(k+1)/2)."""
+    rest = space.dim ** (n - k)
+    if side == "left":
+        cosh = shuffle_coproduct(space, k, n - k, sign=-1, allow_unverified=allow_unverified)
+        return _around(1, action, rest * trail).compose(_around(lead, cosh, trail))
+    if side == "right":
+        cosh = shuffle_coproduct(space, n - k, k, sign=-1, allow_unverified=allow_unverified)
+        out = _around(lead * rest, action, 1).compose(_around(lead, cosh, trail))
+        return out.neg() if (k * n - k * (k + 1) // 2) % 2 == 1 else out
+    raise ExactError("side must be 'left' or 'right'")
+
+
+def _push(space: PreBraidedSpace, coaction: SparseLinearMap, n: int, side: str, *,
+          lead: int = 1, trail: int = 1, allow_unverified: bool = False) -> SparseLinearMap:
+    """The order-one dual of _pull, of degree +1 on lead (x) V^(x)n (x) trail:
+    the coaction puts a new strand at one end, lead -> lead (x) V on the left
+    or trail -> V (x) trail on the right, and the negated shuffle product
+    shuffles it in. The right family carries the sign (-1)^n."""
+    rest = space.dim ** n
+    if side == "left":
+        sh = shuffle_product(space, 1, n, sign=-1, allow_unverified=allow_unverified)
+        return _around(lead, sh, trail).compose(_around(1, coaction, rest * trail))
+    sh = shuffle_product(space, n, 1, sign=-1, allow_unverified=allow_unverified)
+    out = _around(lead, sh, trail).compose(_around(lead * rest, coaction, 1))
+    return out.neg() if n % 2 == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +93,7 @@ def left_diff(space: PreBraidedSpace, char: str, n: int, *,
     if n < 1:
         raise ExactError("left differential needs degree >= 1")
     eps = space.require_character(char, allow_unverified)
-    cosh = shuffle_coproduct(space, 1, n - 1, sign=-1, allow_unverified=allow_unverified)
-    eps1 = tensor(eps, space.identity_power(n - 1))
-    return eps1.compose(cosh)
+    return _pull(space, eps, 1, n, "left", allow_unverified=allow_unverified)
 
 
 def right_diff(space: PreBraidedSpace, char: str, n: int, *,
@@ -51,15 +103,13 @@ def right_diff(space: PreBraidedSpace, char: str, n: int, *,
     if n < 1:
         raise ExactError("right differential needs degree >= 1")
     zeta = space.require_character(char, allow_unverified)
-    cosh = shuffle_coproduct(space, n - 1, 1, sign=-1, allow_unverified=allow_unverified)
-    zn = tensor(space.identity_power(n - 1), zeta)
-    out = zn.compose(cosh)
-    return out.neg() if (n - 1) % 2 == 1 else out
+    return _pull(space, zeta, 1, n, "right", allow_unverified=allow_unverified)
 
 
 def combined_diff(space: PreBraidedSpace, left_char: str, right_char: str, n: int, *,
                   allow_unverified: bool = False) -> SparseLinearMap:
-    """left - right; a differential for any two braided characters."""
+    """left - right; a differential for any two braided characters. It is
+    built from the two public builders, so a traced run counts all three."""
     return left_diff(space, left_char, n, allow_unverified=allow_unverified).sub_map(
         right_diff(space, right_char, n, allow_unverified=allow_unverified))
 
@@ -71,15 +121,13 @@ def face(space: PreBraidedSpace, char: str, n: int, i: int, side: str = "left", 
     if not 1 <= i <= n:
         raise ExactError(f"face index {i} out of 1..{n}")
     eps = space.require_character(char, allow_unverified)
-    if side == "left":
-        lift = braid_lift(space, moving_permutation(i, n, to_left=True), n,
-                          allow_unverified=allow_unverified)
-        return tensor(eps, space.identity_power(n - 1)).compose(lift)
-    if side == "right":
-        lift = braid_lift(space, moving_permutation(i, n, to_left=False), n,
-                          allow_unverified=allow_unverified)
-        return tensor(space.identity_power(n - 1), eps).compose(lift)
-    raise ExactError("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise ExactError("side must be 'left' or 'right'")
+    lift = braid_lift(space, moving_permutation(i, n, to_left=side == "left"), n,
+                      allow_unverified=allow_unverified)
+    rest = space.dim ** (n - 1)
+    feed = _around(1, eps, rest) if side == "left" else _around(rest, eps, 1)
+    return feed.compose(lift)
 
 
 def degeneracy(space: PreBraidedSpace, n: int, i: int) -> SparseLinearMap:
@@ -89,9 +137,7 @@ def degeneracy(space: PreBraidedSpace, n: int, i: int) -> SparseLinearMap:
     if not 1 <= i <= n:
         raise ExactError(f"degeneracy index {i} out of 1..{n}")
     d = space.dim
-    return tensor(SparseLinearMap.identity(d ** (i - 1), space.ring),
-                  tensor(space.comultiplication,
-                         SparseLinearMap.identity(d ** (n - i), space.ring)))
+    return _around(d ** (i - 1), space.comultiplication, d ** (n - i))
 
 
 def face_sum(space: PreBraidedSpace, char: str, n: int, side: str = "left", *,
@@ -118,10 +164,10 @@ def signed_binomial(m: int, k: int) -> int:
     return math.comb((m + k) // 2, k // 2)
 
 
-def _char_power(space: PreBraidedSpace, eps: SparseLinearMap, k: int) -> SparseLinearMap:
-    out = SparseLinearMap.identity(1, space.ring)
+def _tensor_power(m: SparseLinearMap, k: int) -> SparseLinearMap:
+    out = SparseLinearMap.identity(1, m.ring)
     for _ in range(k):
-        out = tensor(out, eps)
+        out = tensor(out, m)
     return out
 
 
@@ -133,17 +179,8 @@ def hyper_boundary(space: PreBraidedSpace, char: str, k: int, n: int,
     if not 0 <= k <= n:
         raise ExactError(f"hyper order {k} out of 0..{n}")
     eps = space.require_character(char, allow_unverified)
-    if side == "left":
-        cosh = shuffle_coproduct(space, k, n - k, sign=-1, allow_unverified=allow_unverified)
-        head = tensor(_char_power(space, eps, k), space.identity_power(n - k))
-        return head.compose(cosh)
-    if side == "right":
-        cosh = shuffle_coproduct(space, n - k, k, sign=-1, allow_unverified=allow_unverified)
-        tail = tensor(space.identity_power(n - k), _char_power(space, eps, k))
-        out = tail.compose(cosh)
-        exponent = k * n - k * (k + 1) // 2
-        return out.neg() if exponent % 2 == 1 else out
-    raise ExactError("side must be 'left' or 'right'")
+    return _pull(space, _tensor_power(eps, k), k, n, side,
+                 allow_unverified=allow_unverified)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +239,7 @@ def rack_contraction(space: PreBraidedSpace, b: int, n: int) -> SparseLinearMap:
         raise ExactError(f"right translation by {b} is not bijective")
     one = space.ring.one
     undo1 = SparseLinearMap.from_entries(m, m, [(back[a], a, one) for a in range(m)], space.ring)
-    undo = space.identity_power(0)
-    for _ in range(n):
-        undo = tensor(undo, undo1)
+    undo = _tensor_power(undo1, n)
     col = SparseLinearMap.from_entries(m, 1, [(b, 0, one)], space.ring)
     out = tensor(space.identity_power(n), col).compose(undo)
     return out.neg() if n % 2 == 1 else out
@@ -229,8 +264,7 @@ class NaturalityReport:
 
 def check_naturality(space: PreBraidedSpace, w) -> NaturalityReport:
     col = _as_column(space, w)
-    d = space.dim
-    idv = SparseLinearMap.identity(d, space.ring)
+    idv = SparseLinearMap.identity(space.dim, space.ring)
     left = space.braiding.compose(tensor(col, idv)) == tensor(idv, col)
     right = space.braiding.compose(tensor(idv, col)) == tensor(col, idv)
     compat = {}
@@ -291,24 +325,18 @@ def character_module(space: PreBraidedSpace, char: str, side: str = "right") -> 
     return BraidedModule(1, eps, side, name=f"char:{char}")
 
 
-def _check_right_module(space: PreBraidedSpace, M: BraidedModule) -> bool:
-    rho = M.action
-    d = space.dim
-    idv = SparseLinearMap.identity(d, space.ring)
-    idm = SparseLinearMap.identity(M.dim, space.ring)
-    lhs = rho.compose(tensor(rho, idv))
-    rhs = lhs.compose(tensor(idm, space.braiding))
-    return lhs == rhs
-
-
-def _check_left_module(space: PreBraidedSpace, M: BraidedModule) -> bool:
-    lam = M.action
-    d = space.dim
-    idv = SparseLinearMap.identity(d, space.ring)
-    idm = SparseLinearMap.identity(M.dim, space.ring)
-    lhs = lam.compose(tensor(idv, lam))
-    rhs = lhs.compose(tensor(space.braiding, idm))
-    return lhs == rhs
+def _module_axiom(space: PreBraidedSpace, action: SparseLinearMap, dim: int,
+                  side: str) -> bool:
+    """The braided module axiom rho o (rho (x) Id) = rho o (rho (x) Id) o
+    (Id_M (x) sigma) for a right action on M (x) V (x) V, or its mirror
+    lam o (Id (x) lam) = lam o (Id (x) lam) o (sigma (x) Id_M) for a left one."""
+    idv = SparseLinearMap.identity(space.dim, space.ring)
+    idm = SparseLinearMap.identity(dim, space.ring)
+    if side == "right":
+        lhs = action.compose(tensor(action, idv))
+        return lhs == lhs.compose(tensor(idm, space.braiding))
+    lhs = action.compose(tensor(idv, action))
+    return lhs == lhs.compose(tensor(space.braiding, idm))
 
 
 def _classical_module_check(space: PreBraidedSpace, M: BraidedModule) -> Optional[bool]:
@@ -318,8 +346,7 @@ def _classical_module_check(space: PreBraidedSpace, M: BraidedModule) -> Optiona
     if M.side != "right" or payload is None:
         return None
     rho = M.action
-    d = space.dim
-    idv = SparseLinearMap.identity(d, space.ring)
+    idv = SparseLinearMap.identity(space.dim, space.ring)
     idm = SparseLinearMap.identity(M.dim, space.ring)
     two_step = rho.compose(tensor(rho, idv))
     if isinstance(payload, st.ShelfTable):
@@ -327,8 +354,7 @@ def _classical_module_check(space: PreBraidedSpace, M: BraidedModule) -> Optiona
     if isinstance(payload, st.AlgebraData) and payload.kind == "associative":
         return two_step == rho.compose(tensor(idm, payload.operation))
     if isinstance(payload, st.AlgebraData) and payload.kind == "leibniz":
-        d2 = space.dim ** 2
-        flip = block_flip(space.ring, d, d)
+        flip = block_flip(space.ring, space.dim, space.dim)
         rhs = two_step.compose(tensor(idm, flip)).add_map(
             rho.compose(tensor(idm, payload.operation)))
         return two_step == rhs
@@ -339,31 +365,22 @@ def check_braided_module(space: PreBraidedSpace, M: BraidedModule) -> ModuleRepo
     """Entrywise verification of the braided module axiom on M(x)V(x)V (or
     its left mirror), with the classical axiom cross-checked for structural
     braidings and normalized actions."""
-    if M.side == "right":
-        braided_ok = _check_right_module(space, M)
-    else:
-        braided_ok = _check_left_module(space, M)
+    braided_ok = _module_axiom(space, M.action, M.dim, M.side)
     normalized = None
     if space.unit_index is not None:
         u = SparseLinearMap.from_entries(space.dim, 1, [(space.unit_index, 0, space.ring.one)],
                                          space.ring)
-        idm = SparseLinearMap.identity(M.dim, space.ring)
-        if M.side == "right":
-            normalized = M.action.compose(tensor(idm, u)) == idm
-        else:
-            normalized = M.action.compose(tensor(u, idm)) == idm
+        insert = _around(M.dim, u, 1) if M.side == "right" else _around(1, u, M.dim)
+        normalized = M.action.compose(insert) == SparseLinearMap.identity(M.dim, space.ring)
     classical_ok = _classical_module_check(space, M) if normalized else None
     M.verified = braided_ok
     return ModuleReport(braided_ok, braided_ok, None, classical_ok, normalized)
 
 
 def check_bimodule(space: PreBraidedSpace, B: Bimodule) -> ModuleReport:
-    right = BraidedModule(B.dim, B.right_action, "right")
-    left = BraidedModule(B.dim, B.left_action, "left")
-    r_ok = _check_right_module(space, right)
-    l_ok = _check_left_module(space, left)
-    d = space.dim
-    idv = SparseLinearMap.identity(d, space.ring)
+    r_ok = _module_axiom(space, B.right_action, B.dim, "right")
+    l_ok = _module_axiom(space, B.left_action, B.dim, "left")
+    idv = SparseLinearMap.identity(space.dim, space.ring)
     compat = (B.right_action.compose(tensor(B.left_action, idv))
               == B.left_action.compose(tensor(idv, B.right_action)))
     ok = r_ok and l_ok and compat
@@ -417,23 +434,10 @@ def coeff_diff(space: PreBraidedSpace, M: Optional[BraidedModule],
     if M.side != "right" or N.side != "left":
         raise ExactError("coefficients need a right module M and a left module N")
     if not (M.verified and N.verified) and not allow_unverified:
-        from .braiding import UnverifiedError
         raise UnverifiedError(
             f"modules {M.name!r}/{N.name!r} not verified; run check_braided_module first")
-    ring = space.ring
-    idn = SparseLinearMap.identity(N.dim, ring)
-    idm = SparseLinearMap.identity(M.dim, ring)
-    if side == "left":
-        cosh = shuffle_coproduct(space, 1, n - 1, sign=-1, allow_unverified=allow_unverified)
-        out = tensor(M.action, tensor(space.identity_power(n - 1), idn)).compose(
-            tensor(idm, tensor(cosh, idn)))
-        return out
-    if side == "right":
-        cosh = shuffle_coproduct(space, n - 1, 1, sign=-1, allow_unverified=allow_unverified)
-        out = tensor(idm, tensor(space.identity_power(n - 1), N.action)).compose(
-            tensor(idm, tensor(cosh, idn)))
-        return out.neg() if (n - 1) % 2 == 1 else out
-    raise ExactError("side must be 'left' or 'right'")
+    return _pull(space, M.action if side == "left" else N.action, 1, n, side,
+                 lead=M.dim, trail=N.dim, allow_unverified=allow_unverified)
 
 
 def bimodule_diff(space: PreBraidedSpace, B: Bimodule, n: int, *,
@@ -443,22 +447,15 @@ def bimodule_diff(space: PreBraidedSpace, B: Bimodule, n: int, *,
     pulled rightmost after cycling M around (the ambient symmetry is the
     plain block flip)."""
     if not B.verified and not allow_unverified:
-        from .braiding import UnverifiedError
         raise UnverifiedError(f"bimodule {B.name!r} not verified; run check_bimodule first")
-    ring = space.ring
-    d = space.dim
     m = B.dim
-    idm = SparseLinearMap.identity(m, ring)
-    cosh_l = shuffle_coproduct(space, 1, n - 1, sign=-1, allow_unverified=allow_unverified)
-    left = tensor(B.right_action, space.identity_power(n - 1)).compose(tensor(idm, cosh_l))
-    cosh_r = shuffle_coproduct(space, n - 1, 1, sign=-1, allow_unverified=allow_unverified)
-    fwd = block_flip(ring, m, d ** n)
-    back = block_flip(ring, d ** (n - 1), m)
-    mid = tensor(space.identity_power(n - 1), B.left_action).compose(tensor(cosh_r, idm))
-    right = back.compose(mid).compose(fwd)
-    if (n - 1) % 2 == 1:
-        right = right.neg()
-    return left, right
+    left = _pull(space, B.right_action, 1, n, "left", lead=m,
+                 allow_unverified=allow_unverified)
+    mid = _pull(space, B.left_action, 1, n, "right", trail=m,
+                allow_unverified=allow_unverified)
+    fwd = block_flip(space.ring, m, space.dim ** n)
+    back = block_flip(space.ring, space.dim ** (n - 1), m)
+    return left, back.compose(mid).compose(fwd)
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +466,14 @@ def left_codiff(space: PreBraidedSpace, cochar: str, n: int, *,
                 allow_unverified: bool = False) -> SparseLinearMap:
     """Insert the cocharacter in front and shuffle it in: V^(x)n -> V^(x)(n+1)."""
     e = space.require_cocharacter(cochar, allow_unverified)
-    sh = shuffle_product(space, 1, n, sign=-1, allow_unverified=allow_unverified)
-    return sh.compose(tensor(e, space.identity_power(n)))
+    return _push(space, e, n, "left", allow_unverified=allow_unverified)
 
 
 def right_codiff(space: PreBraidedSpace, cochar: str, n: int, *,
                  allow_unverified: bool = False) -> SparseLinearMap:
     """Mirror: insert at the end, shuffle, sign (-1)^n."""
     e = space.require_cocharacter(cochar, allow_unverified)
-    sh = shuffle_product(space, n, 1, sign=-1, allow_unverified=allow_unverified)
-    out = sh.compose(tensor(space.identity_power(n), e))
-    return out.neg() if n % 2 == 1 else out
+    return _push(space, e, n, "right", allow_unverified=allow_unverified)
 
 
 @dataclass
@@ -495,8 +489,7 @@ class Bicomodule:
 def check_bicomodule(space: PreBraidedSpace, B: Bicomodule) -> ModuleReport:
     """Transpose-dual of the bimodule axioms."""
     rho, lam = B.right_coaction, B.left_coaction
-    d = space.dim
-    idv = SparseLinearMap.identity(d, space.ring)
+    idv = SparseLinearMap.identity(space.dim, space.ring)
     idm = SparseLinearMap.identity(B.dim, space.ring)
     lhs_r = tensor(rho, idv).compose(rho)
     r_ok = lhs_r == tensor(idm, space.braiding).compose(lhs_r)
@@ -513,22 +506,13 @@ def bicomodule_codiff(space: PreBraidedSpace, B: Bicomodule, n: int, *,
     """Degree +1 pair on M (x) V^(x)n, the transpose-dual of the bimodule
     differentials."""
     if not B.verified and not allow_unverified:
-        from .braiding import UnverifiedError
         raise UnverifiedError(f"bicomodule {B.name!r} not verified; run check_bicomodule first")
-    ring = space.ring
-    d = space.dim
     m = B.dim
-    idm = SparseLinearMap.identity(m, ring)
-    sh_l = shuffle_product(space, 1, n, sign=-1, allow_unverified=allow_unverified)
-    left = tensor(idm, sh_l).compose(tensor(B.right_coaction, space.identity_power(n)))
-    sh_r = shuffle_product(space, n, 1, sign=-1, allow_unverified=allow_unverified)
-    fwd = block_flip(ring, m, d ** n)
-    back = block_flip(ring, d ** (n + 1), m)
-    mid = tensor(sh_r, idm).compose(tensor(space.identity_power(n), B.left_coaction))
-    right = back.compose(mid).compose(fwd)
-    if n % 2 == 1:
-        right = right.neg()
-    return left, right
+    left = _push(space, B.right_coaction, n, "left", lead=m, allow_unverified=allow_unverified)
+    mid = _push(space, B.left_coaction, n, "right", trail=m, allow_unverified=allow_unverified)
+    fwd = block_flip(space.ring, m, space.dim ** n)
+    back = block_flip(space.ring, space.dim ** (n + 1), m)
+    return left, back.compose(mid).compose(fwd)
 
 
 def coalgebra_self_bicomodule(space: PreBraidedSpace) -> Bicomodule:
@@ -562,28 +546,15 @@ def _face_family(space, char, side, n_max, allow_unverified):
             for n in range(1, n_max + 1) for i in range(1, n + 1)}
 
 
-def _presimplicial(dmaps, n_max, failures, tag):
+def _presimplicial(da, db, n_max, failures, tag, rel="dd"):
+    """d_i d'_j = d'_(j-1) d_i for i < j, with d from the face family da and d'
+    from db: one family twice for the plain identities, both for the mixed."""
     ok = True
     for n in range(2, n_max + 1):
         for j in range(2, n + 1):
             for i in range(1, j):
-                if dmaps[(n - 1, i)].compose(dmaps[(n, j)]) != \
-                        dmaps[(n - 1, j - 1)].compose(dmaps[(n, i)]):
-                    failures.append((tag, "dd", n, i, j))
-                    ok = False
-    return ok
-
-
-def _mixed_presimplicial(dl, dr, n_max, failures):
-    ok = True
-    for n in range(2, n_max + 1):
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                if dl[(n - 1, i)].compose(dr[(n, j)]) != dr[(n - 1, j - 1)].compose(dl[(n, i)]):
-                    failures.append(("mixed", "dd'", n, i, j))
-                    ok = False
-                if dr[(n - 1, i)].compose(dl[(n, j)]) != dl[(n - 1, j - 1)].compose(dr[(n, i)]):
-                    failures.append(("mixed", "d'd", n, i, j))
+                if da[(n - 1, i)].compose(db[(n, j)]) != db[(n - 1, j - 1)].compose(da[(n, i)]):
+                    failures.append((tag, rel, n, i, j))
                     ok = False
     return ok
 
@@ -636,9 +607,10 @@ def check_simplicial(space: PreBraidedSpace, left_char: str, right_char: str,
     failures: list = []
     dl = _face_family(space, left_char, "left", n_max, allow_unverified)
     dr = _face_family(space, right_char, "right", n_max, allow_unverified)
-    left_pre = _presimplicial(dl, n_max, failures, "left")
-    right_pre = _presimplicial(dr, n_max, failures, "right")
-    mixed = _mixed_presimplicial(dl, dr, n_max, failures)
+    left_pre = _presimplicial(dl, dl, n_max, failures, "left")
+    right_pre = _presimplicial(dr, dr, n_max, failures, "right")
+    mixed = _presimplicial(dl, dr, n_max, failures, "mixed", "dd'")
+    mixed &= _presimplicial(dr, dl, n_max, failures, "mixed", "d'd")
     left_level = "presimplicial" if left_pre else "none"
     right_level = "presimplicial" if right_pre else "none"
     if space.comultiplication is not None:
@@ -668,7 +640,6 @@ def repeated_neighbor_span(d: int, n: int, lead_dim: int = 1) -> Callable[[int],
     """Basis tensors with some equal adjacent pair of digits (the image of
     the diagonal degeneracies); an optional leading coefficient block is
     ignored."""
-    from .exactlin import digits_of
     dims = (lead_dim,) + (d,) * n
 
     def pred(flat: int) -> bool:
@@ -681,7 +652,6 @@ def unit_factor_span(d: int, n: int, unit_index: int,
                      lead_dim: int = 1) -> Callable[[int], bool]:
     """Basis tensors with the unit index in some tensor slot; an optional
     leading coefficient block is ignored."""
-    from .exactlin import digits_of
     dims = (lead_dim,) + (d,) * n
 
     def pred(flat: int) -> bool:
@@ -755,7 +725,6 @@ def _require_payload(space, kind):
 
 def _ensure_ybe(space):
     if not space.ybe_checked:
-        from .braiding import check_ybe
         rep = check_ybe(space)
         if not rep.ok:
             raise ExactError("braiding fails the Yang-Baxter equation")
@@ -763,7 +732,6 @@ def _ensure_ybe(space):
 
 def _ensure_verified(space, name, complex_name, co):
     """Verify a character (a cocharacter when co) the complex is built from."""
-    from .braiding import check_braided_character, check_braided_cocharacter
     kind = "cocharacter" if co else "character"
     named = space.cocharacters if co else space.characters
     verified = space.verified_cocharacters if co else space.verified_characters
@@ -874,18 +842,14 @@ def _left_co(space, chars, params):
 
 
 def _bimodule(space, chars, params):
-    bim = params.get("bimodule")
-    if bim is None:
-        bim = regular_bimodule(space)
+    bim = params.get("bimodule") or regular_bimodule(space)
     if not bim.verified and not check_bimodule(space, bim).ok:
         raise ExactError("bimodule fails its axioms")
     return bim.dim, lambda n: _difference(bimodule_diff(space, bim, n))
 
 
 def _bicomodule(space, chars, params):
-    bic = params.get("bicomodule")
-    if bic is None:
-        bic = coalgebra_self_bicomodule(space)
+    bic = params.get("bicomodule") or coalgebra_self_bicomodule(space)
     if not bic.verified and not check_bicomodule(space, bic).ok:
         raise ExactError("bicomodule fails its axioms")
     return bic.dim, lambda n: _difference(bicomodule_codiff(space, bic, n))
@@ -943,6 +907,8 @@ _NAMED = {
                       "cartier", _unit_free, "sub", step=1),
 }
 
+NAMED_COMPLEXES = tuple(_NAMED)
+
 
 def named_complex(space: PreBraidedSpace, name: str, n_max: int,
                   params: Optional[dict] = None) -> ChainComplex:
@@ -969,7 +935,7 @@ def named_complex(space: PreBraidedSpace, name: str, n_max: int,
 
 
 # ---------------------------------------------------------------------------
-# DifferentialSpec: declarative description of a complex for the assembler
+# DifferentialSpec: declarative description of a complex, and its assembler
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -980,7 +946,6 @@ class DifferentialSpec:
     right_char: Optional[str] = None
     hyper_order: int = 1
     module: Optional[BraidedModule] = None
-    comodule: Optional[BraidedModule] = None
     bimodule: Optional[Bimodule] = None
     name: Optional[str] = None      # for kind == "named"
     params: dict = field(default_factory=dict)
@@ -1018,9 +983,35 @@ def build_spec_diff(space: PreBraidedSpace, spec: DifferentialSpec, n: int, *,
         return hyper_boundary(space, spec.right_char or spec.left_char, spec.hyper_order,
                               n, "right", allow_unverified=allow_unverified)
     if kind == "coeff":
-        return coeff_diff(space, spec.module, spec.comodule, n, "left",
+        return coeff_diff(space, spec.module, None, n, "left",
                           allow_unverified=allow_unverified)
     if kind == "bimodule":
         return _difference(bimodule_diff(space, spec.bimodule, n,
                                          allow_unverified=allow_unverified))
     raise ExactError(f"unknown differential kind {spec.kind!r}")
+
+
+def assemble(space: PreBraidedSpace, spec: DifferentialSpec, n_max: int, *,
+             allow_unverified: bool = False, basis_cap: Optional[int] = None,
+             normalized: bool = False) -> ChainComplex:
+    """Build the complex described by a DifferentialSpec degree by degree,
+    with the square-zero check of build_chain_complex. normalized passes to
+    the quotient by the degenerate span (repeated neighbours for shelves,
+    unit-bearing tensors for unital algebras)."""
+    if spec.kind == "named":
+        params = dict(spec.params)
+        if basis_cap is not None:
+            params["basis_cap"] = basis_cap
+        if normalized:
+            params["normalized"] = True
+        return named_complex(space, spec.name, n_max, params)
+    lead = 1
+    if spec.kind == "coeff" and spec.module is not None:
+        lead = spec.module.dim
+    if spec.kind == "bimodule":
+        lead = spec.bimodule.dim
+    step = -spec.hyper_order if spec.kind.startswith("hyper") else -1
+    return _assemble(
+        space, lead, step, n_max,
+        lambda n: build_spec_diff(space, spec, n, allow_unverified=allow_unverified),
+        spec.describe(), normalized=normalized, cap=basis_cap)

@@ -76,9 +76,6 @@ class ChainComplex:
     def n_max(self) -> int:
         return len(self.dims) - 1
 
-    def diff(self, n: int) -> Optional[SparseLinearMap]:
-        return self.diffs.get(n)
-
     def boundary(self, n: int) -> SparseLinearMap:
         """The boundary out of degree n, materializing zeros inside range."""
         got = self.diffs.get(n)
@@ -114,33 +111,6 @@ def build_chain_complex(ring: Ring, dims: list[int], diffs: dict[int, SparseLine
             if not square.is_zero():
                 raise SquareZeroError(n, next(square.entries()))
     return ChainComplex(ring, list(dims), dict(diffs), step, builder)
-
-
-def assemble(space, spec, n_max: int, *, allow_unverified: bool = False,
-             basis_cap: Optional[int] = None, normalized: bool = False) -> ChainComplex:
-    """Build the complex described by a DifferentialSpec degree by degree,
-    with the square-zero check of build_chain_complex. normalized passes to
-    the quotient by the degenerate span (repeated neighbours for shelves,
-    unit-bearing tensors for unital algebras)."""
-    from . import complexes as cx
-
-    if spec.kind == "named":
-        params = dict(spec.params)
-        if basis_cap is not None:
-            params["basis_cap"] = basis_cap
-        if normalized:
-            params["normalized"] = True
-        return cx.named_complex(space, spec.name, n_max, params)
-    lead = 1
-    if spec.kind == "coeff":
-        lead = (spec.module.dim if spec.module else 1) * (spec.comodule.dim if spec.comodule else 1)
-    if spec.kind == "bimodule":
-        lead = spec.bimodule.dim
-    step = -spec.hyper_order if spec.kind.startswith("hyper") else -1
-    return cx._assemble(
-        space, lead, step, n_max,
-        lambda n: cx.build_spec_diff(space, spec, n, allow_unverified=allow_unverified),
-        spec.describe(), normalized=normalized, cap=basis_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -433,3 +433,56 @@ def test_closed_stdout_keeps_exit_code_and_quiet_stderr(read_first):
     _, stderr = proc.communicate(timeout=120)
     assert proc.returncode == 0
     assert stderr == b""
+
+
+def test_duality_suite_unknown_character(capsys):
+    code = cli.main(["verify", str(SCENARIOS / "dual_numbers.json"), "--suite", "duality",
+                     "--left-char", "bogus", "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "unknown character 'bogus'; declared characters: counit")
+
+
+def test_duality_suite_without_characters(tmp_path, capsys):
+    doc = {k: v for k, v in KZ2_DOC.items() if k != "characters"}
+    code = cli.main(["verify", write(tmp_path, doc), "--suite", "duality", "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "the duality suite needs a character; declared characters: none")
+
+
+@pytest.mark.parametrize("scenario_file, flags, message", [
+    ("dihedral3.json", ["--named", "rack", "--twist", "2"],
+     "the rack complex does not read --twist"),
+    ("dihedral3.json", ["--named", "quandle", "--element", "1"],
+     "the quandle complex does not read --element"),
+    ("dihedral3.json", ["--named", "rack", "--left-char", "bogus"],
+     "the rack complex does not read --left-char"),
+    ("sl2.json", ["--named", "leibniz", "--right-char", "counit"],
+     "the leibniz complex does not read --right-char"),
+    ("dihedral3.json", ["--twist", "2"], "the rack complex does not read --twist"),
+    ("dihedral3.json", ["--named", "shelf", "--diff", "left"],
+     "the shelf complex does not read --diff"),
+    ("dual_numbers.json", ["--named", "bar", "--bimodule", "regular"],
+     "the bar complex does not read --bimodule"),
+])
+def test_named_complex_refuses_flags_it_does_not_read(capsys, scenario_file, flags, message):
+    """A flag the chosen named complex would ignore exits 2; the scenario's
+    own defaults (the group complex's characters) still apply."""
+    code = cli.main(["homology", str(SCENARIOS / scenario_file), *flags, "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == message
+
+
+@pytest.mark.parametrize("flags, code, error", [
+    ([], 0, None),
+    (["--left-char", "sign", "--right-char", "sign"], 0, None),
+    (["--named", "bar"], 2, "bar complex needs the counit character"),
+], ids=["scenario-defaults", "user-characters", "scenario-characters-unread"])
+def test_named_complex_flags_from_scenario_are_not_refused(capsys, flags, code, error):
+    """The scenario's characters go with its group complex; they are not
+    refused when the user picks a complex that does not read them."""
+    got = cli.main(["homology", str(SCENARIOS / "group_algebra_z2.json"), "--max-degree", "2",
+                    *flags, "--json"])
+    assert got == code
+    assert json.loads(capsys.readouterr().out).get("error") == error
