@@ -287,6 +287,18 @@ _NAMED_READERS = {
     "diff": (),
 }
 
+# The same for the generic path: the --diff kinds that read each flag. With
+# --module or --bimodule the kind is "module" or "bimodule"; those
+# differentials read no character and no --diff.
+_DIFF_READERS = {
+    "left_char": _DIFF_KINDS,
+    "right_char": ("right", "combined", "hyper-right"),
+    "twist": ("right", "combined", "hyper-right"),
+    "element": (),
+    "diff": _DIFF_KINDS,
+    "module": ("module",),
+}
+
 
 def _declared(table: dict, name: str, kind: str):
     if name not in table:
@@ -295,15 +307,21 @@ def _declared(table: dict, name: str, kind: str):
     return table[name]
 
 
+def _refuse_unread(args, readers: dict, kind: str, label: str):
+    """Refuse a user flag that kind does not read (readers maps each flag to
+    the kinds that read it); values from the scenario's defaults pass."""
+    defaulted = getattr(args, "from_scenario", ())
+    for attr, kinds in readers.items():
+        if getattr(args, attr, None) is not None and attr not in defaulted \
+                and kind not in kinds:
+            raise ExactError(f"the {label} does not read --{attr.replace('_', '-')}")
+
+
 def _spec_from_args(space, args) -> DifferentialSpec:
     named = getattr(args, "named", None)
     if named:
-        defaulted = getattr(args, "from_scenario", ())
-        for attr, readers in _NAMED_READERS.items():
-            given = getattr(args, attr, None) is not None and attr not in defaulted
-            if given and named in NAMED_COMPLEXES and named not in readers:
-                flag = "--" + attr.replace("_", "-")
-                raise ExactError(f"the {named} complex does not read {flag}")
+        if named in NAMED_COMPLEXES:
+            _refuse_unread(args, _NAMED_READERS, named, f"{named} complex")
         params = {}
         if getattr(args, "twist", None) is not None:
             params["twist"] = space.ring.parse(args.twist)
@@ -317,7 +335,7 @@ def _spec_from_args(space, args) -> DifferentialSpec:
         if getattr(args, "bimodule", None):
             params["bimodule"] = _declared(space.bimodules, args.bimodule, "bimodule")
         return DifferentialSpec(kind="named", name=named, params=params)
-    diff = getattr(args, "diff", None) or "combined"
+    diff = label = getattr(args, "diff", None) or "combined"
     hyper_order = 1
     if diff.startswith("hyper:"):
         order = diff.split(":", 1)[1]
@@ -329,6 +347,13 @@ def _spec_from_args(space, args) -> DifferentialSpec:
     elif diff not in _DIFF_KINDS:
         raise ExactError(f"unknown --diff kind {diff!r}; use hyper:<k> or one of: "
                          + ", ".join(_DIFF_KINDS))
+    if getattr(args, "bimodule", None):
+        diff_kind = label = "bimodule"
+    elif getattr(args, "module", None):
+        diff_kind = label = "module"
+    else:
+        diff_kind = diff
+    _refuse_unread(args, _DIFF_READERS, diff_kind, f"{label} differential")
     lc = getattr(args, "left_char", None)
     rc = getattr(args, "right_char", None)
     if lc is None and len(space.characters) == 1:
@@ -427,7 +452,10 @@ def _run_homology(space, args, report) -> bool:
 # verify suites
 # ---------------------------------------------------------------------------
 
-def _default_chars(space, args):
+def _default_chars(space, args, suite=None):
+    """The suite's left and right characters: the flags, else ones, counit
+    or the first declared character. A suite named here cannot run without
+    one, so a space that declares none is an input error."""
     lc = getattr(args, "left_char", None)
     rc = getattr(args, "right_char", None)
     if lc is None:
@@ -437,13 +465,15 @@ def _default_chars(space, args):
             lc = "counit"
         elif len(space.characters) >= 1:
             lc = sorted(space.characters)[0]
+        elif suite is not None:
+            raise ExactError(f"the {suite} suite needs a character; declared characters: none")
     if rc is None:
         rc = lc
     return lc, rc
 
 
 def _suite_simplicial(space, args, report) -> bool:
-    lc, rc = _default_chars(space, args)
+    lc, rc = _default_chars(space, args, "simplicial")
     n_max = args.max_degree if args.max_degree is not None else 5
     rep = check_simplicial(space, lc, rc, n_max)
     report["simplicial"] = {
@@ -462,7 +492,7 @@ def _suite_simplicial(space, args, report) -> bool:
 
 
 def _suite_hyper(space, args, report) -> bool:
-    lc, _ = _default_chars(space, args)
+    lc, _ = _default_chars(space, args, "hyper")
     n_max = args.max_degree if args.max_degree is not None else 6
     built: dict = {}
 
@@ -505,10 +535,10 @@ def _suite_hopf(space, args, report) -> bool:
 
 def _suite_homotopy(space, args, report) -> bool:
     n_max = args.max_degree if args.max_degree is not None else 5
-    lc, rc = _default_chars(space, args)
     results = {}
     payload = space.payload
     if isinstance(payload, st.ShelfTable):
+        lc, rc = _default_chars(space, args, "homotopy")
         spec = DifferentialSpec(kind="right", right_char=rc)
         c = assemble(space, spec, n_max)
         h = {n: concat_homotopy(space, [1] + [0] * (space.dim - 1), n)
@@ -520,6 +550,7 @@ def _suite_homotopy(space, args, report) -> bool:
             h = {n: rack_contraction(space, 0, n) for n in range(n_max)}
             results["left_complex_inverse_translation"] = bool(certify_acyclic(c, h))
     elif isinstance(payload, st.AlgebraData) and space.unit_index is not None:
+        lc, _ = _default_chars(space, args, "homotopy")
         w = [1 if j == space.unit_index else 0 for j in range(space.dim)]
         spec = DifferentialSpec(kind="left", left_char=lc)
         c = assemble(space, spec, n_max)
@@ -527,6 +558,7 @@ def _suite_homotopy(space, args, report) -> bool:
         results["left_complex_unit_concatenation"] = bool(certify_acyclic(c, h))
     else:
         # flip-like space: use any basis element the character sends to one
+        lc, rc = _default_chars(space, args)
         eps = space.characters.get(lc)
         w = None
         if eps is not None:
@@ -552,9 +584,7 @@ def _suite_duality(space, args, report) -> bool:
     if not (isinstance(payload, st.AlgebraData) and payload.kind == "associative"):
         raise ExactError("the duality suite needs an associative payload")
     n_max = args.max_degree if args.max_degree is not None else 4
-    lc, _ = _default_chars(space, args)
-    if lc is None:
-        raise ExactError("the duality suite needs a character; declared characters: none")
+    lc, _ = _default_chars(space, args, "duality")
     eps = _declared(space.characters, lc, "character")
     co = st.dual_coalgebra(payload)
     cospace = st.coassoc_braiding(co)

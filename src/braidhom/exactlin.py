@@ -422,6 +422,19 @@ def tensor(f: SparseLinearMap, g: SparseLinearMap) -> SparseLinearMap:
 # each update a*row - b*prow is divided by its content (gcd) to keep the
 # integers small. The Smith form takes +-1 pivots first and never divides
 # out contents (see smith_normal_form).
+#
+# A complex is eliminated one boundary after the other (_eliminate_chain).
+# A pivot of d_n at column c fixes the coordinate x_c of every kernel vector
+# from the coordinates of the non-pivot columns, so the projection that
+# forgets the pivot coordinates is injective on ker d_n. Since
+# im d_{n+1} lies in ker d_n, row c of d_{n+1} is redundant: it is dropped
+# before d_{n+1} is eliminated, which leaves its rank unchanged. Over a
+# field every pivot fixes its coordinate. Over Z only the +-1 pivots taken
+# before the first Euclidean step are passed on: they fix x_c integrally,
+# and the rows left after them touch only non-pivot columns, so the
+# projected kernel is the kernel of those rows, a saturated lattice. The
+# projection is then a lattice isomorphism of ker d_n onto it, and the
+# projected d_{n+1} has the invariant factors of d_{n+1}, 1s included.
 # ---------------------------------------------------------------------------
 
 def _strip_content(row: dict) -> dict:
@@ -435,16 +448,18 @@ def _strip_content(row: dict) -> dict:
     return row
 
 
-def _row_dicts(m: SparseLinearMap) -> list[dict]:
+def _row_dicts(m: SparseLinearMap, drop=frozenset()) -> list[dict]:
+    """The rows of m as {column: value} dicts, without the rows in drop."""
     rows: dict[int, dict] = {}
     for r, c, v in m.entries():
-        rows.setdefault(r, {})[c] = v
+        if r not in drop:
+            rows.setdefault(r, {})[c] = v
     return list(rows.values())
 
 
-def _integer_rows(m: SparseLinearMap) -> list[dict]:
+def _integer_rows(rows: list[dict]) -> list[dict]:
     out = []
-    for row in _row_dicts(m):
+    for row in rows:
         den = math.lcm(*(v.denominator for v in row.values()))
         out.append(_strip_content({c: int(v * den) for c, v in row.items()}))
     return out
@@ -537,29 +552,6 @@ def _unit_update(row: dict, prow: dict, pc: int) -> dict:
     return _axpy(dict(row), prow.items(), -row[pc] * prow[pc])
 
 
-def rank(m: SparseLinearMap) -> int:
-    """Rank over the fraction field of the coefficient ring."""
-    if m.is_zero():
-        return 0
-    if isinstance(m.ring, PrimeField):
-        elim, update = _Elimination(_row_dicts(m)), _mod_p_update(m.ring.p)
-    else:
-        elim, update = _Elimination(_integer_rows(m)), _fraction_free_update
-    r = 0
-    while (piv := elim.pivot()) is not None:
-        elim.eliminate(*piv, update)
-        r += 1
-    return r
-
-
-def kernel_dimension(m: SparseLinearMap) -> int:
-    return m.cols - rank(m)
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form over Z.
-# ---------------------------------------------------------------------------
-
 _UNITS = {1, -1}
 
 
@@ -608,6 +600,64 @@ def _euclid_pivot(elim: _Elimination) -> int:
             return pv
 
 
+def _divisibility_chain(pivots: list[int]) -> list[int]:
+    """Sorted invariant factors of diag(pivots), by gcd/lcm exchanges, which
+    realize diag(a, b) ~ diag(gcd(a, b), lcm(a, b))."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(pivots)):
+            for j in range(i + 1, len(pivots)):
+                if pivots[j] % pivots[i]:
+                    g = math.gcd(pivots[i], pivots[j])
+                    pivots[i], pivots[j] = g, pivots[i] * pivots[j] // g
+                    changed = True
+    return sorted(pivots)
+
+
+def _eliminate(m: SparseLinearMap, smith: bool, drop=frozenset()) -> tuple:
+    """Eliminate m without its rows in drop. Returns the rank over the
+    fraction field of m's ring (over F_p for a prime field), or with smith
+    the nonzero invariant factors over Z; and the pivot columns that fix
+    their kernel coordinate integrally: every pivot for a rank, the +-1
+    pivots taken before the first Euclidean step for a Smith form."""
+    rows = _row_dicts(m, drop)
+    fixed: list[int] = []
+    if smith:
+        if any(v.denominator != 1 for col in m._cols.values() for v in col.values()):
+            raise ExactError("Smith normal form needs integer entries")
+        elim = _Elimination([{c: int(v) for c, v in row.items()} for row in rows])
+        units = 0
+        euclid: list[int] = []
+        while elim.rows:
+            piv = elim.pivot(_UNITS)
+            if piv is None:
+                euclid.append(_euclid_pivot(elim))
+                continue
+            elim.eliminate(*piv, _unit_update)
+            units += 1
+            if not euclid:
+                fixed.append(piv[1])
+        return [1] * units + _divisibility_chain(euclid), fixed
+    if isinstance(m.ring, PrimeField):
+        elim, update = _Elimination(rows), _mod_p_update(m.ring.p)
+    else:
+        elim, update = _Elimination(_integer_rows(rows)), _fraction_free_update
+    while (piv := elim.pivot()) is not None:
+        elim.eliminate(*piv, update)
+        fixed.append(piv[1])
+    return len(fixed), fixed
+
+
+def rank(m: SparseLinearMap) -> int:
+    """Rank over the fraction field of the coefficient ring."""
+    return _eliminate(m, smith=False)[0]
+
+
+def kernel_dimension(m: SparseLinearMap) -> int:
+    return m.cols - rank(m)
+
+
 def smith_normal_form(m: SparseLinearMap) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
@@ -621,30 +671,30 @@ def smith_normal_form(m: SparseLinearMap) -> list[int]:
     to a divisibility chain at the end via gcd/lcm exchanges, which realize
     diag(a, b) ~ diag(gcd(a,b), lcm(a,b)).
     """
-    rows = _row_dicts(m)
-    if any(v.denominator != 1 for row in rows for v in row.values()):
-        raise ExactError("Smith normal form needs integer entries")
-    elim = _Elimination([{c: int(v) for c, v in row.items()} for row in rows])
-    units = 0
-    pivots: list[int] = []
-    while elim.rows:
-        piv = elim.pivot(_UNITS)
-        if piv is None:
-            pivots.append(_euclid_pivot(elim))
-        else:
-            elim.eliminate(*piv, _unit_update)
-            units += 1
+    return _eliminate(m, smith=True)[0]
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pivots)):
-            for j in range(i + 1, len(pivots)):
-                if pivots[j] % pivots[i]:
-                    g = math.gcd(pivots[i], pivots[j])
-                    pivots[i], pivots[j] = g, pivots[i] * pivots[j] // g
-                    changed = True
-    return [1] * units + sorted(pivots)
+
+def _eliminate_chain(diffs: dict[int, SparseLinearMap], step: int,
+                     field: Optional[Ring] = None) -> dict[int, object]:
+    """Per degree n, the rank of diffs[n] over field, or its nonzero
+    invariant factors over Z when field is None, for maps with
+    diffs[n - step] o diffs[n] = 0 over the ring eliminated in.
+
+    The map after diffs[n] is diffs[n - step], whose rows are the columns of
+    diffs[n]; it is eliminated without the rows at the pivot columns of
+    diffs[n] (see the notes that open the elimination section). So chain
+    complexes (step < 0, every |step|-th degree for a hyper-boundary) run
+    in ascending degree and cochain complexes (step > 0) in descending
+    degree.
+    """
+    out: dict[int, object] = {}
+    passed: dict[int, set[int]] = {}
+    for n in sorted(diffs, reverse=step > 0):
+        m = diffs[n] if field is None else diffs[n].with_ring(field)
+        out[n], fixed = _eliminate(m, field is None, passed.pop(n + step, frozenset()))
+        if n - step in diffs:
+            passed[n] = set(fixed)
+    return out
 
 
 # ---------------------------------------------------------------------------

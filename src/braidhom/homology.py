@@ -16,8 +16,7 @@ from .exactlin import (
     QQ,
     Ring,
     SparseLinearMap,
-    rank,
-    smith_normal_form,
+    _eliminate_chain,
 )
 
 DEFAULT_BASIS_CAP = 200_000
@@ -138,14 +137,19 @@ class HomologyReport:
 
 def betti(c: ChainComplex, coefficients: Optional[Ring] = None) -> HomologyReport:
     """Free ranks over a field: dim - rank(out) - rank(in) per degree, with
-    boundaries beyond the stored range treated as zero."""
+    boundaries beyond the stored range treated as zero.
+
+    The boundaries are eliminated in degree order, and each pivot column of
+    one boundary drops that row of the next: the pivot fixes its coordinate
+    of every cycle from the other coordinates, and every boundary is a
+    cycle, so the row adds nothing to the next rank. This relies on d^2 = 0
+    after the change of coefficients, which holds for a complex over Z or Q
+    and for one over the coefficient field itself."""
     if coefficients is None:
         coefficients = c.ring if c.ring.is_field else QQ
     if not coefficients.is_field:
         raise ExactError("betti numbers need field coefficients (use q or fp:<p>)")
-    ranks: dict[int, int] = {}
-    for n, m in c.diffs.items():
-        ranks[n] = rank(m.with_ring(coefficients))
+    ranks = _eliminate_chain(c.diffs, c.step, coefficients)
     degrees = {}
     for n in range(c.n_max + 1):
         out_rank = ranks.get(n, 0)
@@ -157,10 +161,15 @@ def betti(c: ChainComplex, coefficients: Optional[Ring] = None) -> HomologyRepor
 def integral_homology(c: ChainComplex) -> HomologyReport:
     """Free rank and torsion per degree from the Smith normal forms of the
     outgoing and incoming boundaries; no basis alignment is needed for the
-    invariant factors."""
-    factors: dict[int, list[int]] = {}
-    for n, m in c.diffs.items():
-        factors[n] = smith_normal_form(m)
+    invariant factors.
+
+    As in betti, each boundary drops rows of the next one, but only at the
+    columns of its +-1 pivots taken before any Euclidean step. Those fix
+    their coordinates of every integral cycle, and the rows left touch only
+    the other columns, so the cycles project onto a saturated lattice. The
+    projected next boundary then has the same invariant factors, the 1s
+    included."""
+    factors = _eliminate_chain(c.diffs, c.step)
     degrees = {}
     for n in range(c.n_max + 1):
         out_rank = len(factors.get(n, []))

@@ -451,6 +451,26 @@ def test_duality_suite_without_characters(tmp_path, capsys):
         "the duality suite needs a character; declared characters: none")
 
 
+@pytest.mark.parametrize("suite", ["hyper", "simplicial", "homotopy"])
+def test_suites_without_characters(tmp_path, capsys, suite):
+    """A unital algebra that declares no character: every suite that needs
+    one exits 2 and says so."""
+    doc = {k: v for k, v in KZ2_DOC.items() if k != "characters"}
+    code = cli.main(["verify", write(tmp_path, doc), "--suite", suite, "--max-degree", "3",
+                     "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        f"the {suite} suite needs a character; declared characters: none")
+
+
+def test_homotopy_suite_skips_flip_without_characters(tmp_path, capsys):
+    doc = {"ring": "z", "structure": {"kind": "flip", "dim": 2}}
+    code = cli.main(["verify", write(tmp_path, doc), "--suite", "homotopy", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["homotopy"] == {
+        "skipped": "no normalized pair available"}
+
+
 @pytest.mark.parametrize("scenario_file, flags, message", [
     ("dihedral3.json", ["--named", "rack", "--twist", "2"],
      "the rack complex does not read --twist"),
@@ -486,3 +506,49 @@ def test_named_complex_flags_from_scenario_are_not_refused(capsys, flags, code, 
                     *flags, "--json"])
     assert got == code
     assert json.loads(capsys.readouterr().out).get("error") == error
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--diff", "left", "--element", "0"], "the left differential does not read --element"),
+    (["--diff", "left", "--left-char", "ones", "--right-char", "bogus"],
+     "the left differential does not read --right-char"),
+    (["--diff", "hyper:3", "--right-char", "ones"],
+     "the hyper:3 differential does not read --right-char"),
+    (["--diff", "face", "--twist", "-1"], "the face differential does not read --twist"),
+    (["--diff", "combined", "--element", "1"],
+     "the combined differential does not read --element"),
+    (["--module", "self", "--left-char", "ones"],
+     "the module differential does not read --left-char"),
+    (["--module", "self", "--twist", "-1"], "the module differential does not read --twist"),
+    (["--module", "self", "--diff", "right"], "the module differential does not read --diff"),
+])
+def test_generic_diff_refuses_flags_it_does_not_read(tmp_path, capsys, flags, message):
+    doc = dict(R3_DOC)
+    doc["modules"] = {"self": R3_SELF_MODULE}
+    code = cli.main(["homology", write(tmp_path, doc), *flags, "--max-degree", "2", "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == message
+
+
+@pytest.mark.parametrize("flags", [
+    ["--diff", "right", "--right-char", "ones"],
+    ["--diff", "combined", "--left-char", "ones", "--right-char", "ones"],
+    # the generic path adds the twist character without verifying it
+    ["--diff", "hyper-right", "--twist", "-1", "--allow-unverified"],
+    ["--diff", "hyper:3", "--left-char", "ones"],
+    ["--module", "self"],
+], ids=["right", "combined", "hyper-right-twist", "hyper3", "module"])
+def test_generic_diff_accepts_flags_it_reads(tmp_path, capsys, flags):
+    doc = dict(R3_DOC)
+    doc["modules"] = {"self": R3_SELF_MODULE}
+    code = cli.main(["homology", write(tmp_path, doc), *flags, "--max-degree", "2", "--json"])
+    assert code == 0, capsys.readouterr().out
+
+
+def test_generic_diff_flags_from_scenario_are_not_refused(tmp_path, capsys):
+    """A right character filled in from the scenario's defaults is not refused
+    when the user picks the left differential."""
+    doc = dict(R3_DOC, computations=[{"command": "homology", "diff": "right",
+                                      "right-char": "ones", "max_degree": 2}])
+    code = cli.main(["homology", write(tmp_path, doc), "--diff", "left", "--json"])
+    assert code == 0, capsys.readouterr().out

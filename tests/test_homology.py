@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from braidhom import (
     DifferentialSpec,
+    ExactError,
     PrimeField,
     QQ,
     ResourceCapError,
@@ -21,21 +23,27 @@ from braidhom import (
     compose,
     concat_homotopy,
     crossing_action,
+    dihedral_shelf,
     flip_braiding,
     integral_homology,
     left_diff,
     named_complex,
     rack_contraction,
+    rank,
+    ring_from_name,
     shelf_braiding,
+    smith_normal_form,
     subquotient,
     tensor,
     trivial_shelf,
 )
-from braidhom.complexes import repeated_neighbor_span, unit_factor_span
+from braidhom import exactlin
+from braidhom.complexes import NAMED_COMPLEXES, repeated_neighbor_span, unit_factor_span
 from braidhom.homology import build_chain_complex
 from braidhom.exactlin import digits_of
+from braidhom.scenario import build_space, parse as parse_scenario
 
-from helpers import dense_of, dense_rank
+from helpers import dense_of, dense_rank, from_dense, snf_by_minor_gcds
 from conftest import verify_space
 
 
@@ -343,3 +351,155 @@ def test_cochain_homology_direction():
     for n in range(5):
         assert ih.degrees[n].free_rank == rep.degrees[n].free_rank
         assert ih.degrees[n].torsion == []
+
+
+# -- chain-aware elimination ------------------------------------------------------------
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+# The named complexes that assemble on each shipped scenario; the others need
+# another payload or a character the scenario does not declare.
+NAMED_ON = {
+    "dihedral3.json": {"koszul", "shelf", "rack", "quandle", "twisted-rack",
+                       "partial-derivative"},
+    "dual_numbers.json": {"koszul", "bar", "group", "hochschild"},
+    "dual_numbers_coalgebra.json": {"koszul", "cobar", "cartier"},
+    "group_algebra_z2.json": {"koszul", "group", "hochschild"},
+    "sl2.json": {"koszul", "leibniz"},
+}
+
+
+def per_boundary_homology(c, field=None, factors_of=smith_normal_form):
+    """(free rank, torsion) per degree with every boundary eliminated on its
+    own: its rank over field, or its invariant factors over Z (by
+    factors_of) when field is None."""
+    if field is None:
+        factors = {n: factors_of(m) for n, m in c.diffs.items()}
+    else:
+        factors = {n: [1] * rank(m.with_ring(field)) for n, m in c.diffs.items()}
+    out = {}
+    for n in range(c.n_max + 1):
+        incoming = factors.get(n - c.step, [])
+        out[n] = (c.dims[n] - len(factors.get(n, [])) - len(incoming),
+                  sorted(f for f in incoming if f > 1))
+    return out
+
+
+def chain_homology(c, field=None):
+    rep = integral_homology(c) if field is None else betti(c, field)
+    return {n: (h.free_rank, h.torsion) for n, h in rep.degrees.items()}
+
+
+def transposed(c):
+    """The cochain complex of the transposed boundaries of a chain complex."""
+    return build_chain_complex(c.ring, c.dims, {n - 1: m.transpose() for n, m in c.diffs.items()},
+                               1, c.builder + "^T")
+
+
+@pytest.mark.parametrize("ring_name", ["z", "q", "fp:3"])
+@pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_chain_elimination_matches_per_boundary_named(scenario, ring_name):
+    ring = ring_from_name(ring_name)
+    field = None if ring is ZZ else ring
+    built = set()
+    for name in NAMED_COMPLEXES:
+        space = build_space(parse_scenario(SCENARIOS / scenario), ring)
+        chars = sorted(space.characters)
+        params = {"twist": ring.parse("-1"), "element": 0}
+        if chars:
+            params.update(character=chars[0], left_char=chars[0], right_char=chars[-1])
+        try:
+            c = assemble(space, DifferentialSpec(kind="named", name=name, params=params), 4)
+        except ExactError:
+            continue
+        built.add(name)
+        assert chain_homology(c, field) == per_boundary_homology(c, field), name
+    assert built == NAMED_ON[scenario]
+
+
+@pytest.mark.parametrize("order, ring_name, n_max", [
+    (2, "z", 3), (2, "q", 3), (2, "fp:3", 3),
+    # d_2 d_2 = 2 d_4, so the order-2 boundary makes a longer complex over F2 only
+    (2, "fp:2", 7),
+    (3, "z", 7), (3, "q", 7), (3, "fp:3", 7),
+])
+def test_chain_elimination_matches_per_boundary_hyper(order, ring_name, n_max):
+    ring = ring_from_name(ring_name)
+    space = verify_space(shelf_braiding(dihedral_shelf(3), ring))
+    c = assemble(space, DifferentialSpec(kind="hyper-left", left_char="ones",
+                                         hyper_order=order), n_max)
+    field = None if ring is ZZ else ring
+    got = chain_homology(c, field)
+    assert got == per_boundary_homology(c, field)
+    if (order, ring_name) == (3, "z"):
+        assert got[4] == (18, [2, 2, 2, 2, 2, 6])
+
+
+def _rack_chain(ring):
+    return named_complex(verify_space(shelf_braiding(dihedral_shelf(3), ring)), "rack", 5)
+
+
+def _hyper_chain(ring):
+    space = verify_space(shelf_braiding(dihedral_shelf(3), ring))
+    return assemble(space, DifferentialSpec(kind="hyper-left", left_char="ones",
+                                            hyper_order=3), 7)
+
+
+@pytest.mark.parametrize("ring_name", ["z", "q", "fp:3"])
+def test_chain_elimination_matches_per_boundary_cochain(ring_name):
+    """Cochain complexes run in descending degree: the cartier complex of the
+    dual numbers (2-torsion in every even degree from 2) and the transposed
+    R3 rack complex, whose consecutive coboundaries are both nonzero."""
+    ring = ring_from_name(ring_name)
+    field = None if ring is ZZ else ring
+    cartier = named_complex(
+        build_space(parse_scenario(SCENARIOS / "dual_numbers_coalgebra.json"), ring), "cartier", 6)
+    for c in (cartier, transposed(_rack_chain(ring))):
+        assert c.step == 1
+        assert chain_homology(c, field) == per_boundary_homology(c, field), c.builder
+    if ring is ZZ:
+        assert [t for _, t in chain_homology(cartier).values()] == \
+            [[], [], [2], [], [2], [], [2]]
+
+
+def test_chain_elimination_after_euclidean_pivots():
+    """d1 = [2 3 0] has no unit entry, so its pivots are Euclidean and are not
+    passed on: forgetting either of x_0, x_1 maps ker d1 = <(3,-2,0), (0,0,1)>
+    onto a lattice that is not saturated, and dropping that row of d2 would
+    make up torsion (Z/6 or Z/2 + Z/2) in place of H_1 = Z/2."""
+    dense = {1: [[2, 3, 0]],
+             2: [[3, 0, 3], [-2, 0, -2], [0, 2, 2]],
+             3: [[1], [1], [-1]]}
+    c = build_chain_complex(ZZ, [1, 3, 3, 1], {n: from_dense(d, ZZ) for n, d in dense.items()},
+                            -1, "euclid")
+    expected = per_boundary_homology(c, factors_of=lambda m: snf_by_minor_gcds(dense_of(m)))
+    assert expected == {0: (0, []), 1: (0, [2]), 2: (0, []), 3: (0, [])}
+    assert chain_homology(c) == expected
+    assert chain_homology(c, QQ) == {n: (free, []) for n, (free, _) in expected.items()}
+
+
+@pytest.mark.parametrize("ring_name", ["z", "q", "fp:3"])
+@pytest.mark.parametrize("build", [_rack_chain, _hyper_chain,
+                                   lambda ring: transposed(_rack_chain(ring))],
+                         ids=["rack", "hyper3", "rack-transposed"])
+def test_chain_driver_hands_pivots_to_the_next_map(monkeypatch, build, ring_name):
+    """Each boundary is eliminated without the rows at the passed-on pivot
+    columns of the map before it in the chain, diffs[n + step]."""
+    ring = ring_from_name(ring_name)
+    c = build(ring)
+    calls = {}
+    real = exactlin._eliminate
+
+    def spy(m, smith, drop=frozenset()):
+        out = real(m, smith, drop)
+        calls[id(m)] = (set(drop), set(out[1]))
+        return out
+
+    monkeypatch.setattr(exactlin, "_eliminate", spy)
+    chain_homology(c, None if ring is ZZ else ring)
+    dropped = 0
+    for n, m in c.diffs.items():
+        before = c.diffs.get(n + c.step)
+        assert calls[id(m)][0] == (calls[id(before)][1] if before is not None else set()), n
+        dropped += len(calls[id(m)][0])
+    assert dropped > 0

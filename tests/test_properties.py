@@ -14,8 +14,10 @@ import math
 from hypothesis import given, settings, strategies as hs
 
 from braidhom import (
+    PrimeField,
     ZZ,
     ShelfTable,
+    betti,
     check_braided_character,
     check_braided_module,
     check_ybe,
@@ -168,3 +170,18 @@ def test_rack_homology_free_rank_is_orbits_to_the_n(table):
     orbits = orbit_count(table)
     for n in range(4):
         assert report.degrees[n].free_rank == orbits ** n, n
+
+
+@PROPERTY
+@given(racks(max_size=4))
+def test_universal_coefficients(table):
+    """Below the top degree, dim H_n(C (x) F_p) = free rank H_n
+    + #{p | factors of H_n} + #{p | factors of H_(n-1)} for the rack
+    complex C over Z. This ties the integral and F_p eliminations together."""
+    c = named_complex(space_of(table), "rack", 4)
+    integral = integral_homology(c).degrees
+    for p in (2, 3, 5):
+        mod_p = betti(c, PrimeField(p)).degrees
+        for n in range(4):
+            divisible = [f for m in (n, n - 1) if m >= 0 for f in integral[m].torsion if f % p == 0]
+            assert mod_p[n].free_rank == integral[n].free_rank + len(divisible), (p, n)
