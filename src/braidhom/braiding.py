@@ -228,6 +228,7 @@ class PreBraidedSpace:
         self._generator_cache: dict = {}
         self._coshuffle_cache: dict = {}
         self._shuffle_cache: dict = {}
+        self._boundary_cache: dict = {}
 
     # -- data installation ---------------------------------------------------
 

@@ -365,6 +365,9 @@ def _spec_from_args(space, args) -> DifferentialSpec:
         name = f"twist:{args.twist}"
         if name not in space.characters:
             space.add_character(name, st.twist_character(tw, space.dim, space.ring))
+        if not check_braided_character(space, name).ok and not args.allow_unverified:
+            raise UnverifiedError(f"character {name!r} is not a braided character "
+                                  "(pass --allow-unverified to use it anyway)")
         rc = name
     char = rc if diff in ("right", "hyper-right") else lc
     if char is None and not (getattr(args, "module", None) or getattr(args, "bimodule", None)):
@@ -494,14 +497,6 @@ def _suite_simplicial(space, args, report) -> bool:
 def _suite_hyper(space, args, report) -> bool:
     lc, _ = _default_chars(space, args, "hyper")
     n_max = args.max_degree if args.max_degree is not None else 6
-    built: dict = {}
-
-    def boundary(order, degree, side):
-        key = (order, degree, side)
-        if key not in built:
-            built[key] = hyper_boundary(space, lc, order, degree, side)
-        return built[key]
-
     ok = True
     checked = 0
     for n in range(1, n_max + 1):
@@ -510,8 +505,9 @@ def _suite_hyper(space, args, report) -> bool:
                 if k + m > n:
                     continue
                 for side in ("left", "right"):
-                    lhs = boundary(m, n - k, side).compose(boundary(k, n, side))
-                    rhs = boundary(m + k, n, side).scale(signed_binomial(m, k))
+                    lhs = hyper_boundary(space, lc, m, n - k, side).compose(
+                        hyper_boundary(space, lc, k, n, side))
+                    rhs = hyper_boundary(space, lc, m + k, n, side).scale(signed_binomial(m, k))
                     ok &= lhs == rhs
                     checked += 1
     report["hyper"] = {"ok": ok, "identities_checked": checked, "max_degree": n_max}

@@ -3,9 +3,22 @@ homotopies, coefficient differentials and the classical named complexes.
 
 All maps are plain sparse matrices between tensor-power index spaces. Every
 boundary is one formula (_pull): the negated quantum coshuffle pulls k
-strands to one end, where a braided module action (a character, or eps^(x)k
-for the hyper-boundaries) eats them. The codifferentials are its dual with
-the shuffle product (_push).
+strands to one end, where a braided module action (a character, or a
+coefficient module) eats them one at a time. The coshuffle itself is never
+built: its one-strand recursion, carried through the action by the
+interchange law (f (x) Id) o (Id (x) g) = (Id (x) g) o (f (x) Id), gives each
+boundary from two smaller ones. With q = n - k, on lead (x) V^(x)n,
+
+    H(0,n) = Id,  H(k,n) = H(k,n-1) (x) Id_1 + A_q o (H(k-1,n-1) (x) Id_1),
+
+where A_q feeds the strand that crossed q strands to the left to the action,
+and on V^(x)n (x) trail the first-strand mirror, which carries the sign
+(-1)^(kn - k(k+1)/2) of the right family,
+
+    H'(0,n) = Id,  H'(k,n) = (-1)^k Id_1 (x) H'(k,n-1)
+                             + (-1)^(n-1) A'_q o (Id_1 (x) H'(k-1,n-1)).
+
+The codifferentials are the dual formula with the shuffle product (_push).
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .exactlin import ExactError, SparseLinearMap, digits_of, tensor
+from .exactlin import ExactError, SparseLinearMap, digits_of, flat_index, tensor
 from .braiding import (
     PreBraidedSpace,
     UnverifiedError,
@@ -25,7 +38,6 @@ from .braiding import (
     check_ybe,
     extended_braiding,
     moving_permutation,
-    shuffle_coproduct,
     shuffle_product,
 )
 from . import homology
@@ -49,22 +61,88 @@ def _around(lead: int, m: SparseLinearMap, trail: int) -> SparseLinearMap:
 
 def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side: str, *,
           lead: int = 1, trail: int = 1, allow_unverified: bool = False) -> SparseLinearMap:
-    """The degree -k boundary on lead (x) V^(x)n (x) trail,
+    """The degree -k boundary on lead (x) V^(x)n (x) trail. On the left it is
 
-        (action (x) Id) o (Id_lead (x) Delta^(-sigma)_(k,n-k) (x) Id_trail):
+        (rho_k (x) Id_(n-k) (x) Id_trail) o (Id_lead (x) Delta_(k,n-k) (x) Id_trail),
+        rho_0 = Id_lead,  rho_k = rho o (rho_(k-1) (x) Id_1),
 
-    the negated coshuffle pulls k strands to one end and the action eats
-    them, lead (x) V^(x)k -> lead on the left, V^(x)k (x) trail -> trail on
-    the right. The right family carries the sign (-1)^(kn - k(k+1)/2)."""
-    rest = space.dim ** (n - k)
-    if side == "left":
-        cosh = shuffle_coproduct(space, k, n - k, sign=-1, allow_unverified=allow_unverified)
-        return _around(1, action, rest * trail).compose(_around(lead, cosh, trail))
-    if side == "right":
-        cosh = shuffle_coproduct(space, n - k, k, sign=-1, allow_unverified=allow_unverified)
-        out = _around(lead * rest, action, 1).compose(_around(lead, cosh, trail))
-        return out.neg() if (k * n - k * (k + 1) // 2) % 2 == 1 else out
-    raise ExactError("side must be 'left' or 'right'")
+    where Delta is the coshuffle of the negated braiding: it pulls k strands
+    to the front and the one-strand action rho: lead (x) V -> lead eats them.
+    On the right it is the mirror, for an action rho': V (x) trail -> trail,
+    times s(k,n) = (-1)^(kn - k(k+1)/2):
+
+        s(k,n) (Id_lead (x) Id_(n-k) (x) rho'_k) o (Id_lead (x) Delta_(n-k,k) (x) Id_trail),
+        rho'_0 = Id_trail,  rho'_k = rho' o (Id_1 (x) rho'_(k-1)).
+
+    No coshuffle is built. With q = n - k, the last strand of Delta_(k,q)
+    either ends the right block or crosses its q strands to end the left one
+    (shuffle_coproduct):
+
+        Delta_(k,q) = Delta_(k,q-1) (x) Id_1 + (Id_(k-1) (x) L_q) o (Delta_(k-1,q) (x) Id_1),
+
+    with L_q the negated lift pulling strand q+1 of q+1 to the left. Feeding
+    this to rho_k = rho o (rho_(k-1) (x) Id_1), and moving rho_(k-1) past
+    Id (x) L_q by the interchange law (f (x) Id) o (Id (x) g) =
+    (Id (x) g) o (f (x) Id), gives the boundary H on lead (x) V^(x)n from two
+    smaller ones:
+
+        H(0,n) = Id,  H(k,n) = H(k,n-1) (x) Id_1 + A_q o (H(k-1,n-1) (x) Id_1),
+        A_q = (rho (x) Id_q) o (Id_lead (x) L_q).
+
+    On the right the first strand either starts the left block or crosses
+    its q strands to start the right one, through R_q, the negated lift
+    pulling strand 1 of q+1 to the right. The same steps, mirrored, give the
+    boundary H' on V^(x)n (x) trail, and since s(k,n) = (-1)^k s(k,n-1) =
+    (-1)^(n-1) s(k-1,n-1) the recursion carries the sign:
+
+        H'(0,n) = Id,  H'(k,n) = (-1)^k Id_1 (x) H'(k,n-1)
+                                 + (-1)^(n-1) A'_q o (Id_1 (x) H'(k-1,n-1)),
+        A'_q = (Id_q (x) rho') o (R_q (x) Id_trail).
+
+    The first term is absent when q = 0. Under the YBE a lift does not
+    depend on the reduced word, so H' equals the formula; without it (only
+    with allow_unverified) the right boundaries of order >= 2 may differ
+    from those of shuffle_coproduct's words. Each H and H' is cached on the
+    space, keyed by the action's value, so a character replaced under the
+    same name gets boundaries of its own; _around adds the block a side does
+    not touch.
+    """
+    if side not in ("left", "right"):
+        raise ExactError("side must be 'left' or 'right'")
+    space.require_ybe(allow_unverified)
+    h = _pulled(space, action, side, k, n, allow_unverified)
+    return _around(1, h, trail) if side == "left" else _around(lead, h, 1)
+
+
+def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int, n: int,
+            allow_unverified: bool) -> SparseLinearMap:
+    """H(k,n) of _pull (side 'left'), or H'(k,n) with its sign (side
+    'right'), from the cache on the space or by the recursion."""
+    key = (rho, side, k, n)
+    got = space._boundary_cache.get(key)
+    if got is not None:
+        return got
+    if k == 0:
+        got = SparseLinearMap.identity(rho.rows * space.dim ** n, space.ring)
+    else:
+        q = n - k
+        one = space.identity_power(1)
+        left = side == "left"
+        lift = braid_lift(space, moving_permutation(q + 1 if left else 1, q + 1, to_left=left),
+                          q + 1, -1, allow_unverified=allow_unverified)
+        if left:
+            got = _around(1, rho, space.dim ** q).compose(_around(rho.rows, lift, 1))
+        else:
+            got = _around(space.dim ** q, rho, 1).compose(_around(1, lift, rho.rows)).scale(
+                (-1) ** (n - 1))
+        if k > 1:  # H(0,n-1) is the identity
+            inner = _pulled(space, rho, side, k - 1, n - 1, allow_unverified)
+            got = got.compose(tensor(inner, one) if left else tensor(one, inner))
+        if q:
+            stay = _pulled(space, rho, side, k, n - 1, allow_unverified)
+            got = (tensor(stay, one) if left else tensor(one.scale((-1) ** k), stay)).add_map(got)
+    space._boundary_cache[key] = got
+    return got
 
 
 def _push(space: PreBraidedSpace, coaction: SparseLinearMap, n: int, side: str, *,
@@ -164,13 +242,6 @@ def signed_binomial(m: int, k: int) -> int:
     return math.comb((m + k) // 2, k // 2)
 
 
-def _tensor_power(m: SparseLinearMap, k: int) -> SparseLinearMap:
-    out = SparseLinearMap.identity(1, m.ring)
-    for _ in range(k):
-        out = tensor(out, m)
-    return out
-
-
 def hyper_boundary(space: PreBraidedSpace, char: str, k: int, n: int,
                    side: str = "left", *, allow_unverified: bool = False) -> SparseLinearMap:
     """Degree -k boundary: evaluate the character on k strands pulled to the
@@ -179,8 +250,7 @@ def hyper_boundary(space: PreBraidedSpace, char: str, k: int, n: int,
     if not 0 <= k <= n:
         raise ExactError(f"hyper order {k} out of 0..{n}")
     eps = space.require_character(char, allow_unverified)
-    return _pull(space, _tensor_power(eps, k), k, n, side,
-                 allow_unverified=allow_unverified)
+    return _pull(space, eps, k, n, side, allow_unverified=allow_unverified)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +307,11 @@ def rack_contraction(space: PreBraidedSpace, b: int, n: int) -> SparseLinearMap:
         seen.add(t.op(a, b))
     if len(seen) != m:
         raise ExactError(f"right translation by {b} is not bijective")
-    one = space.ring.one
-    undo1 = SparseLinearMap.from_entries(m, m, [(back[a], a, one) for a in range(m)], space.ring)
-    undo = _tensor_power(undo1, n)
-    col = SparseLinearMap.from_entries(m, 1, [(b, 0, one)], space.ring)
-    out = tensor(space.identity_power(n), col).compose(undo)
-    return out.neg() if n % 2 == 1 else out
+    sign = -1 if n % 2 == 1 else 1
+    dims = [m] * n
+    entries = [(flat_index([back[a] for a in digits_of(x, dims)], dims) * m + b, x, sign)
+               for x in range(m ** n)]
+    return SparseLinearMap.from_entries(m ** (n + 1), m ** n, entries, space.ring)
 
 
 @dataclass

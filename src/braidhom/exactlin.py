@@ -284,6 +284,12 @@ class SparseLinearMap:
     def is_zero(self) -> bool:
         return not self._cols
 
+    def _is_identity(self) -> bool:
+        """One pass over the columns, stopping at the first that is not e_j."""
+        cols = self._cols
+        return self.rows == self.cols == len(cols) and all(
+            len(col) == 1 and col.get(j) == 1 for j, col in cols.items())
+
     def __eq__(self, other):
         if not isinstance(other, SparseLinearMap):
             return NotImplemented
@@ -306,11 +312,16 @@ class SparseLinearMap:
     # -- algebra ------------------------------------------------------------
 
     def compose(self, other: "SparseLinearMap") -> "SparseLinearMap":
-        """self o other (other is applied first)."""
+        """self o other (other is applied first). When one operand is an
+        identity the other is returned as it is."""
         if self.ring != other.ring:
             raise ExactError("ring mismatch in compose")
         if self.cols != other.rows:
             raise ExactError(f"compose shape mismatch: {self.rows}x{self.cols} o {other.rows}x{other.cols}")
+        if other._is_identity():
+            return self
+        if self._is_identity():
+            return other
         p = self.ring.characteristic
         mine = self._cols
         out: dict[int, dict] = {}

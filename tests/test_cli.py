@@ -533,7 +533,7 @@ def test_generic_diff_refuses_flags_it_does_not_read(tmp_path, capsys, flags, me
 @pytest.mark.parametrize("flags", [
     ["--diff", "right", "--right-char", "ones"],
     ["--diff", "combined", "--left-char", "ones", "--right-char", "ones"],
-    # the generic path adds the twist character without verifying it
+    # --allow-unverified does not stop a braided twist from running
     ["--diff", "hyper-right", "--twist", "-1", "--allow-unverified"],
     ["--diff", "hyper:3", "--left-char", "ones"],
     ["--module", "self"],
@@ -552,3 +552,34 @@ def test_generic_diff_flags_from_scenario_are_not_refused(tmp_path, capsys):
                                       "right-char": "ones", "max_degree": 2}])
     code = cli.main(["homology", write(tmp_path, doc), "--diff", "left", "--json"])
     assert code == 0, capsys.readouterr().out
+
+
+def test_generic_twist_matches_named_twisted_rack(capsys):
+    """The generic path checks the twist character it adds, as the named
+    twisted rack complex does, so a braided twist needs no --allow-unverified."""
+    def degrees(*flags):
+        code = cli.main(["homology", str(SCENARIOS / "dihedral3.json"), *flags, "--twist", "-1",
+                         "--ring", "z", "--max-degree", "3", "--json"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0, rep
+        return rep["homology"]["degrees"]
+
+    assert degrees("--diff", "combined") == degrees("--named", "twisted-rack")
+    assert degrees("--diff", "combined")["2"] == {"dim": 9, "free_rank": 0, "torsion": [6]}
+    degrees("--diff", "right")
+    degrees("--diff", "hyper-right")
+
+
+def test_generic_twist_that_is_not_braided_needs_allow_unverified(capsys):
+    """On sl2 the constant covector -1 is not a braided character: the run
+    stops at the gate, and with --allow-unverified it gets past the gate to
+    the square-zero check, which the boundary fails."""
+    argv = ["homology", str(SCENARIOS / "sl2.json"), "--diff", "right", "--twist", "-1",
+            "--max-degree", "2", "--json"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "character 'twist:-1' is not a braided character "
+        "(pass --allow-unverified to use it anyway)")
+    assert cli.main(argv + ["--allow-unverified"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"].startswith(
+        "boundary composition out of degree 2 is nonzero")

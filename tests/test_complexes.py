@@ -7,6 +7,7 @@ from braidhom import (
     Bimodule,
     BraidedModule,
     ExactError,
+    PrimeField,
     QQ,
     SparseLinearMap,
     ZZ,
@@ -42,10 +43,12 @@ from braidhom import (
     right_codiff,
     right_diff,
     shelf_braiding,
+    shuffle_coproduct,
     signed_binomial,
     tensor,
     trivial_shelf,
 )
+from braidhom.braiding import block_flip
 from braidhom.complexes import (
     check_bicomodule,
     coalgebra_self_bicomodule,
@@ -424,6 +427,114 @@ def test_hyper_composition_law(r3, kz2):
                         rhs = hyper_boundary(space, char, m + k, n, side).scale(
                             signed_binomial(m, k))
                         assert lhs == rhs, (n, k, m, side)
+
+
+# ---------------------------------------------------------------------------
+# Boundaries by the order recursion, against the literal coshuffle formula
+# ---------------------------------------------------------------------------
+
+def pull_oracle(space, rho, k, n, side, lead=1, trail=1):
+    """(rho_k (x) Id) o (Id_lead (x) Delta^(-sigma)_(k,n-k) (x) Id_trail) on
+    the left, with rho_k = rho o (rho_(k-1) (x) Id_1); on the right its
+    mirror through Delta^(-sigma)_(n-k,k) and rho'_k = rho o (Id_1 (x)
+    rho'_(k-1)), with the sign (-1)^(kn - k(k+1)/2)."""
+    d, ring = space.dim, space.ring
+
+    def ident(m):
+        return SparseLinearMap.identity(m, ring)
+
+    if side == "left":
+        rho_k = ident(lead)
+        for _ in range(k):
+            rho_k = rho.compose(tensor(rho_k, ident(d)))
+        cosh = shuffle_coproduct(space, k, n - k, sign=-1)
+        feed = tensor(rho_k, ident(d ** (n - k) * trail))
+    else:
+        rho_k = ident(trail)
+        for _ in range(k):
+            rho_k = rho.compose(tensor(ident(d), rho_k))
+        cosh = shuffle_coproduct(space, n - k, k, sign=-1)
+        feed = tensor(ident(lead * d ** (n - k)), rho_k)
+    out = feed.compose(tensor(tensor(ident(lead), cosh), ident(trail)))
+    return out.scale((-1) ** (k * n - k * (k + 1) // 2)) if side == "right" else out
+
+
+def oracle_spaces(ring):
+    """R3, Z[Z/2], the dual numbers and unitalized sl2 over one ring, each
+    with the character its hyper-boundaries are checked for."""
+    kz2 = assoc_braiding(kz2_data(ring))
+    kz2.add_character("sign", [1, -1])
+    dual = assoc_braiding(dual_numbers_data(ring))
+    dual.add_character("counit", [1, 0])
+    spaces = [(shelf_braiding(dihedral_shelf(3), ring), "ones"), (kz2, "sign"),
+              (dual, "counit"), (leibniz_braiding(adjoin_unit(sl2_data(ring))), "counit")]
+    return [(verify_space(space), char) for space, char in spaces]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, PrimeField(3)], ids=["z", "q", "f3"])
+def test_hyper_boundary_matches_coshuffle_formula(ring):
+    for space, char in oracle_spaces(ring):
+        eps = space.character(char)
+        for n in range(6):
+            for k in range(n + 1):
+                for side in ("left", "right"):
+                    assert hyper_boundary(space, char, k, n, side) == \
+                        pull_oracle(space, eps, k, n, side), (space.dim, char, k, n, side)
+
+
+def test_coeff_diff_matches_coshuffle_formula(r3):
+    """The recursion is a linear identity once the YBE holds, so every
+    action is checked on both ends, as the right action of the lead module
+    and as the left action of the trail module, verified or not."""
+    actions = [rackset_module(r3).action, character_module(r3, "ones").action,
+               adjoint_module(r3, "ones", 1).action, adjoint_module(r3, "ones", 2).action]
+    for act in actions:
+        dim = act.rows
+        lead = BraidedModule(dim, act, "right", name="lead")
+        trail = BraidedModule(dim, act, "left", name="trail")
+        for M, N in ((lead, None), (None, trail), (lead, trail)):
+            m = M.dim if M else 1
+            t = N.dim if N else 1
+            for n in range(1, 4):
+                got = coeff_diff(r3, M, N, n, "left", allow_unverified=True)
+                want = pull_oracle(r3, M.action, 1, n, "left", m, t) if M else \
+                    SparseLinearMap.zero(3 ** (n - 1) * t, 3 ** n * t, ZZ)
+                assert got == want, (dim, n, "left")
+                got = coeff_diff(r3, M, N, n, "right", allow_unverified=True)
+                want = pull_oracle(r3, N.action, 1, n, "right", m, t) if N else \
+                    SparseLinearMap.zero(m * 3 ** (n - 1), m * 3 ** n, ZZ)
+                assert got == want, (dim, n, "right")
+
+
+def test_bimodule_diff_matches_coshuffle_formula(kz2, dual_numbers):
+    for space in (kz2, dual_numbers):
+        B = regular_bimodule(space)
+        assert check_bimodule(space, B).ok
+        m, d = B.dim, space.dim
+        for n in range(1, 5):
+            left, right = bimodule_diff(space, B, n)
+            assert left == pull_oracle(space, B.right_action, 1, n, "left", lead=m)
+            mid = pull_oracle(space, B.left_action, 1, n, "right", trail=m)
+            fwd = block_flip(space.ring, m, d ** n)
+            back = block_flip(space.ring, d ** (n - 1), m)
+            assert right == back.compose(mid).compose(fwd)
+
+
+def test_replaced_character_builds_a_new_boundary(r3):
+    """Boundaries are cached by the action's value, so a character replaced
+    under the same name gets boundaries of its own."""
+    r3.add_character("t", [1, 1, 1])
+    assert check_braided_character(r3, "t").ok
+    before = {(k, side): hyper_boundary(r3, "t", k, 4, side)
+              for k in range(5) for side in ("left", "right")}
+    r3.add_character("t", [2, 2, 2])
+    assert check_braided_character(r3, "t").ok
+    eps = r3.character("t")
+    for k in range(5):
+        for side in ("left", "right"):
+            got = hyper_boundary(r3, "t", k, 4, side)
+            assert got == pull_oracle(r3, eps, k, 4, side)
+            assert got == before[(k, side)].scale(2 ** k)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,60 @@ def test_compose_matches_dense_oracle(ring, values):
         assert fg.sub_map(fg).is_zero()
 
 
+@pytest.mark.parametrize("ring, values", RING_VALUES)
+def test_compose_with_identity_returns_other_operand(ring, values):
+    rng = random.Random(5)
+    for rows, cols in ((6, 6), (3, 7), (7, 3), (1, 5)):
+        f = random_over(rows, cols, ring, values, rng)
+        assert_canonical(f)
+        left = compose(SparseLinearMap.identity(rows, ring), f)
+        right = compose(f, SparseLinearMap.identity(cols, ring))
+        assert left == f and right == f
+        assert left is f and right is f
+    eye = SparseLinearMap.identity(4, ring)
+    assert compose(eye, eye) == eye
+
+
+def almost_identities(ring):
+    """Square maps an identity test could mistake for the identity."""
+    one = ring.one
+    swap = SparseLinearMap.from_entries(
+        4, 4, [(1, 0, one), (0, 1, one), (2, 2, one), (3, 3, one)], ring)
+    extra = SparseLinearMap.from_entries(
+        4, 4, [(j, j, one) for j in range(4)] + [(0, 3, one)], ring)
+    scaled = SparseLinearMap.from_entries(
+        4, 4, [(j, j, one) for j in range(3)] + [(3, 3, 2)], ring)
+    partial = SparseLinearMap.from_entries(4, 4, [(j, j, one) for j in range(3)], ring)
+    return [swap, extra, scaled, partial, SparseLinearMap.zero(4, 4, ring)]
+
+
+@pytest.mark.parametrize("ring, values", RING_VALUES)
+def test_compose_does_not_take_near_identities_for_the_identity(ring, values):
+    rng = random.Random(9)
+    f = random_over(4, 4, ring, values, rng)
+    for m in almost_identities(ring):
+        for prod, (a, b) in ((compose(m, f), (m, f)), (compose(f, m), (f, m))):
+            assert prod is not f
+            assert dense_of(prod) == reduced(dense_matmul(dense_of(a), dense_of(b)), ring)
+
+
+def test_compose_with_identity_still_checks_ring_and_shape():
+    eye = SparseLinearMap.identity(3, ZZ)
+    for other in (SparseLinearMap.identity(3, QQ), SparseLinearMap.identity(3, F7),
+                  SparseLinearMap.zero(3, 3, QQ)):
+        with pytest.raises(ExactError, match="ring mismatch"):
+            compose(eye, other)
+        with pytest.raises(ExactError, match="ring mismatch"):
+            compose(other, eye)
+    f = SparseLinearMap.from_entries(2, 4, [(0, 1, 3)], ZZ)
+    with pytest.raises(ExactError, match="shape mismatch"):
+        compose(eye, f)
+    with pytest.raises(ExactError, match="shape mismatch"):
+        compose(f, eye)
+    with pytest.raises(ExactError, match="shape mismatch"):
+        compose(eye, SparseLinearMap.identity(4, ZZ))
+
+
 def test_compose_associative():
     rng = random.Random(13)
     f = random_sparse(5, 6, QQ, rng)

@@ -1,7 +1,9 @@
 """Property tests of the braided boundaries on racks drawn from three
 families: Alexander quandles x <| y = t x + (1 - t) y mod m, permutation
-racks x <| y = s(x), and their products. Every drawn table is a rack, so no
-example is filtered out.
+racks x <| y = s(x), and their products; and on small unital algebras drawn
+from two families, group algebras k[Z/m] and truncated polynomials
+k[x]/(x^m). Every drawn table is a rack or an associative unital algebra,
+so no example is filtered out.
 
 Each property is an identity of the paper's boundaries, checked through a
 path that does not share the code under test where one exists: face sums go
@@ -15,8 +17,11 @@ from hypothesis import given, settings, strategies as hs
 
 from braidhom import (
     PrimeField,
+    QQ,
     ZZ,
     ShelfTable,
+    algebra_from_constants,
+    assoc_braiding,
     betti,
     check_braided_character,
     check_braided_module,
@@ -185,3 +190,61 @@ def test_universal_coefficients(table):
         for n in range(4):
             divisible = [f for m in (n, n - 1) if m >= 0 for f in integral[m].torsion if f % p == 0]
             assert mod_p[n].free_rank == integral[n].free_rank + len(divisible), (p, n)
+
+
+# Small unital algebras, on the pre-braiding v (x) w -> 1 (x) vw. Their
+# characters are the algebra morphisms to k: the augmentation of k[Z/m]
+# (and the sign of k[Z/2]), the evaluation at 0 of k[x]/(x^m).
+
+@hs.composite
+def unital_algebras(draw):
+    """A pre-braided space of k[Z/m] or k[x]/(x^m), m <= 3, over Z, Q, F2
+    or F3, and the names of its characters."""
+    m = draw(hs.integers(1, 3))
+    ring = draw(hs.sampled_from([ZZ, QQ, PrimeField(2), PrimeField(3)]))
+    if draw(hs.booleans()):
+        triples = [(i, j, (i + j) % m, 1) for i in range(m) for j in range(m)]
+        chars = {"aug": [1] * m}
+        if m == 2:
+            chars["sign"] = [1, -1]
+    else:
+        triples = [(i, j, i + j, 1) for i in range(m) for j in range(m) if i + j < m]
+        chars = {"counit": [1] + [0] * (m - 1)}
+    space = assoc_braiding(algebra_from_constants("associative", m, triples, ring,
+                                                  unit_index=0))
+    assert check_ybe(space).ok
+    for name, coords in chars.items():
+        space.add_character(name, coords)
+        assert check_braided_character(space, name).ok
+    return space, sorted(chars)
+
+
+@PROPERTY
+@given(unital_algebras(), hs.integers(1, 4), hs.data())
+def test_unital_algebra_differentials(algebra, n, data):
+    """Each differential squares to zero and equals its face sum."""
+    space, chars = algebra
+    lc, rc = data.draw(hs.sampled_from(chars)), data.draw(hs.sampled_from(chars))
+    builds = (lambda m: left_diff(space, lc, m), lambda m: right_diff(space, rc, m),
+              lambda m: combined_diff(space, lc, rc, m))
+    for build in builds:
+        assert build(n).compose(build(n + 1)).is_zero()
+    assert face_sum(space, lc, n, "left") == left_diff(space, lc, n)
+    assert face_sum(space, rc, n, "right") == right_diff(space, rc, n)
+
+
+@PROPERTY
+@given(unital_algebras(), hs.integers(2, 4), hs.data())
+def test_unital_algebra_hyper_composition_law(algebra, n, data):
+    """d_m d_k = signed_binomial(m, k) d_(m+k) for k + m <= 3, both sides."""
+    space, chars = algebra
+    char = data.draw(hs.sampled_from(chars))
+    for side in ("left", "right"):
+        for k in range(0, 4):
+            for m in range(0, 4 - k):
+                if k + m > n:
+                    continue
+                lhs = hyper_boundary(space, char, m, n - k, side).compose(
+                    hyper_boundary(space, char, k, n, side))
+                rhs = hyper_boundary(space, char, m + k, n, side).scale(signed_binomial(m, k))
+                assert lhs == rhs, (side, k, m)
