@@ -23,7 +23,8 @@ from .exactlin import (
 
 class UnverifiedError(RuntimeError):
     """A builder was asked to trust a braiding or character that has not
-    passed its axiom check. Pass allow_unverified=True to override."""
+    passed its axiom check. Set allow_unverified = True on the space to
+    override."""
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,8 @@ class PreBraidedSpace:
     comultiplication are installed at construction time (or right after by
     the structure constructors) and then only read. check_ybe and the
     character checks record verification flags that the complex builders
-    consult before trusting the data.
+    consult before trusting the data; allow_unverified overrides every one
+    of those gates for this space.
     """
 
     def __init__(self, dim: int, ring: Ring, braiding: SparseLinearMap, *,
@@ -224,6 +226,7 @@ class PreBraidedSpace:
         self.ybe_checked = False
         self.verified_characters: set[str] = set()
         self.verified_cocharacters: set[str] = set()
+        self.allow_unverified = False
         self._lift_cache: dict = {}
         self._generator_cache: dict = {}
         self._coshuffle_cache: dict = {}
@@ -267,25 +270,26 @@ class PreBraidedSpace:
             raise ExactError(f"unknown cocharacter {name!r}")
         return self.cocharacters[name]
 
-    def require_ybe(self, allow_unverified: bool = False):
-        if not self.ybe_checked and not allow_unverified:
+    def require_ybe(self):
+        if not self.ybe_checked and not self.allow_unverified:
             raise UnverifiedError(
-                "braiding not YBE-verified; run check_ybe first or pass allow_unverified=True")
+                "braiding not YBE-verified; run check_ybe first "
+                "or set allow_unverified on the space")
 
-    def require_character(self, name: str, allow_unverified: bool = False) -> SparseLinearMap:
+    def require_character(self, name: str) -> SparseLinearMap:
         eps = self.character(name)
-        if name not in self.verified_characters and not allow_unverified:
+        if name not in self.verified_characters and not self.allow_unverified:
             raise UnverifiedError(
                 f"character {name!r} not verified; run check_braided_character first "
-                "or pass allow_unverified=True")
+                "or set allow_unverified on the space")
         return eps
 
-    def require_cocharacter(self, name: str, allow_unverified: bool = False) -> SparseLinearMap:
+    def require_cocharacter(self, name: str) -> SparseLinearMap:
         e = self.cocharacter(name)
-        if name not in self.verified_cocharacters and not allow_unverified:
+        if name not in self.verified_cocharacters and not self.allow_unverified:
             raise UnverifiedError(
                 f"cocharacter {name!r} not verified; run check_braided_cocharacter first "
-                "or pass allow_unverified=True")
+                "or set allow_unverified on the space")
         return e
 
     # -- cached building blocks ----------------------------------------------
@@ -342,8 +346,7 @@ def check_ybe(space: PreBraidedSpace) -> YbeReport:
     return YbeReport(False, (r, c, lhs.entry(r, c), rhs.entry(r, c)))
 
 
-def braid_lift(space: PreBraidedSpace, s: Permutation, n: int, sign: int = 1, *,
-               allow_unverified: bool = False) -> SparseLinearMap:
+def braid_lift(space: PreBraidedSpace, s: Permutation, n: int, sign: int = 1) -> SparseLinearMap:
     """Lift of a permutation to V^(x)n through the canonical reduced word.
 
     sign=-1 lifts through the negated braiding, contributing (-1)^length.
@@ -354,7 +357,7 @@ def braid_lift(space: PreBraidedSpace, s: Permutation, n: int, sign: int = 1, *,
         raise ExactError(f"permutation of {s.n} letters does not fit in {n} strands")
     if sign not in (1, -1):
         raise ExactError("sign must be +1 or -1")
-    space.require_ybe(allow_unverified)
+    space.require_ybe()
     key = (s.images, n, sign)
     got = space._lift_cache.get(key)
     if got is not None:
@@ -369,17 +372,15 @@ def braid_lift(space: PreBraidedSpace, s: Permutation, n: int, sign: int = 1, *,
     return out
 
 
-def _check_shuffle_args(space: PreBraidedSpace, p: int, q: int, sign: int,
-                        allow_unverified: bool):
-    space.require_ybe(allow_unverified)
+def _check_shuffle_args(space: PreBraidedSpace, p: int, q: int, sign: int):
+    space.require_ybe()
     if p < 0 or q < 0:
         raise ExactError("shuffle indices must be nonnegative")
     if sign not in (1, -1):
         raise ExactError("sign must be +1 or -1")
 
 
-def shuffle_coproduct(space: PreBraidedSpace, p: int, q: int, sign: int = 1, *,
-                      allow_unverified: bool = False) -> SparseLinearMap:
+def shuffle_coproduct(space: PreBraidedSpace, p: int, q: int, sign: int = 1) -> SparseLinearMap:
     """Quantum coshuffle: the sum of the inverse-permutation lifts over the
     (p,q)-shuffles, as an endomorphism matrix of V^(x)(p+q) read as
     V^p (x) V^q.
@@ -396,23 +397,21 @@ def shuffle_coproduct(space: PreBraidedSpace, p: int, q: int, sign: int = 1, *,
     key = (p, q, sign)
     got = space._coshuffle_cache.get(key)
     if got is None:
-        _check_shuffle_args(space, p, q, sign, allow_unverified)
+        _check_shuffle_args(space, p, q, sign)
         if p == 0 or q == 0:
             got = space.identity_power(p + q)
         else:
             one = space.identity_power(1)
-            stay = shuffle_coproduct(space, p, q - 1, sign, allow_unverified=allow_unverified)
-            rest = shuffle_coproduct(space, p - 1, q, sign, allow_unverified=allow_unverified)
-            cross = braid_lift(space, moving_permutation(q + 1, q + 1, to_left=True), q + 1,
-                               sign, allow_unverified=allow_unverified)
+            stay = shuffle_coproduct(space, p, q - 1, sign)
+            rest = shuffle_coproduct(space, p - 1, q, sign)
+            cross = braid_lift(space, moving_permutation(q + 1, q + 1, to_left=True), q + 1, sign)
             got = tensor(stay, one).add_map(
                 tensor(space.identity_power(p - 1), cross).compose(tensor(rest, one)))
         space._coshuffle_cache[key] = got
     return got
 
 
-def shuffle_product(space: PreBraidedSpace, p: int, q: int, sign: int = 1, *,
-                    allow_unverified: bool = False) -> SparseLinearMap:
+def shuffle_product(space: PreBraidedSpace, p: int, q: int, sign: int = 1) -> SparseLinearMap:
     """Quantum shuffle product V^p (x) V^q -> V^(x)(p+q): the sum of the
     permutation lifts over the (p,q)-shuffles.
 
@@ -428,39 +427,35 @@ def shuffle_product(space: PreBraidedSpace, p: int, q: int, sign: int = 1, *,
     key = (p, q, sign)
     got = space._shuffle_cache.get(key)
     if got is None:
-        _check_shuffle_args(space, p, q, sign, allow_unverified)
+        _check_shuffle_args(space, p, q, sign)
         if p == 0 or q == 0:
             got = space.identity_power(p + q)
         else:
             one = space.identity_power(1)
-            stay = shuffle_product(space, p, q - 1, sign, allow_unverified=allow_unverified)
-            rest = shuffle_product(space, p - 1, q, sign, allow_unverified=allow_unverified)
-            cross = braid_lift(space, moving_permutation(1, q + 1, to_left=False), q + 1,
-                               sign, allow_unverified=allow_unverified)
+            stay = shuffle_product(space, p, q - 1, sign)
+            rest = shuffle_product(space, p - 1, q, sign)
+            cross = braid_lift(space, moving_permutation(1, q + 1, to_left=False), q + 1, sign)
             got = tensor(stay, one).add_map(
                 tensor(rest, one).compose(tensor(space.identity_power(p - 1), cross)))
         space._shuffle_cache[key] = got
     return got
 
 
-def extended_braiding(space: PreBraidedSpace, k: int, n: int, *,
-                      allow_unverified: bool = False) -> SparseLinearMap:
+def extended_braiding(space: PreBraidedSpace, k: int, n: int) -> SparseLinearMap:
     """The block crossing V^(x)n (x) V^(x)k -> V^(x)k (x) V^(x)n extending
     the braiding to tensor powers."""
     if k < 0 or n < 0:
         raise ExactError("block sizes must be nonnegative")
     if k + n == 0:
         return space.identity_power(0)
-    return braid_lift(space, block_swap_permutation(n, k), n + k,
-                      allow_unverified=allow_unverified)
+    return braid_lift(space, block_swap_permutation(n, k), n + k)
 
 
-def antipode(space: PreBraidedSpace, n: int, *,
-             allow_unverified: bool = False) -> SparseLinearMap:
+def antipode(space: PreBraidedSpace, n: int) -> SparseLinearMap:
     """(-1)^n times the lift of the order-reversal permutation on V^(x)n."""
     if n == 0:
         return space.identity_power(0)
-    out = braid_lift(space, Permutation.reversal(n), n, allow_unverified=allow_unverified)
+    out = braid_lift(space, Permutation.reversal(n), n)
     return out.neg() if n % 2 == 1 else out
 
 

@@ -52,6 +52,7 @@ from .homology import (
     SpanStabilityError,
     betti,
     certify_acyclic,
+    ensure_cap,
     integral_homology,
 )
 from . import scenario as sc_mod
@@ -121,7 +122,8 @@ def _apply_computation_defaults(args, scenario: Scenario):
             attr = key.replace("-", "_")
             if user_selected and attr in _COMPLEX_SELECTORS:
                 continue
-            if getattr(args, attr, None) in (None, False):
+            current = getattr(args, attr, None)
+            if current is None or current is False:
                 setattr(args, attr, value)
                 args.from_scenario.add(attr)
         break
@@ -145,8 +147,9 @@ def _ybe_entry(space) -> dict:
     return entry
 
 
-def _verify_space(space, report, allow_unverified):
-    """YBE and character gates; populates report['verification']."""
+def _verify_space(space, report):
+    """YBE and character gates, overridden by space.allow_unverified;
+    populates report['verification']."""
     ver = {"ybe": _ybe_entry(space)}
     chars = {}
     for name in sorted(space.characters):
@@ -161,7 +164,7 @@ def _verify_space(space, report, allow_unverified):
         ver["cocharacters"] = cochars
     report["verification"] = ver
     ok = ver["ybe"]["ok"] and all(c["braided"] for c in chars.values())
-    if not ok and not allow_unverified:
+    if not ok and not space.allow_unverified:
         raise UnverifiedError(
             "the braiding or a character failed verification "
             "(run `check` for details, or pass --allow-unverified)")
@@ -365,7 +368,7 @@ def _spec_from_args(space, args) -> DifferentialSpec:
         name = f"twist:{args.twist}"
         if name not in space.characters:
             space.add_character(name, st.twist_character(tw, space.dim, space.ring))
-        if not check_braided_character(space, name).ok and not args.allow_unverified:
+        if not check_braided_character(space, name).ok and not space.allow_unverified:
             raise UnverifiedError(f"character {name!r} is not a braided character "
                                   "(pass --allow-unverified to use it anyway)")
         rc = name
@@ -421,8 +424,7 @@ def _dump_matrices(space, complex_, outdir):
 
 def _complex_from_args(space, args):
     n_max = args.max_degree if args.max_degree is not None else 4
-    return assemble(space, _spec_from_args(space, args), n_max,
-                    allow_unverified=args.allow_unverified, basis_cap=args.basis_cap,
+    return assemble(space, _spec_from_args(space, args), n_max, basis_cap=args.basis_cap,
                     normalized=bool(args.normalized))
 
 
@@ -475,9 +477,18 @@ def _default_chars(space, args, suite=None):
     return lc, rc
 
 
+def _suite_degree(space, args, default: int) -> int:
+    """The suite's top degree: --max-degree, else its default. A degree
+    whose basis would exceed --basis-cap (or the default cap) is refused
+    before anything is built."""
+    n_max = args.max_degree if args.max_degree is not None else default
+    ensure_cap([space.dim ** n_max], args.basis_cap)
+    return n_max
+
+
 def _suite_simplicial(space, args, report) -> bool:
+    n_max = _suite_degree(space, args, 5)
     lc, rc = _default_chars(space, args, "simplicial")
-    n_max = args.max_degree if args.max_degree is not None else 5
     rep = check_simplicial(space, lc, rc, n_max)
     report["simplicial"] = {
         "left_level": rep.left_level, "right_level": rep.right_level,
@@ -495,8 +506,8 @@ def _suite_simplicial(space, args, report) -> bool:
 
 
 def _suite_hyper(space, args, report) -> bool:
+    n_max = _suite_degree(space, args, 6)
     lc, _ = _default_chars(space, args, "hyper")
-    n_max = args.max_degree if args.max_degree is not None else 6
     ok = True
     checked = 0
     for n in range(1, n_max + 1):
@@ -515,7 +526,7 @@ def _suite_hyper(space, args, report) -> bool:
 
 
 def _suite_hopf(space, args, report) -> bool:
-    n_max = args.max_degree if args.max_degree is not None else 4
+    n_max = _suite_degree(space, args, 4)
     entry = {}
     entry["associativity"] = bool(check_shuffle_associativity(space, n_max))
     entry["coassociativity"] = bool(check_coshuffle_coassociativity(space, n_max))
@@ -530,26 +541,26 @@ def _suite_hopf(space, args, report) -> bool:
 
 
 def _suite_homotopy(space, args, report) -> bool:
-    n_max = args.max_degree if args.max_degree is not None else 5
+    n_max = _suite_degree(space, args, 5)
     results = {}
     payload = space.payload
     if isinstance(payload, st.ShelfTable):
         lc, rc = _default_chars(space, args, "homotopy")
         spec = DifferentialSpec(kind="right", right_char=rc)
-        c = assemble(space, spec, n_max)
+        c = assemble(space, spec, n_max, basis_cap=args.basis_cap)
         h = {n: concat_homotopy(space, [1] + [0] * (space.dim - 1), n)
              for n in range(n_max)}
         results["right_complex_concatenation"] = bool(certify_acyclic(c, h))
         if st.check_shelf(payload).rack:
             spec = DifferentialSpec(kind="left", left_char=lc)
-            c = assemble(space, spec, n_max)
+            c = assemble(space, spec, n_max, basis_cap=args.basis_cap)
             h = {n: rack_contraction(space, 0, n) for n in range(n_max)}
             results["left_complex_inverse_translation"] = bool(certify_acyclic(c, h))
     elif isinstance(payload, st.AlgebraData) and space.unit_index is not None:
         lc, _ = _default_chars(space, args, "homotopy")
         w = [1 if j == space.unit_index else 0 for j in range(space.dim)]
         spec = DifferentialSpec(kind="left", left_char=lc)
-        c = assemble(space, spec, n_max)
+        c = assemble(space, spec, n_max, basis_cap=args.basis_cap)
         h = {n: concat_homotopy(space, w, n) for n in range(n_max)}
         results["left_complex_unit_concatenation"] = bool(certify_acyclic(c, h))
     else:
@@ -568,7 +579,7 @@ def _suite_homotopy(space, args, report) -> bool:
         for kind, key in (("left", "left_complex_concatenation"),
                           ("right", "right_complex_concatenation")):
             spec = DifferentialSpec(kind=kind, left_char=lc, right_char=rc)
-            c = assemble(space, spec, n_max)
+            c = assemble(space, spec, n_max, basis_cap=args.basis_cap)
             h = {n: concat_homotopy(space, w, n) for n in range(n_max)}
             results[key] = bool(certify_acyclic(c, h))
     report["homotopy"] = results
@@ -576,10 +587,10 @@ def _suite_homotopy(space, args, report) -> bool:
 
 
 def _suite_duality(space, args, report) -> bool:
+    n_max = _suite_degree(space, args, 4)
     payload = space.payload
     if not (isinstance(payload, st.AlgebraData) and payload.kind == "associative"):
         raise ExactError("the duality suite needs an associative payload")
-    n_max = args.max_degree if args.max_degree is not None else 4
     lc, _ = _default_chars(space, args, "duality")
     eps = _declared(space.characters, lc, "character")
     co = st.dual_coalgebra(payload)
@@ -621,10 +632,11 @@ def run(command: str, scenario: Scenario, args) -> tuple[int, dict]:
         ring = _ring_for(args, scenario)
         report["ring"] = ring.name
         space = sc_mod.build_space(scenario, ring)
+        space.allow_unverified = args.allow_unverified
         if command == "check":
             ok = _run_check(space, args, report)
         else:
-            _verify_space(space, report, args.allow_unverified)
+            _verify_space(space, report)
             if command == "complex":
                 ok = _run_complex(space, args, report)
             elif command == "homology":
@@ -635,6 +647,9 @@ def run(command: str, scenario: Scenario, args) -> tuple[int, dict]:
                 raise ExactError(f"unknown command {command!r}")
     except ResourceCapError as e:
         report["error"] = str(e)
+        return EXIT_RESOURCE_CAP, report
+    except MemoryError:
+        report["error"] = "ran out of memory; lower the maximum degree"
         return EXIT_RESOURCE_CAP, report
     except (SquareZeroError, SpanStabilityError, UnverifiedError) as e:
         report["error"] = str(e)

@@ -60,7 +60,7 @@ def _around(lead: int, m: SparseLinearMap, trail: int) -> SparseLinearMap:
 
 
 def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side: str, *,
-          lead: int = 1, trail: int = 1, allow_unverified: bool = False) -> SparseLinearMap:
+          lead: int = 1, trail: int = 1) -> SparseLinearMap:
     """The degree -k boundary on lead (x) V^(x)n (x) trail. On the left it is
 
         (rho_k (x) Id_(n-k) (x) Id_trail) o (Id_lead (x) Delta_(k,n-k) (x) Id_trail),
@@ -100,22 +100,22 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
         A'_q = (Id_q (x) rho') o (R_q (x) Id_trail).
 
     The first term is absent when q = 0. Under the YBE a lift does not
-    depend on the reduced word, so H' equals the formula; without it (only
-    with allow_unverified) the right boundaries of order >= 2 may differ
-    from those of shuffle_coproduct's words. Each H and H' is cached on the
-    space, keyed by the action's value, so a character replaced under the
-    same name gets boundaries of its own; _around adds the block a side does
-    not touch.
+    depend on the reduced word, so H' equals the formula; without it (a
+    space whose allow_unverified overrides the gate) the right boundaries of
+    order >= 2 may differ from those of shuffle_coproduct's words. Each H
+    and H' is cached on the space, keyed by the action's value, so a
+    character replaced under the same name gets boundaries of its own;
+    _around adds the block a side does not touch.
     """
     if side not in ("left", "right"):
         raise ExactError("side must be 'left' or 'right'")
-    space.require_ybe(allow_unverified)
-    h = _pulled(space, action, side, k, n, allow_unverified)
+    space.require_ybe()
+    h = _pulled(space, action, side, k, n)
     return _around(1, h, trail) if side == "left" else _around(lead, h, 1)
 
 
-def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int, n: int,
-            allow_unverified: bool) -> SparseLinearMap:
+def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int,
+            n: int) -> SparseLinearMap:
     """H(k,n) of _pull (side 'left'), or H'(k,n) with its sign (side
     'right'), from the cache on the space or by the recursion."""
     key = (rho, side, k, n)
@@ -129,33 +129,33 @@ def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int, n: 
         one = space.identity_power(1)
         left = side == "left"
         lift = braid_lift(space, moving_permutation(q + 1 if left else 1, q + 1, to_left=left),
-                          q + 1, -1, allow_unverified=allow_unverified)
+                          q + 1, -1)
         if left:
             got = _around(1, rho, space.dim ** q).compose(_around(rho.rows, lift, 1))
         else:
             got = _around(space.dim ** q, rho, 1).compose(_around(1, lift, rho.rows)).scale(
                 (-1) ** (n - 1))
         if k > 1:  # H(0,n-1) is the identity
-            inner = _pulled(space, rho, side, k - 1, n - 1, allow_unverified)
+            inner = _pulled(space, rho, side, k - 1, n - 1)
             got = got.compose(tensor(inner, one) if left else tensor(one, inner))
         if q:
-            stay = _pulled(space, rho, side, k, n - 1, allow_unverified)
+            stay = _pulled(space, rho, side, k, n - 1)
             got = (tensor(stay, one) if left else tensor(one.scale((-1) ** k), stay)).add_map(got)
     space._boundary_cache[key] = got
     return got
 
 
 def _push(space: PreBraidedSpace, coaction: SparseLinearMap, n: int, side: str, *,
-          lead: int = 1, trail: int = 1, allow_unverified: bool = False) -> SparseLinearMap:
+          lead: int = 1, trail: int = 1) -> SparseLinearMap:
     """The order-one dual of _pull, of degree +1 on lead (x) V^(x)n (x) trail:
     the coaction puts a new strand at one end, lead -> lead (x) V on the left
     or trail -> V (x) trail on the right, and the negated shuffle product
     shuffles it in. The right family carries the sign (-1)^n."""
     rest = space.dim ** n
     if side == "left":
-        sh = shuffle_product(space, 1, n, sign=-1, allow_unverified=allow_unverified)
+        sh = shuffle_product(space, 1, n, sign=-1)
         return _around(lead, sh, trail).compose(_around(1, coaction, rest * trail))
-    sh = shuffle_product(space, n, 1, sign=-1, allow_unverified=allow_unverified)
+    sh = shuffle_product(space, n, 1, sign=-1)
     out = _around(lead, sh, trail).compose(_around(lead * rest, coaction, 1))
     return out.neg() if n % 2 == 1 else out
 
@@ -164,45 +164,40 @@ def _push(space: PreBraidedSpace, coaction: SparseLinearMap, n: int, side: str, 
 # Differentials from characters
 # ---------------------------------------------------------------------------
 
-def left_diff(space: PreBraidedSpace, char: str, n: int, *,
-              allow_unverified: bool = False) -> SparseLinearMap:
+def left_diff(space: PreBraidedSpace, char: str, n: int) -> SparseLinearMap:
     """Character on strand 1 composed with the degree-(1, n-1) part of the
     negated-braiding coshuffle: a map V^(x)n -> V^(x)(n-1)."""
     if n < 1:
         raise ExactError("left differential needs degree >= 1")
-    eps = space.require_character(char, allow_unverified)
-    return _pull(space, eps, 1, n, "left", allow_unverified=allow_unverified)
+    eps = space.require_character(char)
+    return _pull(space, eps, 1, n, "left")
 
 
-def right_diff(space: PreBraidedSpace, char: str, n: int, *,
-               allow_unverified: bool = False) -> SparseLinearMap:
+def right_diff(space: PreBraidedSpace, char: str, n: int) -> SparseLinearMap:
     """Mirror differential: character on the last strand, coshuffle degree
     (n-1, 1), global sign (-1)^(n-1)."""
     if n < 1:
         raise ExactError("right differential needs degree >= 1")
-    zeta = space.require_character(char, allow_unverified)
-    return _pull(space, zeta, 1, n, "right", allow_unverified=allow_unverified)
+    zeta = space.require_character(char)
+    return _pull(space, zeta, 1, n, "right")
 
 
-def combined_diff(space: PreBraidedSpace, left_char: str, right_char: str, n: int, *,
-                  allow_unverified: bool = False) -> SparseLinearMap:
+def combined_diff(space: PreBraidedSpace, left_char: str, right_char: str,
+                  n: int) -> SparseLinearMap:
     """left - right; a differential for any two braided characters. It is
     built from the two public builders, so a traced run counts all three."""
-    return left_diff(space, left_char, n, allow_unverified=allow_unverified).sub_map(
-        right_diff(space, right_char, n, allow_unverified=allow_unverified))
+    return left_diff(space, left_char, n).sub_map(right_diff(space, right_char, n))
 
 
-def face(space: PreBraidedSpace, char: str, n: int, i: int, side: str = "left", *,
-         allow_unverified: bool = False) -> SparseLinearMap:
+def face(space: PreBraidedSpace, char: str, n: int, i: int, side: str = "left") -> SparseLinearMap:
     """The i-th face map: pull strand i to the boundary (leftmost for the
     left family, rightmost for the right one) and evaluate the character."""
     if not 1 <= i <= n:
         raise ExactError(f"face index {i} out of 1..{n}")
-    eps = space.require_character(char, allow_unverified)
+    eps = space.require_character(char)
     if side not in ("left", "right"):
         raise ExactError("side must be 'left' or 'right'")
-    lift = braid_lift(space, moving_permutation(i, n, to_left=side == "left"), n,
-                      allow_unverified=allow_unverified)
+    lift = braid_lift(space, moving_permutation(i, n, to_left=side == "left"), n)
     rest = space.dim ** (n - 1)
     feed = _around(1, eps, rest) if side == "left" else _around(rest, eps, 1)
     return feed.compose(lift)
@@ -218,12 +213,11 @@ def degeneracy(space: PreBraidedSpace, n: int, i: int) -> SparseLinearMap:
     return _around(d ** (i - 1), space.comultiplication, d ** (n - i))
 
 
-def face_sum(space: PreBraidedSpace, char: str, n: int, side: str = "left", *,
-             allow_unverified: bool = False) -> SparseLinearMap:
+def face_sum(space: PreBraidedSpace, char: str, n: int, side: str = "left") -> SparseLinearMap:
     """Alternating sum of faces; equals the corresponding differential."""
     out = SparseLinearMap.zero(space.dim ** (n - 1), space.dim ** n, space.ring)
     for i in range(1, n + 1):
-        f = face(space, char, n, i, side, allow_unverified=allow_unverified)
+        f = face(space, char, n, i, side)
         out = out.add_map(f.neg() if (i - 1) % 2 == 1 else f)
     return out
 
@@ -243,14 +237,14 @@ def signed_binomial(m: int, k: int) -> int:
 
 
 def hyper_boundary(space: PreBraidedSpace, char: str, k: int, n: int,
-                   side: str = "left", *, allow_unverified: bool = False) -> SparseLinearMap:
+                   side: str = "left") -> SparseLinearMap:
     """Degree -k boundary: evaluate the character on k strands pulled to the
     boundary through the negated braiding. k=1 recovers the differentials;
     k=0 is the identity."""
     if not 0 <= k <= n:
         raise ExactError(f"hyper order {k} out of 0..{n}")
-    eps = space.require_character(char, allow_unverified)
-    return _pull(space, eps, k, n, side, allow_unverified=allow_unverified)
+    eps = space.require_character(char)
+    return _pull(space, eps, k, n, side)
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +260,20 @@ def _as_column(space: PreBraidedSpace, w) -> SparseLinearMap:
         space.dim, 1, [(j, 0, v) for j, v in enumerate(w)], space.ring)
 
 
-def adjoint_action(space: PreBraidedSpace, char: str, n: int, *,
-                   allow_unverified: bool = False) -> SparseLinearMap:
+def adjoint_action(space: PreBraidedSpace, char: str, n: int) -> SparseLinearMap:
     """The action V^(x)n (x) V -> V^(x)n crossing the last factor over all
     strands and evaluating the character on it."""
-    eps = space.require_character(char, allow_unverified)
-    ext = extended_braiding(space, 1, n, allow_unverified=allow_unverified)
+    eps = space.require_character(char)
+    ext = extended_braiding(space, 1, n)
     return tensor(eps, space.identity_power(n)).compose(ext)
 
 
-def crossing_action(space: PreBraidedSpace, char: str, w, n: int, *,
-                    allow_unverified: bool = False) -> SparseLinearMap:
+def crossing_action(space: PreBraidedSpace, char: str, w, n: int) -> SparseLinearMap:
     """The endomorphism of V^(x)n obtained by feeding the fixed element w to
     the adjoint action. Diagonal translation for shelves, peripheral
     multiplication for algebras, adjoint action for brackets."""
     col = _as_column(space, w)
-    act = adjoint_action(space, char, n, allow_unverified=allow_unverified)
+    act = adjoint_action(space, char, n)
     return act.compose(tensor(space.identity_power(n), col))
 
 
@@ -457,10 +449,9 @@ def check_bimodule(space: PreBraidedSpace, B: Bimodule) -> ModuleReport:
     return ModuleReport(ok, r_ok and l_ok, compat)
 
 
-def adjoint_module(space: PreBraidedSpace, char: str, n: int, *,
-                   allow_unverified: bool = False) -> BraidedModule:
+def adjoint_module(space: PreBraidedSpace, char: str, n: int) -> BraidedModule:
     """V^(x)n as a right braided module through the crossing action."""
-    act = adjoint_action(space, char, n, allow_unverified=allow_unverified)
+    act = adjoint_action(space, char, n)
     M = BraidedModule(space.dim ** n, act, "right", name=f"adjoint:{char}:{n}")
     rep = check_braided_module(space, M)
     if not rep.braided_ok:
@@ -490,8 +481,7 @@ def rackset_module(space: PreBraidedSpace) -> BraidedModule:
 
 
 def coeff_diff(space: PreBraidedSpace, M: Optional[BraidedModule],
-               N: Optional[BraidedModule], n: int, side: str = "left", *,
-               allow_unverified: bool = False) -> SparseLinearMap:
+               N: Optional[BraidedModule], n: int, side: str = "left") -> SparseLinearMap:
     """Differential on M (x) V^(x)n (x) N. The left one feeds the first
     strand to the right action of M, the right one feeds the last strand to
     the left action of N (sign (-1)^(n-1)). A missing module is the trivial
@@ -502,26 +492,24 @@ def coeff_diff(space: PreBraidedSpace, M: Optional[BraidedModule],
         N = trivial_module(space, "left")
     if M.side != "right" or N.side != "left":
         raise ExactError("coefficients need a right module M and a left module N")
-    if not (M.verified and N.verified) and not allow_unverified:
+    if not (M.verified and N.verified) and not space.allow_unverified:
         raise UnverifiedError(
             f"modules {M.name!r}/{N.name!r} not verified; run check_braided_module first")
     return _pull(space, M.action if side == "left" else N.action, 1, n, side,
-                 lead=M.dim, trail=N.dim, allow_unverified=allow_unverified)
+                 lead=M.dim, trail=N.dim)
 
 
-def bimodule_diff(space: PreBraidedSpace, B: Bimodule, n: int, *,
-                  allow_unverified: bool = False) -> tuple[SparseLinearMap, SparseLinearMap]:
+def bimodule_diff(space: PreBraidedSpace, B: Bimodule,
+                  n: int) -> tuple[SparseLinearMap, SparseLinearMap]:
     """The two differentials on M (x) V^(x)n for a bimodule: the right
     action eats the strand pulled leftmost; the left action eats the strand
     pulled rightmost after cycling M around (the ambient symmetry is the
     plain block flip)."""
-    if not B.verified and not allow_unverified:
+    if not B.verified and not space.allow_unverified:
         raise UnverifiedError(f"bimodule {B.name!r} not verified; run check_bimodule first")
     m = B.dim
-    left = _pull(space, B.right_action, 1, n, "left", lead=m,
-                 allow_unverified=allow_unverified)
-    mid = _pull(space, B.left_action, 1, n, "right", trail=m,
-                allow_unverified=allow_unverified)
+    left = _pull(space, B.right_action, 1, n, "left", lead=m)
+    mid = _pull(space, B.left_action, 1, n, "right", trail=m)
     fwd = block_flip(space.ring, m, space.dim ** n)
     back = block_flip(space.ring, space.dim ** (n - 1), m)
     return left, back.compose(mid).compose(fwd)
@@ -531,18 +519,16 @@ def bimodule_diff(space: PreBraidedSpace, B: Bimodule, n: int, *,
 # Co-differentials (degree +1) from cocharacters and comodules
 # ---------------------------------------------------------------------------
 
-def left_codiff(space: PreBraidedSpace, cochar: str, n: int, *,
-                allow_unverified: bool = False) -> SparseLinearMap:
+def left_codiff(space: PreBraidedSpace, cochar: str, n: int) -> SparseLinearMap:
     """Insert the cocharacter in front and shuffle it in: V^(x)n -> V^(x)(n+1)."""
-    e = space.require_cocharacter(cochar, allow_unverified)
-    return _push(space, e, n, "left", allow_unverified=allow_unverified)
+    e = space.require_cocharacter(cochar)
+    return _push(space, e, n, "left")
 
 
-def right_codiff(space: PreBraidedSpace, cochar: str, n: int, *,
-                 allow_unverified: bool = False) -> SparseLinearMap:
+def right_codiff(space: PreBraidedSpace, cochar: str, n: int) -> SparseLinearMap:
     """Mirror: insert at the end, shuffle, sign (-1)^n."""
-    e = space.require_cocharacter(cochar, allow_unverified)
-    return _push(space, e, n, "right", allow_unverified=allow_unverified)
+    e = space.require_cocharacter(cochar)
+    return _push(space, e, n, "right")
 
 
 @dataclass
@@ -570,15 +556,15 @@ def check_bicomodule(space: PreBraidedSpace, B: Bicomodule) -> ModuleReport:
     return ModuleReport(ok, r_ok and l_ok, compat)
 
 
-def bicomodule_codiff(space: PreBraidedSpace, B: Bicomodule, n: int, *,
-                      allow_unverified: bool = False) -> tuple[SparseLinearMap, SparseLinearMap]:
+def bicomodule_codiff(space: PreBraidedSpace, B: Bicomodule,
+                      n: int) -> tuple[SparseLinearMap, SparseLinearMap]:
     """Degree +1 pair on M (x) V^(x)n, the transpose-dual of the bimodule
     differentials."""
-    if not B.verified and not allow_unverified:
+    if not B.verified and not space.allow_unverified:
         raise UnverifiedError(f"bicomodule {B.name!r} not verified; run check_bicomodule first")
     m = B.dim
-    left = _push(space, B.right_coaction, n, "left", lead=m, allow_unverified=allow_unverified)
-    mid = _push(space, B.left_coaction, n, "right", trail=m, allow_unverified=allow_unverified)
+    left = _push(space, B.right_coaction, n, "left", lead=m)
+    mid = _push(space, B.left_coaction, n, "right", trail=m)
     fwd = block_flip(space.ring, m, space.dim ** n)
     back = block_flip(space.ring, space.dim ** (n + 1), m)
     return left, back.compose(mid).compose(fwd)
@@ -610,8 +596,8 @@ _LEVELS = ["none", "presimplicial", "very weakly simplicial",
            "weakly simplicial", "simplicial"]
 
 
-def _face_family(space, char, side, n_max, allow_unverified):
-    return {(n, i): face(space, char, n, i, side, allow_unverified=allow_unverified)
+def _face_family(space, char, side, n_max):
+    return {(n, i): face(space, char, n, i, side)
             for n in range(1, n_max + 1) for i in range(1, n + 1)}
 
 
@@ -670,12 +656,12 @@ def _degeneracy_level(space, dmaps, smaps, n_max, failures, tag):
 
 
 def check_simplicial(space: PreBraidedSpace, left_char: str, right_char: str,
-                     n_max: int = 5, *, allow_unverified: bool = False) -> SimplicialReport:
+                     n_max: int = 5) -> SimplicialReport:
     """Verify the face/degeneracy identities up to n_max and report the
     achieved level for the left and right families and their mixture."""
     failures: list = []
-    dl = _face_family(space, left_char, "left", n_max, allow_unverified)
-    dr = _face_family(space, right_char, "right", n_max, allow_unverified)
+    dl = _face_family(space, left_char, "left", n_max)
+    dr = _face_family(space, right_char, "right", n_max)
     left_pre = _presimplicial(dl, dl, n_max, failures, "left")
     right_pre = _presimplicial(dr, dr, n_max, failures, "right")
     mixed = _presimplicial(dl, dr, n_max, failures, "mixed", "dd'")
@@ -1032,37 +1018,31 @@ class DifferentialSpec:
         return ",".join(parts)
 
 
-def build_spec_diff(space: PreBraidedSpace, spec: DifferentialSpec, n: int, *,
-                    allow_unverified: bool = False) -> SparseLinearMap:
+def build_spec_diff(space: PreBraidedSpace, spec: DifferentialSpec, n: int) -> SparseLinearMap:
     """One boundary matrix of the described complex at degree n."""
     kind = spec.kind
     if kind == "left":
-        return left_diff(space, spec.left_char, n, allow_unverified=allow_unverified)
+        return left_diff(space, spec.left_char, n)
     if kind == "right":
-        return right_diff(space, spec.right_char, n, allow_unverified=allow_unverified)
+        return right_diff(space, spec.right_char, n)
     if kind == "combined":
-        return combined_diff(space, spec.left_char, spec.right_char or spec.left_char,
-                             n, allow_unverified=allow_unverified)
+        return combined_diff(space, spec.left_char, spec.right_char or spec.left_char, n)
     if kind == "face":
-        return face_sum(space, spec.left_char, n, "left", allow_unverified=allow_unverified)
+        return face_sum(space, spec.left_char, n, "left")
     if kind == "hyper-left":
-        return hyper_boundary(space, spec.left_char, spec.hyper_order, n, "left",
-                              allow_unverified=allow_unverified)
+        return hyper_boundary(space, spec.left_char, spec.hyper_order, n, "left")
     if kind == "hyper-right":
         return hyper_boundary(space, spec.right_char or spec.left_char, spec.hyper_order,
-                              n, "right", allow_unverified=allow_unverified)
+                              n, "right")
     if kind == "coeff":
-        return coeff_diff(space, spec.module, None, n, "left",
-                          allow_unverified=allow_unverified)
+        return coeff_diff(space, spec.module, None, n, "left")
     if kind == "bimodule":
-        return _difference(bimodule_diff(space, spec.bimodule, n,
-                                         allow_unverified=allow_unverified))
+        return _difference(bimodule_diff(space, spec.bimodule, n))
     raise ExactError(f"unknown differential kind {spec.kind!r}")
 
 
 def assemble(space: PreBraidedSpace, spec: DifferentialSpec, n_max: int, *,
-             allow_unverified: bool = False, basis_cap: Optional[int] = None,
-             normalized: bool = False) -> ChainComplex:
+             basis_cap: Optional[int] = None, normalized: bool = False) -> ChainComplex:
     """Build the complex described by a DifferentialSpec degree by degree,
     with the square-zero check of build_chain_complex. normalized passes to
     the quotient by the degenerate span (repeated neighbours for shelves,
@@ -1080,7 +1060,5 @@ def assemble(space: PreBraidedSpace, spec: DifferentialSpec, n_max: int, *,
     if spec.kind == "bimodule":
         lead = spec.bimodule.dim
     step = -spec.hyper_order if spec.kind.startswith("hyper") else -1
-    return _assemble(
-        space, lead, step, n_max,
-        lambda n: build_spec_diff(space, spec, n, allow_unverified=allow_unverified),
-        spec.describe(), normalized=normalized, cap=basis_cap)
+    return _assemble(space, lead, step, n_max, lambda n: build_spec_diff(space, spec, n),
+                     spec.describe(), normalized=normalized, cap=basis_cap)

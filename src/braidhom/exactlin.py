@@ -57,7 +57,11 @@ class Ring:
     def parse(self, text) -> object:
         """Accept ints and 'p/q' strings (reduced on input)."""
         if isinstance(text, str):
-            return self.coerce(Fraction(text))
+            try:
+                value = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                raise ExactError(f"{text!r} is not a scalar; write an integer or p/q") from None
+            return self.coerce(value)
         return self.coerce(text)
 
     def fmt(self, a) -> str:

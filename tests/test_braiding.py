@@ -174,8 +174,8 @@ def test_lift_requires_ybe_flag():
     space = flip_braiding(2, ZZ)
     with pytest.raises(UnverifiedError):
         braid_lift(space, Permutation.transposition(2, 1), 2)
-    assert braid_lift(space, Permutation.transposition(2, 1), 2,
-                      allow_unverified=True) is not None
+    space.allow_unverified = True
+    assert braid_lift(space, Permutation.transposition(2, 1), 2) is not None
 
 
 def test_lift_flip_is_slot_permutation():
@@ -262,20 +262,20 @@ def lift_sum(space, p, q, sign, inverse):
     n = p + q
     total = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
     for s in shuffle_set(p, q):
-        total = total.add_map(braid_lift(space, s.inverse() if inverse else s, n, sign,
-                                         allow_unverified=True))
+        total = total.add_map(braid_lift(space, s.inverse() if inverse else s, n, sign))
     return total
 
 
 def assert_recursion_matches_sums(make_space, max_total):
     for sign in (1, -1):
         built, oracle = make_space(), make_space()
+        built.allow_unverified = oracle.allow_unverified = True
         for n in range(max_total + 1):
             for p in range(n + 1):
                 q = n - p
-                assert shuffle_coproduct(built, p, q, sign, allow_unverified=True) == \
+                assert shuffle_coproduct(built, p, q, sign) == \
                     lift_sum(oracle, p, q, sign, True), ("coshuffle", p, q, sign)
-                assert shuffle_product(built, p, q, sign, allow_unverified=True) == \
+                assert shuffle_product(built, p, q, sign) == \
                     lift_sum(oracle, p, q, sign, False), ("shuffle", p, q, sign)
 
 

@@ -583,3 +583,81 @@ def test_generic_twist_that_is_not_braided_needs_allow_unverified(capsys):
     assert cli.main(argv + ["--allow-unverified"]) == 1
     assert json.loads(capsys.readouterr().out)["error"].startswith(
         "boundary composition out of degree 2 is nonzero")
+
+
+# A raw 2-dimensional braiding that fails the YBE: the linearization of
+# (0,0) -> (0,0), (0,1) -> (1,0), (1,0) -> (1,1), (1,1) -> (1,0).
+RAW_DOC = {
+    "ring": "q",
+    "structure": {"kind": "braiding", "dim": 2,
+                  "entries": [[0, 0, 1], [2, 1, 1], [3, 2, 1], [2, 3, 1]]},
+    "characters": {"ones": [1, 1]},
+}
+
+
+@pytest.mark.parametrize("suite", ["simplicial", "hyper", "hopf", "homotopy"])
+def test_verify_suites_honour_allow_unverified(tmp_path, capsys, suite):
+    """Without the flag the run stops at the verification gate; with it the
+    suite runs on the space and reports, whatever its verdict."""
+    argv = ["verify", write(tmp_path, RAW_DOC), "--suite", suite, "--max-degree", "3",
+            "--json"]
+    assert cli.main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verification"]["ybe"]["ok"] is False
+    assert rep["error"] == ("the braiding or a character failed verification "
+                            "(run `check` for details, or pass --allow-unverified)")
+    code = cli.main(argv + ["--allow-unverified"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert suite in json.loads(out)
+    assert "allow_unverified=True" not in out + err
+
+
+@pytest.mark.parametrize("command, key", [("homology", "homology"), ("verify", "hyper")])
+def test_user_max_degree_zero_is_kept(capsys, command, key):
+    """A user's --max-degree 0 is not replaced by the scenario's default."""
+    argv = [command, str(SCENARIOS / "dihedral3.json"), "--max-degree", "0", "--json"]
+    if command == "verify":
+        argv += ["--suite", "hyper"]
+    assert cli.main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    if command == "homology":
+        assert list(rep["homology"]["degrees"]) == ["0"]
+    else:
+        assert rep["hyper"]["max_degree"] == 0
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--named", "twisted-rack", "--twist", "abc"], "'abc'"),
+    (["--diff", "right", "--twist", "1/0"], "'1/0'"),
+])
+def test_malformed_twist_exits_2(capsys, flags, text):
+    code = cli.main(["homology", str(SCENARIOS / "dihedral3.json"), *flags, "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"] == f"{text} is not a scalar; write an integer or p/q"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["simplicial", "hyper", "hopf", "homotopy", "duality"])
+def test_verify_suites_obey_basis_cap(capsys, suite):
+    """Each suite refuses a degree over the cap before it builds anything,
+    with the message of homology."""
+    code = cli.main(["verify", str(SCENARIOS / "dihedral3.json"), "--suite", suite,
+                     "--max-degree", "3", "--basis-cap", "10", "--json"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "a degree would hold 27 basis elements, over the cap of 10; "
+        "lower the maximum degree or raise the cap")
+
+
+def test_memory_error_exits_3_without_traceback(monkeypatch, capsys):
+    def exhausted(space, args, report):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._SUITES, "hyper", exhausted)
+    code = cli.main(["verify", str(SCENARIOS / "dihedral3.json"), "--suite", "hyper"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "error: ran out of memory; lower the maximum degree" in out
+    assert "Traceback" not in out + err

@@ -7,15 +7,18 @@ from braidhom import (
     Bimodule,
     BraidedModule,
     ExactError,
+    Permutation,
     PrimeField,
     QQ,
     SparseLinearMap,
+    UnverifiedError,
     ZZ,
     adjoin_unit,
     adjoint_module,
     algebra_from_constants,
     assoc_braiding,
     bimodule_diff,
+    braid_lift,
     check_bimodule,
     check_braided_character,
     check_braided_module,
@@ -44,6 +47,7 @@ from braidhom import (
     right_diff,
     shelf_braiding,
     shuffle_coproduct,
+    shuffle_product,
     signed_binomial,
     tensor,
     trivial_shelf,
@@ -247,11 +251,12 @@ def test_q_differential_counts():
     q = Fraction(2)
     space = q_flip_braiding(-q, QQ)  # braiding is the opposite q-flip
     check_ybe(space)
+    space.allow_unverified = True
     for n in range(1, 9):
-        m = left_diff(space, "ones", n, allow_unverified=True)
+        m = left_diff(space, "ones", n)
         assert m.entry(0, 0) == sum(q ** i for i in range(n))
     # q = 2, n = 3 -> 7
-    assert left_diff(space, "ones", 3, allow_unverified=True).entry(0, 0) == 7
+    assert left_diff(space, "ones", 3).entry(0, 0) == 7
 
 
 def test_shelf_left_diff_example(r3):
@@ -293,10 +298,28 @@ def test_trivial_quandle_combined_vanishes(trivial3):
 
 def test_diff_requires_verified_character(r3):
     r3.add_character("raw", [1, 0, 0])
-    from braidhom import UnverifiedError
     with pytest.raises(UnverifiedError):
         left_diff(r3, "raw", 2)
-    assert left_diff(r3, "raw", 2, allow_unverified=True) is not None
+    r3.allow_unverified = True
+    assert left_diff(r3, "raw", 2) is not None
+
+
+def test_space_override_opens_every_gate():
+    """A fresh space gates every builder; its allow_unverified attribute,
+    named in the message, opens the braiding, character and module gates."""
+    space = shelf_braiding(dihedral_shelf(3), ZZ)
+    M = rackset_module(space)
+    with pytest.raises(UnverifiedError, match="allow_unverified"):
+        left_diff(space, "ones", 2)
+    with pytest.raises(UnverifiedError, match="allow_unverified"):
+        braid_lift(space, Permutation.transposition(2, 1), 2)
+    with pytest.raises(UnverifiedError, match="not verified"):
+        coeff_diff(space, M, None, 2)
+    space.allow_unverified = True
+    assert left_diff(space, "ones", 2) == shelf_left_oracle(space.payload, [1, 1, 1], 2)
+    assert braid_lift(space, Permutation.transposition(2, 1), 2) == space.braiding
+    assert shuffle_product(space, 1, 1).rows == 9
+    assert coeff_diff(space, M, None, 2).rows == 9
 
 
 def test_square_zero_all_fixtures(r3, kz2, dual_numbers, sl2_unital, nonlie_unital):
@@ -488,6 +511,7 @@ def test_coeff_diff_matches_coshuffle_formula(r3):
     and as the left action of the trail module, verified or not."""
     actions = [rackset_module(r3).action, character_module(r3, "ones").action,
                adjoint_module(r3, "ones", 1).action, adjoint_module(r3, "ones", 2).action]
+    r3.allow_unverified = True
     for act in actions:
         dim = act.rows
         lead = BraidedModule(dim, act, "right", name="lead")
@@ -496,11 +520,11 @@ def test_coeff_diff_matches_coshuffle_formula(r3):
             m = M.dim if M else 1
             t = N.dim if N else 1
             for n in range(1, 4):
-                got = coeff_diff(r3, M, N, n, "left", allow_unverified=True)
+                got = coeff_diff(r3, M, N, n, "left")
                 want = pull_oracle(r3, M.action, 1, n, "left", m, t) if M else \
                     SparseLinearMap.zero(3 ** (n - 1) * t, 3 ** n * t, ZZ)
                 assert got == want, (dim, n, "left")
-                got = coeff_diff(r3, M, N, n, "right", allow_unverified=True)
+                got = coeff_diff(r3, M, N, n, "right")
                 want = pull_oracle(r3, N.action, 1, n, "right", m, t) if N else \
                     SparseLinearMap.zero(m * 3 ** (n - 1), m * 3 ** n, ZZ)
                 assert got == want, (dim, n, "right")

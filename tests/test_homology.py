@@ -65,8 +65,9 @@ def test_assemble_single_degree(r3):
 def test_assemble_rejects_broken_character(r3):
     r3.add_character("broken", [1, 2, 0])  # not a braided character
     spec = DifferentialSpec(kind="left", left_char="broken")
+    r3.allow_unverified = True
     with pytest.raises(SquareZeroError) as err:
-        assemble(r3, spec, 3, allow_unverified=True)
+        assemble(r3, spec, 3)
     assert err.value.entry is not None
 
 
