@@ -185,6 +185,15 @@ class CoalgebraReport:
 # Pre-braided space
 # ---------------------------------------------------------------------------
 
+def _declared(table: dict, name: str, kind: str):
+    """table[name]; an undeclared name is an input error that lists the
+    declared ones."""
+    if name not in table:
+        declared = ", ".join(sorted(table)) or "none"
+        raise ExactError(f"unknown {kind} {name!r}; declared {kind}s: {declared}")
+    return table[name]
+
+
 class PreBraidedSpace:
     """A finite-dimensional space with a pre-braiding and companion data.
 
@@ -261,14 +270,10 @@ class PreBraidedSpace:
         return m
 
     def character(self, name: str) -> SparseLinearMap:
-        if name not in self.characters:
-            raise ExactError(f"unknown character {name!r}")
-        return self.characters[name]
+        return _declared(self.characters, name, "character")
 
     def cocharacter(self, name: str) -> SparseLinearMap:
-        if name not in self.cocharacters:
-            raise ExactError(f"unknown cocharacter {name!r}")
-        return self.cocharacters[name]
+        return _declared(self.cocharacters, name, "cocharacter")
 
     def require_ybe(self):
         if not self.ybe_checked and not self.allow_unverified:

@@ -16,6 +16,7 @@ from pathlib import Path
 from .exactlin import ExactError, QQ, Ring, ZZ, ring_from_name
 from .braiding import (
     UnverifiedError,
+    _declared,
     check_braided_character,
     check_braided_cocharacter,
     check_braided_coalgebra,
@@ -30,9 +31,8 @@ from .braiding import (
 )
 from . import structures as st
 from .complexes import (
+    COMPLEX_PARAMS,
     NAMED_COMPLEXES,
-    DifferentialSpec,
-    assemble,
     check_bimodule,
     check_braided_module,
     check_naturality,
@@ -42,6 +42,7 @@ from .complexes import (
     hyper_boundary,
     left_codiff,
     left_diff,
+    named_complex,
     rack_contraction,
     right_diff,
     signed_binomial,
@@ -102,6 +103,7 @@ def _parser() -> argparse.ArgumentParser:
                    choices=["simplicial", "hyper", "hopf", "homotopy", "duality"])
     v.add_argument("--left-char")
     v.add_argument("--right-char")
+    p.commands = sub.choices
     return p
 
 
@@ -110,23 +112,56 @@ def _parser() -> argparse.ArgumentParser:
 _COMPLEX_SELECTORS = ("named", "diff", "module", "bimodule")
 
 
-def _apply_computation_defaults(args, scenario: Scenario):
-    user_selected = any(getattr(args, attr, None) for attr in _COMPLEX_SELECTORS)
-    args.from_scenario = set()
-    for comp in scenario.computations:
-        if comp.get("command") != args.command:
-            continue
+def _flag_value(action, value):
+    """value as the flag would take it on the command line; ValueError when
+    the flag would refuse it."""
+    if action.nargs == 0:  # a switch
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (int, str)) and not isinstance(value, bool):
+        value = (action.type or str)(str(value))
+        if action.choices is None or value in action.choices:
+            return value
+    raise ValueError
+
+
+def _apply_computation_defaults(args, scenario: Scenario, parser):
+    """Fill the flags the user left unset from the scenario's first
+    computation for this command. Every computation's keys must be flags of
+    its command, with values that flag takes; a bad one is a ScenarioError
+    that names computations[i].key."""
+    errors = []
+    defaults = None
+    for pos, comp in enumerate(scenario.computations):
+        command = comp["command"]
+        flags = {a.dest: a for a in parser.commands[command]._actions
+                 if a.option_strings and a.dest != "help"}
+        values = {}
         for key, value in comp.items():
             if key == "command":
                 continue
-            attr = key.replace("-", "_")
-            if user_selected and attr in _COMPLEX_SELECTORS:
+            path = f"computations[{pos}].{key}"
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
+                errors.append(f"{path}: not a flag of the {command} command")
                 continue
-            current = getattr(args, attr, None)
-            if current is None or current is False:
-                setattr(args, attr, value)
-                args.from_scenario.add(attr)
-        break
+            try:
+                values[action.dest] = _flag_value(action, value)
+            except ValueError:
+                errors.append(f"{path}: {value!r} is not a value of {action.option_strings[0]}")
+        if command == args.command and defaults is None:
+            defaults = values
+    if errors:
+        raise ScenarioError(errors)
+    user_selected = any(getattr(args, attr, None) for attr in _COMPLEX_SELECTORS)
+    args.from_scenario = set()
+    for attr, value in (defaults or {}).items():
+        if user_selected and attr in _COMPLEX_SELECTORS:
+            continue
+        current = getattr(args, attr)
+        if current is None or current is False:
+            setattr(args, attr, value)
+            args.from_scenario.add(attr)
 
 
 def _ring_for(args, scenario: Scenario) -> Ring:
@@ -273,121 +308,67 @@ def _run_check(space, args, report) -> bool:
 # complex / homology
 # ---------------------------------------------------------------------------
 
-# The differentials --diff may name besides hyper:<k>; coefficient systems
-# come from --module and --bimodule, classical complexes from --named.
+# The kinds --diff may name besides hyper:<k>, which is hyper-left of order
+# k; --module chooses coeff, --bimodule the bimodule kind, --named a
+# classical complex.
 _DIFF_KINDS = ("left", "right", "combined", "face", "hyper-left", "hyper-right")
 
-# The named complexes that read each of these flags. Any other complex would
-# ignore the flag, so a user flag it does not read is refused; values filled
-# in from the scenario's defaults are not checked.
-_NAMED_READERS = {
-    "left_char": ("koszul", "group", "leibniz", "graded-leibniz"),
-    "right_char": ("group",),
-    "twist": ("twisted-rack",),
-    "element": ("partial-derivative",),
-    "bimodule": ("hochschild",),
-    "module": (),
-    "diff": (),
-}
-
-# The same for the generic path: the --diff kinds that read each flag. With
-# --module or --bimodule the kind is "module" or "bimodule"; those
-# differentials read no character and no --diff.
-_DIFF_READERS = {
-    "left_char": _DIFF_KINDS,
-    "right_char": ("right", "combined", "hyper-right"),
-    "twist": ("right", "combined", "hyper-right"),
-    "element": (),
-    "diff": _DIFF_KINDS,
-    "module": ("module",),
-}
+# The flags a complex may read, as (attribute, parameter), in the order a
+# flag the chosen complex does not read is refused. --diff carries the
+# hyper order.
+_PARAM_FLAGS = (("left_char", "left_char"), ("right_char", "right_char"), ("twist", "twist"),
+                ("element", "element"), ("bimodule", "bimodule"), ("module", "module"),
+                ("diff", "order"))
 
 
-def _declared(table: dict, name: str, kind: str):
-    if name not in table:
-        declared = ", ".join(sorted(table)) or "none"
-        raise ExactError(f"unknown {kind} {name!r}; declared {kind}s: {declared}")
-    return table[name]
-
-
-def _refuse_unread(args, readers: dict, kind: str, label: str):
-    """Refuse a user flag that kind does not read (readers maps each flag to
-    the kinds that read it); values from the scenario's defaults pass."""
-    defaulted = getattr(args, "from_scenario", ())
-    for attr, kinds in readers.items():
-        if getattr(args, attr, None) is not None and attr not in defaulted \
-                and kind not in kinds:
-            raise ExactError(f"the {label} does not read --{attr.replace('_', '-')}")
-
-
-def _spec_from_args(space, args) -> DifferentialSpec:
-    named = getattr(args, "named", None)
-    if named:
-        if named in NAMED_COMPLEXES:
-            _refuse_unread(args, _NAMED_READERS, named, f"{named} complex")
-        params = {}
-        if getattr(args, "twist", None) is not None:
-            params["twist"] = space.ring.parse(args.twist)
-        if getattr(args, "element", None) is not None:
-            params["element"] = args.element
-        if getattr(args, "left_char", None):
-            params["left_char"] = args.left_char
-            params["character"] = args.left_char
-        if getattr(args, "right_char", None):
-            params["right_char"] = args.right_char
-        if getattr(args, "bimodule", None):
-            params["bimodule"] = _declared(space.bimodules, args.bimodule, "bimodule")
-        return DifferentialSpec(kind="named", name=named, params=params)
-    diff = label = getattr(args, "diff", None) or "combined"
-    hyper_order = 1
+def _chosen_complex(args):
+    """The complex the flags choose: its row of COMPLEX_PARAMS, the phrase
+    that names it, the flag that chose it, and the order --diff gives."""
+    if args.named:
+        if args.named not in NAMED_COMPLEXES:
+            raise ExactError(f"unknown named complex {args.named!r}")
+        return args.named, f"{args.named} complex", "named", None
+    diff = label = args.diff or "combined"
+    order = None
     if diff.startswith("hyper:"):
-        order = diff.split(":", 1)[1]
+        k = diff.split(":", 1)[1]
         try:
-            hyper_order = int(order)
+            order = int(k)
         except ValueError:
-            raise ExactError(f"--diff hyper:<k> needs an integer k, not {order!r}") from None
+            raise ExactError(f"--diff hyper:<k> needs an integer k, not {k!r}") from None
         diff = "hyper-left"
     elif diff not in _DIFF_KINDS:
         raise ExactError(f"unknown --diff kind {diff!r}; use hyper:<k> or one of: "
                          + ", ".join(_DIFF_KINDS))
-    if getattr(args, "bimodule", None):
-        diff_kind = label = "bimodule"
-    elif getattr(args, "module", None):
-        diff_kind = label = "module"
-    else:
-        diff_kind = diff
-    _refuse_unread(args, _DIFF_READERS, diff_kind, f"{label} differential")
-    lc = getattr(args, "left_char", None)
-    rc = getattr(args, "right_char", None)
-    if lc is None and len(space.characters) == 1:
-        lc = next(iter(space.characters))
-    if rc is None:
-        rc = lc
-    if getattr(args, "twist", None) is not None:
-        tw = space.ring.parse(args.twist)
-        name = f"twist:{args.twist}"
-        if name not in space.characters:
-            space.add_character(name, st.twist_character(tw, space.dim, space.ring))
-        if not check_braided_character(space, name).ok and not space.allow_unverified:
-            raise UnverifiedError(f"character {name!r} is not a braided character "
-                                  "(pass --allow-unverified to use it anyway)")
-        rc = name
-    char = rc if diff in ("right", "hyper-right") else lc
-    if char is None and not (getattr(args, "module", None) or getattr(args, "bimodule", None)):
-        declared = ", ".join(sorted(space.characters)) or "none"
-        raise ExactError(f"the {diff} differential needs --left-char; "
-                         f"declared characters: {declared}")
-    spec = DifferentialSpec(kind=diff, left_char=lc, right_char=rc,
-                            hyper_order=hyper_order)
-    if getattr(args, "module", None):
-        spec = DifferentialSpec(kind="coeff", left_char=lc, right_char=rc,
-                                module=_declared(space.modules, args.module, "module"))
-        check_braided_module(space, spec.module)
-    if getattr(args, "bimodule", None):
-        spec = DifferentialSpec(kind="bimodule",
-                                bimodule=_declared(space.bimodules, args.bimodule, "bimodule"))
-        check_bimodule(space, spec.bimodule)
-    return spec
+    if args.bimodule:
+        return "bimodule", "bimodule differential", "bimodule", order
+    if args.module:
+        return "coeff", "module differential", "module", order
+    return diff, f"{label} differential", "diff", order
+
+
+def _complex_from_args(space, args):
+    """Build the complex the flags choose. A user flag it does not read is
+    refused before anything is resolved; values filled in from the
+    scenario's defaults are not refused, and are passed on only when
+    read."""
+    name, label, chooser, order = _chosen_complex(args)
+    reads = COMPLEX_PARAMS[name]
+    for attr, param in _PARAM_FLAGS:
+        if attr != chooser and getattr(args, attr) is not None \
+                and attr not in args.from_scenario and param not in reads:
+            raise ExactError(f"the {label} does not read --{attr.replace('_', '-')}")
+    resolve = {"twist": space.ring.parse,
+               "module": lambda name: _declared(space.modules, name, "module"),
+               "bimodule": lambda name: _declared(space.bimodules, name, "bimodule")}
+    params = {}
+    for attr, param in _PARAM_FLAGS:
+        value = order if attr == "diff" else getattr(args, attr)
+        if param in reads and value is not None:
+            params[param] = resolve.get(param, lambda v: v)(value)
+    n_max = args.max_degree if args.max_degree is not None else 4
+    return named_complex(space, name, n_max, params, basis_cap=args.basis_cap,
+                         normalized=bool(args.normalized))
 
 
 def _complex_report(space, complex_) -> dict:
@@ -406,26 +387,24 @@ def _complex_report(space, complex_) -> dict:
 
 def _dump_matrices(space, complex_, outdir):
     """One file per degree: header 'rows cols nnz', then 'row col value'
-    lines with reduced fractions."""
+    lines with reduced fractions. A directory that cannot be written is an
+    input error."""
     path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
     ring = complex_.ring
     written = []
-    for n in sorted(complex_.diffs):
-        m = complex_.diffs[n]
-        lines = [f"{m.rows} {m.cols} {m.nnz}"]
-        for r, c, v in m.entries():
-            lines.append(f"{r} {c} {ring.fmt(v)}")
-        fname = path / f"boundary_{n}.txt"
-        fname.write_text("\n".join(lines) + "\n")
-        written.append(fname.name)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for n in sorted(complex_.diffs):
+            m = complex_.diffs[n]
+            lines = [f"{m.rows} {m.cols} {m.nnz}"]
+            for r, c, v in m.entries():
+                lines.append(f"{r} {c} {ring.fmt(v)}")
+            fname = path / f"boundary_{n}.txt"
+            fname.write_text("\n".join(lines) + "\n")
+            written.append(fname.name)
+    except OSError as e:
+        raise ExactError(f"cannot write matrices to {outdir!r}: {e.strerror or e}") from None
     return written
-
-
-def _complex_from_args(space, args):
-    n_max = args.max_degree if args.max_degree is not None else 4
-    return assemble(space, _spec_from_args(space, args), n_max, basis_cap=args.basis_cap,
-                    normalized=bool(args.normalized))
 
 
 def _run_complex(space, args, report) -> bool:
@@ -546,21 +525,18 @@ def _suite_homotopy(space, args, report) -> bool:
     payload = space.payload
     if isinstance(payload, st.ShelfTable):
         lc, rc = _default_chars(space, args, "homotopy")
-        spec = DifferentialSpec(kind="right", right_char=rc)
-        c = assemble(space, spec, n_max, basis_cap=args.basis_cap)
+        c = named_complex(space, "right", n_max, {"right_char": rc}, basis_cap=args.basis_cap)
         h = {n: concat_homotopy(space, [1] + [0] * (space.dim - 1), n)
              for n in range(n_max)}
         results["right_complex_concatenation"] = bool(certify_acyclic(c, h))
         if st.check_shelf(payload).rack:
-            spec = DifferentialSpec(kind="left", left_char=lc)
-            c = assemble(space, spec, n_max, basis_cap=args.basis_cap)
+            c = named_complex(space, "left", n_max, {"left_char": lc}, basis_cap=args.basis_cap)
             h = {n: rack_contraction(space, 0, n) for n in range(n_max)}
             results["left_complex_inverse_translation"] = bool(certify_acyclic(c, h))
     elif isinstance(payload, st.AlgebraData) and space.unit_index is not None:
         lc, _ = _default_chars(space, args, "homotopy")
         w = [1 if j == space.unit_index else 0 for j in range(space.dim)]
-        spec = DifferentialSpec(kind="left", left_char=lc)
-        c = assemble(space, spec, n_max, basis_cap=args.basis_cap)
+        c = named_complex(space, "left", n_max, {"left_char": lc}, basis_cap=args.basis_cap)
         h = {n: concat_homotopy(space, w, n) for n in range(n_max)}
         results["left_complex_unit_concatenation"] = bool(certify_acyclic(c, h))
     else:
@@ -576,10 +552,9 @@ def _suite_homotopy(space, args, report) -> bool:
         if w is None:
             report["homotopy"] = {"skipped": "no normalized pair available"}
             return True
-        for kind, key in (("left", "left_complex_concatenation"),
-                          ("right", "right_complex_concatenation")):
-            spec = DifferentialSpec(kind=kind, left_char=lc, right_char=rc)
-            c = assemble(space, spec, n_max, basis_cap=args.basis_cap)
+        for kind, params, key in (("left", {"left_char": lc}, "left_complex_concatenation"),
+                                  ("right", {"right_char": rc}, "right_complex_concatenation")):
+            c = named_complex(space, kind, n_max, params, basis_cap=args.basis_cap)
             h = {n: concat_homotopy(space, w, n) for n in range(n_max)}
             results[key] = bool(certify_acyclic(c, h))
     report["homotopy"] = results
@@ -592,7 +567,7 @@ def _suite_duality(space, args, report) -> bool:
     if not (isinstance(payload, st.AlgebraData) and payload.kind == "associative"):
         raise ExactError("the duality suite needs an associative payload")
     lc, _ = _default_chars(space, args, "duality")
-    eps = _declared(space.characters, lc, "character")
+    eps = space.character(lc)
     co = st.dual_coalgebra(payload)
     cospace = st.coassoc_braiding(co)
     ok = cospace.braiding == space.braiding.transpose()
@@ -629,6 +604,8 @@ def run(command: str, scenario: Scenario, args) -> tuple[int, dict]:
     try:
         if getattr(args, "max_degree", None) is not None and args.max_degree < 0:
             raise ExactError(f"--max-degree must be 0 or more, not {args.max_degree}")
+        if args.basis_cap is not None and args.basis_cap < 1:
+            raise ExactError(f"--basis-cap must be 1 or more, not {args.basis_cap}")
         ring = _ring_for(args, scenario)
         report["ring"] = ring.name
         space = sc_mod.build_space(scenario, ring)
@@ -690,9 +667,11 @@ def _emit(text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     try:
         scenario = sc_mod.parse(args.scenario)
+        _apply_computation_defaults(args, scenario, parser)
     except ScenarioError as e:
         payload = {"command": args.command, "error": "invalid scenario",
                    "details": e.errors}
@@ -706,7 +685,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"cannot read scenario: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    _apply_computation_defaults(args, scenario)
     code, report = run(args.command, scenario, args)
     if args.json:
         _emit(json.dumps(report, sort_keys=True, separators=(",", ":")))

@@ -763,7 +763,7 @@ def _assemble(space, lead, step, n_max, diff_fn, builder, *, span=None,
 
 
 # ---------------------------------------------------------------------------
-# Named classical complexes: one table row each
+# Every complex: one table row each
 # ---------------------------------------------------------------------------
 
 def _require_payload(space, kind):
@@ -779,22 +779,22 @@ def _require_payload(space, kind):
 
 
 def _ensure_ybe(space):
-    if not space.ybe_checked:
-        rep = check_ybe(space)
-        if not rep.ok:
-            raise ExactError("braiding fails the Yang-Baxter equation")
+    """The YBE gate of a carrier, which its allow_unverified overrides."""
+    if not space.ybe_checked and not space.allow_unverified and not check_ybe(space).ok:
+        raise UnverifiedError("braiding fails the Yang-Baxter equation")
 
 
-def _ensure_verified(space, name, complex_name, co):
-    """Verify a character (a cocharacter when co) the complex is built from."""
+def _ensure_verified(space, name, co=False):
+    """The gate of a character (a cocharacter when co) a boundary reads,
+    which the space's allow_unverified overrides; an undeclared name is an
+    input error."""
     kind = "cocharacter" if co else "character"
-    named = space.cocharacters if co else space.characters
+    (space.cocharacter if co else space.character)(name)
     verified = space.verified_cocharacters if co else space.verified_characters
     check = check_braided_cocharacter if co else check_braided_character
-    if name not in named:
-        raise ExactError(f"{complex_name} complex needs the {name} {kind}")
-    if name not in verified and not check(space, name).ok:
-        raise ExactError(f"{kind} {name!r} is not a braided {kind}")
+    if name not in verified and not space.allow_unverified and not check(space, name).ok:
+        raise UnverifiedError(f"{kind} {name!r} is not a braided {kind} "
+                              "(pass --allow-unverified to use it anyway)")
 
 
 # Carrier spaces --------------------------------------------------------------
@@ -838,14 +838,14 @@ def _extended_coalgebra(space):
     return st.coassoc_braiding(data)
 
 
-# Characters, as (carrier, params) -> names in label order ---------------------
+# Characters the boundary reads, as (carrier, params) -> names in label order --
 
 def _fixed(*names):
     return lambda space, params: names
 
 
 def _sole_character(space, params):
-    char = params.get("character")
+    char = params.get("left_char")
     if char is None:
         if len(space.characters) != 1:
             raise ExactError("koszul complex needs a character parameter")
@@ -854,7 +854,7 @@ def _sole_character(space, params):
 
 
 def _counit_character(space, params):
-    return (params.get("character", "counit"),)
+    return (params.get("left_char", "counit"),)
 
 
 def _group_characters(space, params):
@@ -862,14 +862,20 @@ def _group_characters(space, params):
     return (lc, params.get("right_char", lc))
 
 
-def _twist_character(space, params):
-    twist = params.get("twist")
-    if twist is None:
-        raise ExactError("twisted rack complex needs a twist parameter")
-    name = f"twist:{twist}"
+def _twist(space, value):
+    """The constant character value, added to the space as twist:<value>
+    and verified there."""
+    name = f"twist:{value}"
     if name not in space.characters:
-        space.add_character(name, st.twist_character(twist, space.dim, space.ring))
-    return ("ones", name)
+        space.add_character(name, st.twist_character(value, space.dim, space.ring))
+    _ensure_verified(space, name)
+    return name
+
+
+def _twist_character(space, params):
+    if "twist" not in params:
+        raise ExactError("twisted rack complex needs a twist parameter")
+    return ("ones", _twist(space, params["twist"]))
 
 
 def _dirac_character(space, params):
@@ -882,31 +888,70 @@ def _dirac_character(space, params):
     return (name,)
 
 
-# Differentials, as (carrier, characters, params) -> (lead dim, n -> boundary) --
+def _sides(*read):
+    """The characters the boundary of a generic kind reads (0 its left one,
+    1 its right one). Both are resolved into params for its label: the left
+    character, else the only declared one; then the twist, else the right
+    character, else the left one. Either may be None."""
+    def chars(space, params):
+        left = params.get("left_char")
+        if left is None and len(space.characters) == 1:
+            left = next(iter(space.characters))
+        right = params.get("right_char", left)
+        if "twist" in params:
+            right = _twist(space, params["twist"])
+        params.update(left_char=left, right_char=right)
+        return tuple((left, right)[i] for i in read)
+    return chars
+
+
+# Boundaries, as (carrier, characters, params) -> (lead dim, n -> boundary) ----
+
+# Each names its builder at call time, so that a wrapper installed on the
+# module (perfbench's tracer) sees every call.
 
 def _left(space, chars, params):
     return 1, lambda n: left_diff(space, chars[0], n)
+
+
+def _right(space, chars, params):
+    return 1, lambda n: right_diff(space, chars[0], n)
 
 
 def _combined(space, chars, params):
     return 1, lambda n: combined_diff(space, chars[0], chars[-1], n)
 
 
+def _faces(space, chars, params):
+    return 1, lambda n: face_sum(space, chars[0], n)
+
+
+def _hyper(side):
+    return lambda space, chars, params: (
+        1, lambda n: hyper_boundary(space, chars[0], params.get("order", 1), n, side))
+
+
 def _left_co(space, chars, params):
     return 1, lambda n: left_codiff(space, chars[0], n)
 
 
+def _coeff(space, chars, params):
+    module = params.get("module") or trivial_module(space)
+    if not module.verified:
+        check_braided_module(space, module)
+    return module.dim, lambda n: coeff_diff(space, module, None, n)
+
+
 def _bimodule(space, chars, params):
     bim = params.get("bimodule") or regular_bimodule(space)
-    if not bim.verified and not check_bimodule(space, bim).ok:
-        raise ExactError("bimodule fails its axioms")
+    if not bim.verified:
+        check_bimodule(space, bim)
     return bim.dim, lambda n: _difference(bimodule_diff(space, bim, n))
 
 
 def _bicomodule(space, chars, params):
-    bic = params.get("bicomodule") or coalgebra_self_bicomodule(space)
-    if not bic.verified and not check_bicomodule(space, bic).ok:
-        raise ExactError("bicomodule fails its axioms")
+    bic = coalgebra_self_bicomodule(space)
+    check_bicomodule(space, bic)
     return bic.dim, lambda n: _difference(bicomodule_codiff(space, bic, n))
 
 
@@ -915,18 +960,33 @@ def _difference(pair):
     return left.sub_map(right)
 
 
+def _described(kind):
+    """The label of a generic kind: its name, its two characters and, for
+    the hyper kinds, its order."""
+    def label(params):
+        parts = [kind] + [f"{side}={params[side + '_char']}" for side in ("left", "right")
+                          if params[side + "_char"]]
+        if kind.startswith("hyper"):
+            parts.append(f"k={params.get('order', 1)}")
+        return ",".join(parts)
+    return label
+
+
 @dataclass(frozen=True)
 class _Named:
-    """A classical complex: the payload kind it needs ("spindle" is an
-    idempotent shelf), the space it lives on, the characters (cocharacters
-    for cochain complexes) it is built from, its boundary, its builder name
-    (formatted with the characters and the parameters), and the span it is
-    restricted to (keep="sub") or divided by (keep="quotient")."""
+    """A complex: the payload kind it needs ("spindle" is an idempotent
+    shelf), the space it lives on, the characters (cocharacters for cochain
+    complexes) its boundary reads, its boundary, its builder name (a format
+    string of the characters and the parameters, or a function of the
+    parameters), the parameters it reads, the span it is restricted to
+    (keep="sub") or divided by (keep="quotient"), and the degree of its
+    boundary (times the order, for the hyper kinds)."""
     payload: Optional[str]
     carrier: Callable
     chars: Callable
     diff: Callable
-    label: str
+    label: str | Callable
+    reads: tuple = ()
     span: Optional[Callable] = None
     keep: str = "quotient"
     step: int = -1
@@ -937,128 +997,92 @@ class _Named:
 # the unit-free tensors instead: there the unit-bearing ones are not a
 # subcomplex, while the unit-free ones are.
 _NAMED = {
-    "koszul": _Named(None, _itself, _sole_character, _left, "koszul[{0}]"),
+    "koszul": _Named(None, _itself, _sole_character, _left, "koszul[{0}]", ("left_char",)),
     "shelf": _Named("shelf", _itself, _fixed("ones"), _left, "shelf"),
     "rack": _Named("shelf", _itself, _fixed("ones"), _combined, "rack"),
     "quandle": _Named("spindle", _itself, _fixed("ones"), _combined, "quandle",
-                      _degenerate),
+                      span=_degenerate),
     "twisted-rack": _Named("shelf", _itself, _twist_character, _combined,
-                           "twisted-rack[{twist}]"),
+                           "twisted-rack[{twist}]", ("twist",)),
     "partial-derivative": _Named("shelf", _itself, _dirac_character, _left,
-                                 "partial-derivative[{element}]"),
+                                 "partial-derivative[{element}]", ("element",)),
     "bar": _Named("associative", _unitalized, _fixed("counit"), _combined, "bar",
-                  _unit_bearing),
+                  span=_unit_bearing),
     "group": _Named("associative", _unitalized, _group_characters, _combined,
-                    "group[{0},{1}]", _unit_bearing),
+                    "group[{0},{1}]", ("left_char", "right_char"), _unit_bearing),
     "hochschild": _Named("associative", _unitalized, _fixed(), _bimodule, "hochschild",
-                         _unit_bearing),
+                         ("bimodule",), _unit_bearing),
     "leibniz": _Named("leibniz", _unitalized, _counit_character, _left, "leibniz",
-                      _unit_free, "sub"),
+                      ("left_char",), _unit_free, "sub"),
     "graded-leibniz": _Named("leibniz", _graded_leibniz, _counit_character, _left,
-                             "graded-leibniz", _unit_free, "sub"),
+                             "graded-leibniz", ("left_char",), _unit_free, "sub"),
     "cobar": _Named("coalgebra", _extended_coalgebra, _fixed("unit"), _left_co, "cobar",
-                    _unit_bearing, step=1),
+                    span=_unit_bearing, step=1),
     "cartier": _Named("coalgebra", _extended_coalgebra, _fixed("unit"), _bicomodule,
-                      "cartier", _unit_free, "sub", step=1),
+                      "cartier", span=_unit_free, keep="sub", step=1),
 }
 
+# The classical complexes; the generic kinds below are chosen by the CLI's
+# --diff, --module and --bimodule.
 NAMED_COMPLEXES = tuple(_NAMED)
 
+_SIDE_PARAMS = ("left_char", "right_char", "twist")
+_NAMED.update({
+    "left": _Named(None, _itself, _sides(0), _left, _described("left"), ("left_char",)),
+    "right": _Named(None, _itself, _sides(1), _right, _described("right"), _SIDE_PARAMS),
+    "combined": _Named(None, _itself, _sides(0, 1), _combined, _described("combined"),
+                       _SIDE_PARAMS),
+    "face": _Named(None, _itself, _sides(0), _faces, _described("face"), ("left_char",)),
+    "hyper-left": _Named(None, _itself, _sides(0), _hyper("left"), _described("hyper-left"),
+                         ("left_char", "order")),
+    "hyper-right": _Named(None, _itself, _sides(1), _hyper("right"),
+                          _described("hyper-right"), _SIDE_PARAMS + ("order",)),
+    "coeff": _Named(None, _itself, _sides(), _coeff, _described("coeff"), ("module",)),
+    "bimodule": _Named(None, _itself, _fixed(), _bimodule, "bimodule", ("bimodule",)),
+})
 
-def named_complex(space: PreBraidedSpace, name: str, n_max: int,
-                  params: Optional[dict] = None) -> ChainComplex:
-    """Assemble one of the classical complexes. Quotient constructions
-    (quandle, bar, group, hochschild, cobar) project onto the canonical basis
-    complement; restrictions (leibniz, graded-leibniz, cartier) verify
-    stability. params may hold the characters, twist, element, bimodule or
-    bicomodule the complex takes, basis_cap, and normalized (quotient by the
-    degenerate span, for complexes without a span of their own)."""
-    params = dict(params or {})
+# The parameters each complex reads, by name.
+COMPLEX_PARAMS = {name: row.reads for name, row in _NAMED.items()}
+
+
+def named_complex(space: PreBraidedSpace, name: str, n_max: int, params: Optional[dict] = None,
+                  *, basis_cap: Optional[int] = None, normalized: bool = False) -> ChainComplex:
+    """Assemble the complex of one row of the table: a classical complex
+    (NAMED_COMPLEXES) or a generic kind (left, right, combined, face,
+    hyper-left, hyper-right, coeff, bimodule). params holds what the row
+    reads (COMPLEX_PARAMS): characters by name, a twist scalar, a shelf
+    element, a hyper order >= 1 (the boundary has degree -order), a
+    BraidedModule or a Bimodule. Quotient constructions (quandle, bar,
+    group, hochschild, cobar) project onto the canonical basis complement;
+    restrictions (leibniz, graded-leibniz, cartier) verify stability.
+    normalized divides a complex without a span of its own by the
+    degenerate span; basis_cap bounds every degree.
+
+    The YBE of the carrier and the characters the boundary reads are
+    verified first, unless the carrier's allow_unverified overrides the
+    gates; a carrier a row builds is a new space and has no override."""
     row = _NAMED.get(name)
     if row is None:
         raise ExactError(f"unknown named complex {name!r}")
+    params = dict(params or {})
+    unread = sorted(set(params) - set(row.reads))
+    if unread:
+        raise ExactError(f"the {name} complex does not read {', '.join(unread)}")
+    order = params.get("order", 1)
+    if order < 1:
+        raise ExactError(f"hyper order must be 1 or more, not {order}")
     _require_payload(space, row.payload)
-    space2 = row.carrier(space)
-    _ensure_ybe(space2)
-    chars = row.chars(space2, params)
+    carrier = row.carrier(space)
+    _ensure_ybe(carrier)
+    chars = row.chars(carrier, params)
+    if None in chars:
+        declared = ", ".join(sorted(carrier.characters)) or "none"
+        raise ExactError(f"the {name} differential needs --left-char; "
+                         f"declared characters: {declared}")
     for char in chars:
-        _ensure_verified(space2, char, name, co=row.step > 0)
-    lead, diff_fn = row.diff(space2, chars, params)
-    return _assemble(space2, lead, row.step, n_max, diff_fn,
-                     row.label.format(*chars, **params), span=row.span, keep=row.keep,
-                     normalized=bool(params.get("normalized")), cap=params.get("basis_cap"))
-
-
-# ---------------------------------------------------------------------------
-# DifferentialSpec: declarative description of a complex, and its assembler
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DifferentialSpec:
-    kind: str                       # left | right | combined | face | hyper-left |
-    #                                 hyper-right | coeff | bimodule | named
-    left_char: Optional[str] = None
-    right_char: Optional[str] = None
-    hyper_order: int = 1
-    module: Optional[BraidedModule] = None
-    bimodule: Optional[Bimodule] = None
-    name: Optional[str] = None      # for kind == "named"
-    params: dict = field(default_factory=dict)
-
-    def describe(self) -> str:
-        if self.kind == "named":
-            return f"named[{self.name}]"
-        parts = [self.kind]
-        if self.left_char:
-            parts.append(f"left={self.left_char}")
-        if self.right_char:
-            parts.append(f"right={self.right_char}")
-        if self.kind.startswith("hyper"):
-            parts.append(f"k={self.hyper_order}")
-        return ",".join(parts)
-
-
-def build_spec_diff(space: PreBraidedSpace, spec: DifferentialSpec, n: int) -> SparseLinearMap:
-    """One boundary matrix of the described complex at degree n."""
-    kind = spec.kind
-    if kind == "left":
-        return left_diff(space, spec.left_char, n)
-    if kind == "right":
-        return right_diff(space, spec.right_char, n)
-    if kind == "combined":
-        return combined_diff(space, spec.left_char, spec.right_char or spec.left_char, n)
-    if kind == "face":
-        return face_sum(space, spec.left_char, n, "left")
-    if kind == "hyper-left":
-        return hyper_boundary(space, spec.left_char, spec.hyper_order, n, "left")
-    if kind == "hyper-right":
-        return hyper_boundary(space, spec.right_char or spec.left_char, spec.hyper_order,
-                              n, "right")
-    if kind == "coeff":
-        return coeff_diff(space, spec.module, None, n, "left")
-    if kind == "bimodule":
-        return _difference(bimodule_diff(space, spec.bimodule, n))
-    raise ExactError(f"unknown differential kind {spec.kind!r}")
-
-
-def assemble(space: PreBraidedSpace, spec: DifferentialSpec, n_max: int, *,
-             basis_cap: Optional[int] = None, normalized: bool = False) -> ChainComplex:
-    """Build the complex described by a DifferentialSpec degree by degree,
-    with the square-zero check of build_chain_complex. normalized passes to
-    the quotient by the degenerate span (repeated neighbours for shelves,
-    unit-bearing tensors for unital algebras)."""
-    if spec.kind == "named":
-        params = dict(spec.params)
-        if basis_cap is not None:
-            params["basis_cap"] = basis_cap
-        if normalized:
-            params["normalized"] = True
-        return named_complex(space, spec.name, n_max, params)
-    lead = 1
-    if spec.kind == "coeff" and spec.module is not None:
-        lead = spec.module.dim
-    if spec.kind == "bimodule":
-        lead = spec.bimodule.dim
-    step = -spec.hyper_order if spec.kind.startswith("hyper") else -1
-    return _assemble(space, lead, step, n_max, lambda n: build_spec_diff(space, spec, n),
-                     spec.describe(), normalized=normalized, cap=basis_cap)
+        _ensure_verified(carrier, char, co=row.step > 0)
+    lead, diff_fn = row.diff(carrier, chars, params)
+    label = (row.label.format(*chars, **params) if isinstance(row.label, str)
+             else row.label(params))
+    return _assemble(carrier, lead, row.step * order, n_max, diff_fn, label, span=row.span,
+                     keep=row.keep, normalized=normalized, cap=basis_cap)

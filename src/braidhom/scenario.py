@@ -200,6 +200,18 @@ def _validate_structure(s, errors) -> dict:
 _COMMANDS = ("check", "complex", "homology", "verify")
 
 
+def _block(doc, key, kind, errors):
+    """doc[key], an object (kind dict) or an array (kind list); an absent or
+    null block is empty, and one of another type is an error."""
+    block = doc.get(key)
+    if block is None:
+        return kind()
+    if not isinstance(block, kind):
+        errors.append(f"{key}: expected {'an object' if kind is dict else 'an array'}")
+        return kind()
+    return block
+
+
 def parse_dict(doc: dict) -> Scenario:
     errors: list[str] = []
     if not isinstance(doc, dict):
@@ -222,14 +234,14 @@ def parse_dict(doc: dict) -> Scenario:
     except Exception:
         dim = 0
     characters = {}
-    for name, coords in (doc.get("characters") or {}).items():
+    for name, coords in _block(doc, "characters", dict, errors).items():
         if not isinstance(coords, list) or len(coords) != dim:
             errors.append(f"characters.{name}: expected a length-{dim} array")
             continue
         characters[name] = [_norm_value(v, f"characters.{name}[{j}]", errors)
                             for j, v in enumerate(coords)]
     cocharacters = {}
-    for name, coords in (doc.get("cocharacters") or {}).items():
+    for name, coords in _block(doc, "cocharacters", dict, errors).items():
         if not isinstance(coords, list) or len(coords) != dim:
             errors.append(f"cocharacters.{name}: expected a length-{dim} array")
             continue
@@ -240,7 +252,7 @@ def parse_dict(doc: dict) -> Scenario:
         comul = _check_triples(doc["comultiplication"], "comultiplication",
                                3, (dim * dim, dim), errors)
     modules = {}
-    for name, m in (doc.get("modules") or {}).items():
+    for name, m in _block(doc, "modules", dict, errors).items():
         path = f"modules.{name}"
         if not isinstance(m, dict):
             errors.append(f"{path}: expected an object")
@@ -258,7 +270,7 @@ def parse_dict(doc: dict) -> Scenario:
                                 3, shape, errors)
         modules[name] = {"dim": mdim, "side": side, "action": action}
     bimodules = {}
-    for name, m in (doc.get("bimodules") or {}).items():
+    for name, m in _block(doc, "bimodules", dict, errors).items():
         path = f"bimodules.{name}"
         if not isinstance(m, dict):
             errors.append(f"{path}: expected an object")
@@ -273,7 +285,7 @@ def parse_dict(doc: dict) -> Scenario:
                               3, (mdim, dim * mdim), errors)
         bimodules[name] = {"dim": mdim, "right_action": right, "left_action": left}
     computations = []
-    for pos, comp in enumerate(doc.get("computations") or []):
+    for pos, comp in enumerate(_block(doc, "computations", list, errors)):
         path = f"computations[{pos}]"
         if not isinstance(comp, dict) or comp.get("command") not in _COMMANDS:
             errors.append(f"{path}: expected an object with a known command")

@@ -12,14 +12,12 @@ from fractions import Fraction
 import pytest
 
 from braidhom import (
-    DifferentialSpec,
     PrimeField,
     QQ,
     SparseLinearMap,
     ZZ,
     adjoin_unit,
     algebra_from_constants,
-    assemble,
     assoc_braiding,
     betti,
     certify_acyclic,
@@ -336,8 +334,8 @@ def test_criterion_05_hyper_boundary_law():
 
 # -- 6 -------------------------------------------------------------------------
 
-def _certify_and_betti_zero(space, spec, homotopy, n_top):
-    c = assemble(space, spec, n_top + 1)
+def _certify_and_betti_zero(space, kind, chars, homotopy, n_top):
+    c = named_complex(space, kind, n_top + 1, chars)
     rep = certify_acyclic(c, {n: homotopy(n) for n in range(n_top + 1)})
     assert rep.ok, rep.certified
     b = betti(c, QQ)
@@ -352,29 +350,27 @@ def test_criterion_06_acyclicity_certificates():
                        ("constant", ShelfTable(((1, 1), (1, 1)))),
                        ("trivial-2", trivial_shelf(2))):
         space = verify_space(shelf_braiding(table, ZZ))
-        spec = DifferentialSpec(kind="right", right_char="ones")
         w = [1] + [0] * (space.dim - 1)
-        _certify_and_betti_zero(space, spec, lambda n: concat_homotopy(space, w, n), 5)
+        _certify_and_betti_zero(space, "right", {"right_char": "ones"},
+                                lambda n: concat_homotopy(space, w, n), 5)
         certified.append(f"right shelf complex [{tag}]")
     # left shelf complex for racks, via the inverse translation
     for tag, table in (("dihedral-3", dihedral_shelf(3)), ("cyclic-3", cyclic_shelf(3))):
         space = verify_space(shelf_braiding(table, ZZ))
-        spec = DifferentialSpec(kind="left", left_char="ones")
-        _certify_and_betti_zero(space, spec, lambda n: rack_contraction(space, 0, n), 5)
+        _certify_and_betti_zero(space, "left", {"left_char": "ones"},
+                                lambda n: rack_contraction(space, 0, n), 5)
         certified.append(f"left rack complex [{tag}]")
     # left complex of two-sided-unital algebras
     for tag, space, char in (("group algebra", _space_kz2(), "aug"),
                              ("dual numbers", _space_dual_numbers(), "counit")):
-        spec = DifferentialSpec(kind="left", left_char=char)
         unit = [1 if j == space.unit_index else 0 for j in range(space.dim)]
-        _certify_and_betti_zero(space, spec,
+        _certify_and_betti_zero(space, "left", {"left_char": char},
                                 lambda n: concat_homotopy(space, unit, n), 5)
         certified.append(f"left algebra complex [{tag}]")
     # left complex of unital Leibniz with eps(1) = 1
     for tag, space in (("sl2+1", _space_sl2()), ("non-Lie+1", _space_nonlie())):
-        spec = DifferentialSpec(kind="left", left_char="counit")
         unit = [1 if j == space.unit_index else 0 for j in range(space.dim)]
-        _certify_and_betti_zero(space, spec,
+        _certify_and_betti_zero(space, "left", {"left_char": "counit"},
                                 lambda n: concat_homotopy(space, unit, n), 5)
         certified.append(f"left bracket complex [{tag}]")
     # flip with a normalized pair
@@ -383,9 +379,8 @@ def test_criterion_06_acyclicity_certificates():
     flip.add_character("e", [1, 0, 2])
     check_braided_character(flip, "e")
     w = [1, 0, 0]
-    for kind in ("left", "right"):
-        spec = DifferentialSpec(kind=kind, left_char="e", right_char="e")
-        _certify_and_betti_zero(flip, spec, lambda n: concat_homotopy(flip, w, n), 5)
+    for kind, chars in (("left", {"left_char": "e"}), ("right", {"right_char": "e"})):
+        _certify_and_betti_zero(flip, kind, chars, lambda n: concat_homotopy(flip, w, n), 5)
         certified.append(f"{kind} flip complex")
     _pass(6, f"{len(certified)} contracting homotopies verified entrywise, "
              "degrees 0..5, with zero rational betti numbers on the same range")

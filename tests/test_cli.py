@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from braidhom import cli, scenario
+from braidhom.complexes import COMPLEX_PARAMS, NAMED_COMPLEXES
 from braidhom.scenario import ScenarioError, build_space, parse, parse_dict, serialize, to_dict
 
 
@@ -359,6 +360,10 @@ def test_named_normalized_rejected_when_complex_projects(capsys):
                              "left, right, combined, face, hyper-left, hyper-right"),
     (["--diff", "bogus", "--max-degree", "0"], "unknown --diff kind 'bogus'; use hyper:<k> "
      "or one of: left, right, combined, face, hyper-left, hyper-right"),
+    (["--diff", "hyper:0"], "hyper order must be 1 or more, not 0"),
+    (["--diff", "hyper:-1"], "hyper order must be 1 or more, not -1"),
+    (["--basis-cap", "0"], "--basis-cap must be 1 or more, not 0"),
+    (["--basis-cap", "-5"], "--basis-cap must be 1 or more, not -5"),
 ])
 def test_bad_flag_exits_2_with_message(tmp_path, capsys, flags, message):
     doc = {k: v for k, v in R3_DOC.items() if k != "computations"}
@@ -497,7 +502,7 @@ def test_named_complex_refuses_flags_it_does_not_read(capsys, scenario_file, fla
 @pytest.mark.parametrize("flags, code, error", [
     ([], 0, None),
     (["--left-char", "sign", "--right-char", "sign"], 0, None),
-    (["--named", "bar"], 2, "bar complex needs the counit character"),
+    (["--named", "bar"], 2, "unknown character 'counit'; declared characters: aug, sign"),
 ], ids=["scenario-defaults", "user-characters", "scenario-characters-unread"])
 def test_named_complex_flags_from_scenario_are_not_refused(capsys, flags, code, error):
     """The scenario's characters go with its group complex; they are not
@@ -661,3 +666,102 @@ def test_memory_error_exits_3_without_traceback(monkeypatch, capsys):
     assert code == 3
     assert "error: ran out of memory; lower the maximum degree" in out
     assert "Traceback" not in out + err
+
+
+def test_named_complex_honours_allow_unverified(tmp_path, capsys):
+    """A named complex on the scenario's own space obeys the space's one
+    override: koszul on a braiding that fails the YBE runs with the flag."""
+    argv = ["homology", write(tmp_path, RAW_DOC), "--named", "koszul", "--max-degree", "3",
+            "--json"]
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+    code = cli.main(argv + ["--allow-unverified"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0, rep
+    assert rep["complex"]["builder"] == "koszul[ones]"
+
+
+# R3 with a right module and a bimodule, so that every row of COMPLEX_PARAMS
+# can be chosen on it.
+ROWS_DOC = dict(R3_DOC, modules={"self": R3_SELF_MODULE},
+                bimodules={"zero": {"dim": 1, "right_action": [], "left_action": []}})
+
+# The flag that sets each parameter, with a value.
+PARAM_FLAGS = {"left_char": ["--left-char", "ones"], "right_char": ["--right-char", "ones"],
+               "twist": ["--twist", "2"], "element": ["--element", "1"],
+               "order": ["--diff", "hyper:3"], "module": ["--module", "self"],
+               "bimodule": ["--bimodule", "zero"]}
+
+
+def _row_flags():
+    """(row, parameter) pairs whose flag keeps the row chosen: --bimodule
+    outranks --module, which outranks --diff."""
+    for row in COMPLEX_PARAMS:
+        if row in NAMED_COMPLEXES or row == "bimodule":
+            outranked = ()
+        elif row == "coeff":
+            outranked = ("bimodule",)
+        else:
+            outranked = ("order", "module", "bimodule")
+        for param in PARAM_FLAGS:
+            if param not in outranked:
+                yield row, param
+
+
+@pytest.mark.parametrize("row, param", list(_row_flags()))
+def test_every_row_refuses_exactly_the_flags_it_does_not_read(tmp_path, capsys, row, param):
+    if row in NAMED_COMPLEXES:
+        chooser = ["--named", row]
+    else:
+        chooser = {"coeff": ["--module", "self"],
+                   "bimodule": ["--bimodule", "zero"]}.get(row, ["--diff", row])
+    flag = PARAM_FLAGS[param]
+    code = cli.main(["homology", write(tmp_path, ROWS_DOC), *chooser, *flag, "--max-degree", "2",
+                     "--json"])
+    error = json.loads(capsys.readouterr().out).get("error") or ""
+    if param in COMPLEX_PARAMS[row]:
+        assert "does not read" not in error
+    else:
+        assert code == 2
+        assert error.endswith(f" does not read {flag[0]}"), error
+
+
+def test_dump_matrices_into_unwritable_directory_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "mats")
+    code = cli.main(["complex", str(SCENARIOS / "dihedral3.json"), "--max-degree", "2",
+                     "--dump-matrices", target, "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"].startswith(f"cannot write matrices to {target!r}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("block, detail", [
+    ({"characters": [1]}, "characters: expected an object"),
+    ({"modules": [1]}, "modules: expected an object"),
+    ({"cocharacters": "x"}, "cocharacters: expected an object"),
+    ({"computations": 5}, "computations: expected an array"),
+    ({"computations": [{"command": "homology", "max_degree": "x"}]},
+     "computations[0].max_degree: 'x' is not a value of --max-degree"),
+    ({"computations": [{"command": "homology", "basis_cap": "big"}]},
+     "computations[0].basis_cap: 'big' is not a value of --basis-cap"),
+    ({"computations": [{"command": "homology", "normalized": "yes"}]},
+     "computations[0].normalized: 'yes' is not a value of --normalized"),
+    ({"computations": [{"command": "homology", "bogus": 1}]},
+     "computations[0].bogus: not a flag of the homology command"),
+    ({"computations": [{"command": "homology", "scenario": "x"}]},
+     "computations[0].scenario: not a flag of the homology command"),
+    ({"computations": [{"command": "homology"}, {"command": "verify", "suite": "nope"}]},
+     "computations[1].suite: 'nope' is not a value of --suite"),
+])
+def test_malformed_scenario_block_exits_2(tmp_path, capsys, block, detail):
+    """A block of the wrong type, or a computations key or value its
+    command's flag would not take, is a located scenario error."""
+    code = cli.main(["homology", write(tmp_path, dict(R3_DOC, **block)), "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out) == {"command": "homology", "error": "invalid scenario",
+                               "details": [detail]}
+    assert "Traceback" not in err

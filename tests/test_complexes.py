@@ -8,6 +8,7 @@ from braidhom import (
     BraidedModule,
     ExactError,
     Permutation,
+    PreBraidedSpace,
     PrimeField,
     QQ,
     SparseLinearMap,
@@ -52,8 +53,11 @@ from braidhom import (
     tensor,
     trivial_shelf,
 )
+from braidhom import complexes
 from braidhom.braiding import block_flip
 from braidhom.complexes import (
+    COMPLEX_PARAMS,
+    NAMED_COMPLEXES,
     check_bicomodule,
     coalgebra_self_bicomodule,
     bicomodule_codiff,
@@ -978,6 +982,81 @@ def test_bicomodule_codiff_pair():
 def test_named_complex_unknown_name(r3):
     with pytest.raises(ExactError):
         named_complex(r3, "mystery", 3)
+
+
+def test_every_complex_is_one_row():
+    """The classical complexes and the eight generic kinds are the rows."""
+    assert set(COMPLEX_PARAMS) == set(NAMED_COMPLEXES) | {
+        "left", "right", "combined", "face", "hyper-left", "hyper-right", "coeff", "bimodule"}
+    assert len(NAMED_COMPLEXES) == 13
+
+
+def test_named_hyper_row_has_step_minus_order(r3):
+    c = named_complex(r3, "hyper-left", 6, {"left_char": "ones", "order": 3})
+    assert c.step == -3
+    assert c.builder == "hyper-left,left=ones,right=ones,k=3"
+    assert set(c.diffs) == {3, 4, 5, 6}
+    for n, m in c.diffs.items():
+        assert m == hyper_boundary(r3, "ones", 3, n)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_named_hyper_rows_refuse_order_below_one(r3, order):
+    for row in ("hyper-left", "hyper-right"):
+        with pytest.raises(ExactError, match=f"hyper order must be 1 or more, not {order}"):
+            named_complex(r3, row, 3, {"order": order})
+
+
+def test_named_complex_refuses_params_it_does_not_read(r3):
+    with pytest.raises(ExactError, match="the rack complex does not read twist"):
+        named_complex(r3, "rack", 3, {"twist": 2})
+
+
+@pytest.mark.parametrize("row, params", [
+    ("koszul", {"left_char": "nope"}), ("left", {"left_char": "nope"}),
+    ("right", {"right_char": "nope"}), ("group", {"left_char": "nope"}),
+])
+def test_named_complex_unknown_character_lists_declared(r3, kz2, row, params):
+    space = kz2 if row == "group" else r3
+    declared = "aug, sign" if row == "group" else "ones"
+    with pytest.raises(ExactError) as err:
+        named_complex(space, row, 3, params)
+    assert str(err.value) == f"unknown character 'nope'; declared characters: {declared}"
+
+
+def test_generic_twist_is_the_twisted_rack_character(r3_q):
+    """One twist helper serves twisted-rack and the generic kinds."""
+    generic = named_complex(r3_q, "combined", 3, {"twist": Fraction(2)})
+    named = named_complex(r3_q, "twisted-rack", 3, {"twist": Fraction(2)})
+    assert generic.builder == "combined,left=ones,right=twist:2"
+    assert generic.diffs == named.diffs
+
+
+@pytest.mark.parametrize("row, builder", [
+    ("shelf", "left_diff"), ("left", "left_diff"), ("right", "right_diff"), ("face", "face_sum"),
+    ("hyper-left", "hyper_boundary"), ("rack", "combined_diff"),
+])
+def test_rows_call_their_builder_through_the_module(r3, monkeypatch, row, builder):
+    """A wrapper installed on the module, as the benchmark's tracer installs
+    one, sees every boundary a row builds."""
+    calls = []
+    real = getattr(complexes, builder)
+    monkeypatch.setattr(complexes, builder,
+                        lambda *args: calls.append(args) or real(*args))
+    named_complex(r3, row, 2)
+    assert calls
+
+
+def test_row_gates_honour_the_space_override():
+    """A braiding that fails the YBE is refused, unless the space overrides
+    its gates; then the koszul row builds on it."""
+    sigma = SparseLinearMap.from_entries(4, 4, [(0, 0, 1), (2, 1, 1), (3, 2, 1), (2, 3, 1)], QQ)
+    space = PreBraidedSpace(2, QQ, sigma)
+    space.add_character("ones", [1, 1])
+    with pytest.raises(UnverifiedError, match="Yang-Baxter"):
+        named_complex(space, "koszul", 2)
+    space.allow_unverified = True
+    assert named_complex(space, "koszul", 2).builder == "koszul[ones]"
 
 
 def test_named_koszul_matches_oracle():

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from braidhom import (
-    DifferentialSpec,
     ExactError,
     PrimeField,
     QQ,
@@ -14,7 +13,6 @@ from braidhom import (
     SpanStabilityError,
     SquareZeroError,
     ZZ,
-    assemble,
     betti,
     certify_acyclic,
     check_braided_character,
@@ -38,7 +36,8 @@ from braidhom import (
     trivial_shelf,
 )
 from braidhom import exactlin
-from braidhom.complexes import NAMED_COMPLEXES, repeated_neighbor_span, unit_factor_span
+from braidhom.complexes import (COMPLEX_PARAMS, NAMED_COMPLEXES, repeated_neighbor_span,
+                                unit_factor_span)
 from braidhom.homology import build_chain_complex
 from braidhom.exactlin import digits_of
 from braidhom.scenario import build_space, parse as parse_scenario
@@ -50,37 +49,27 @@ from conftest import verify_space
 # -- assembly -----------------------------------------------------------------
 
 def test_assemble_rack_complex(r3):
-    spec = DifferentialSpec(kind="combined", left_char="ones", right_char="ones")
-    c = assemble(r3, spec, 4)
+    c = named_complex(r3, "combined", 4, {"left_char": "ones", "right_char": "ones"})
     assert c.dims == [1, 3, 9, 27, 81]
     assert set(c.diffs) == {1, 2, 3, 4}
 
 
 def test_assemble_single_degree(r3):
-    spec = DifferentialSpec(kind="left", left_char="ones")
-    c = assemble(r3, spec, 1)
+    c = named_complex(r3, "left", 1, {"left_char": "ones"})
     assert set(c.diffs) == {1}
 
 
 def test_assemble_rejects_broken_character(r3):
     r3.add_character("broken", [1, 2, 0])  # not a braided character
-    spec = DifferentialSpec(kind="left", left_char="broken")
     r3.allow_unverified = True
     with pytest.raises(SquareZeroError) as err:
-        assemble(r3, spec, 3)
+        named_complex(r3, "left", 3, {"left_char": "broken"})
     assert err.value.entry is not None
 
 
 def test_assemble_resource_cap(r3):
-    spec = DifferentialSpec(kind="left", left_char="ones")
     with pytest.raises(ResourceCapError):
-        assemble(r3, spec, 3, basis_cap=20)
-
-
-def test_assemble_named_passthrough(r3):
-    spec = DifferentialSpec(kind="named", name="rack")
-    c = assemble(r3, spec, 3)
-    assert c.builder == "rack"
+        named_complex(r3, "left", 3, {"left_char": "ones"}, basis_cap=20)
 
 
 # -- betti numbers ---------------------------------------------------------------
@@ -94,8 +83,7 @@ def test_betti_trivial_quandle_full_rank(trivial2, trivial3):
 
 
 def test_betti_right_shelf_complex_acyclic(r3):
-    spec = DifferentialSpec(kind="right", right_char="ones")
-    c = assemble(r3, spec, 5)
+    c = named_complex(r3, "right", 5, {"right_char": "ones"})
     rep = betti(c, QQ)
     for n in range(5):
         assert rep.degrees[n].free_rank == 0
@@ -106,8 +94,7 @@ def test_betti_koszul_acyclic():
     check_ybe(space)
     space.add_character("e", [1, 1])
     check_braided_character(space, "e")
-    spec = DifferentialSpec(kind="left", left_char="e")
-    c = assemble(space, spec, 5)
+    c = named_complex(space, "left", 5, {"left_char": "e"})
     rep = betti(c)
     for n in range(5):
         assert rep.degrees[n].free_rank == 0
@@ -126,10 +113,9 @@ def test_betti_over_prime_field(r3):
 
 
 def test_euler_characteristic_consistency(r3, kz2):
-    for space, spec in [
-            (r3, DifferentialSpec(kind="combined", left_char="ones", right_char="ones")),
-            (kz2, DifferentialSpec(kind="combined", left_char="aug", right_char="sign"))]:
-        c = assemble(space, spec, 4)
+    for space, chars in [(r3, {"left_char": "ones", "right_char": "ones"}),
+                         (kz2, {"left_char": "aug", "right_char": "sign"})]:
+        c = named_complex(space, "combined", 4, chars)
         rep = betti(c, QQ)
         lhs = sum((-1) ** n * rep.degrees[n].free_rank for n in range(5))
         rhs = sum((-1) ** n * c.dims[n] for n in range(5))
@@ -169,10 +155,9 @@ def test_integral_quandle_r3_torsion(r3):
 
 
 def test_integral_matches_rational_betti(r3, kz2):
-    for space, spec in [
-            (r3, DifferentialSpec(kind="combined", left_char="ones", right_char="ones")),
-            (kz2, DifferentialSpec(kind="left", left_char="aug"))]:
-        c = assemble(space, spec, 4)
+    for space, kind, chars in [(r3, "combined", {"left_char": "ones", "right_char": "ones"}),
+                               (kz2, "left", {"left_char": "aug"})]:
+        c = named_complex(space, kind, 4, chars)
         ih = integral_homology(c)
         bq = betti(c, QQ)
         for n in range(5):
@@ -186,8 +171,7 @@ def _unit_vector(space):
 
 
 def test_certify_bar_type_unital_algebra(kz2):
-    spec = DifferentialSpec(kind="left", left_char="aug")
-    c = assemble(kz2, spec, 5)
+    c = named_complex(kz2, "left", 5, {"left_char": "aug"})
     h = {n: concat_homotopy(kz2, _unit_vector(kz2), n) for n in range(5)}
     rep = certify_acyclic(c, h)
     assert rep.ok
@@ -197,22 +181,19 @@ def test_certify_bar_type_unital_algebra(kz2):
 
 
 def test_certify_unital_leibniz(sl2_unital):
-    spec = DifferentialSpec(kind="left", left_char="counit")
-    c = assemble(sl2_unital, spec, 4)
+    c = named_complex(sl2_unital, "left", 4, {"left_char": "counit"})
     h = {n: concat_homotopy(sl2_unital, _unit_vector(sl2_unital), n) for n in range(4)}
     assert certify_acyclic(c, h).ok
 
 
 def test_certify_right_shelf_any_element(r3):
-    spec = DifferentialSpec(kind="right", right_char="ones")
-    c = assemble(r3, spec, 5)
+    c = named_complex(r3, "right", 5, {"right_char": "ones"})
     h = {n: concat_homotopy(r3, [0, 1, 0], n) for n in range(5)}
     assert certify_acyclic(c, h).ok
 
 
 def test_certify_left_rack_inverse_translation(r3):
-    spec = DifferentialSpec(kind="left", left_char="ones")
-    c = assemble(r3, spec, 5)
+    c = named_complex(r3, "left", 5, {"left_char": "ones"})
     for b in range(3):
         h = {n: rack_contraction(r3, b, n) for n in range(5)}
         rep = certify_acyclic(c, h)
@@ -227,8 +208,7 @@ def test_certify_koszul_normalized():
     check_ybe(space)
     space.add_character("e", [1, 0, 2])
     check_braided_character(space, "e")
-    spec = DifferentialSpec(kind="left", left_char="e")
-    c = assemble(space, spec, 4)
+    c = named_complex(space, "left", 4, {"left_char": "e"})
     h = {n: concat_homotopy(space, [1, 0, 0], n) for n in range(4)}
     assert certify_acyclic(c, h).ok
 
@@ -262,8 +242,7 @@ def test_subquotient_degenerate_span(r3):
 
 
 def test_subquotient_unit_span_group_algebra(kz2):
-    spec = DifferentialSpec(kind="combined", left_char="aug", right_char="aug")
-    c = assemble(kz2, spec, 4)
+    c = named_complex(kz2, "combined", 4, {"left_char": "aug", "right_char": "aug"})
     preds = {n: unit_factor_span(2, n, 0) for n in range(5)}
     quot = subquotient(c, lambda n, f: preds[n](f), "quotient")
     assert quot.dims == [1, 1, 1, 1, 1]
@@ -408,9 +387,10 @@ def test_chain_elimination_matches_per_boundary_named(scenario, ring_name):
         chars = sorted(space.characters)
         params = {"twist": ring.parse("-1"), "element": 0}
         if chars:
-            params.update(character=chars[0], left_char=chars[0], right_char=chars[-1])
+            params.update(left_char=chars[0], right_char=chars[-1])
         try:
-            c = assemble(space, DifferentialSpec(kind="named", name=name, params=params), 4)
+            c = named_complex(space, name, 4,
+                              {k: v for k, v in params.items() if k in COMPLEX_PARAMS[name]})
         except ExactError:
             continue
         built.add(name)
@@ -427,8 +407,7 @@ def test_chain_elimination_matches_per_boundary_named(scenario, ring_name):
 def test_chain_elimination_matches_per_boundary_hyper(order, ring_name, n_max):
     ring = ring_from_name(ring_name)
     space = verify_space(shelf_braiding(dihedral_shelf(3), ring))
-    c = assemble(space, DifferentialSpec(kind="hyper-left", left_char="ones",
-                                         hyper_order=order), n_max)
+    c = named_complex(space, "hyper-left", n_max, {"left_char": "ones", "order": order})
     field = None if ring is ZZ else ring
     got = chain_homology(c, field)
     assert got == per_boundary_homology(c, field)
@@ -442,8 +421,7 @@ def _rack_chain(ring):
 
 def _hyper_chain(ring):
     space = verify_space(shelf_braiding(dihedral_shelf(3), ring))
-    return assemble(space, DifferentialSpec(kind="hyper-left", left_char="ones",
-                                            hyper_order=3), 7)
+    return named_complex(space, "hyper-left", 7, {"left_char": "ones", "order": 3})
 
 
 @pytest.mark.parametrize("ring_name", ["z", "q", "fp:3"])
