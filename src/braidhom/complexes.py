@@ -342,12 +342,13 @@ def check_naturality(space: PreBraidedSpace, w) -> NaturalityReport:
 @dataclass
 class BraidedModule:
     """A space with a braided action. side='right' means rho: M (x) V -> M,
-    side='left' means lam: V (x) M -> M."""
+    side='left' means lam: V (x) M -> M. verified is None until
+    check_braided_module runs, then its result."""
     dim: int
     action: SparseLinearMap
     side: str = "right"
     name: str = ""
-    verified: bool = False
+    verified: Optional[bool] = None
 
     def __post_init__(self):
         if self.side not in ("right", "left"):
@@ -356,11 +357,12 @@ class BraidedModule:
 
 @dataclass
 class Bimodule:
+    """verified is None until check_bimodule runs, then its result."""
     dim: int
     right_action: SparseLinearMap   # M (x) V -> M
     left_action: SparseLinearMap    # V (x) M -> M
     name: str = ""
-    verified: bool = False
+    verified: Optional[bool] = None
 
 
 @dataclass
@@ -493,6 +495,10 @@ def coeff_diff(space: PreBraidedSpace, M: Optional[BraidedModule],
     if M.side != "right" or N.side != "left":
         raise ExactError("coefficients need a right module M and a left module N")
     if not (M.verified and N.verified) and not space.allow_unverified:
+        failed = [X.name for X in (M, N) if X.verified is False]
+        if failed:
+            raise UnverifiedError(f"module {failed[0]!r} fails the braided module axiom "
+                                  "(pass --allow-unverified to use it anyway)")
         raise UnverifiedError(
             f"modules {M.name!r}/{N.name!r} not verified; run check_braided_module first")
     return _pull(space, M.action if side == "left" else N.action, 1, n, side,
@@ -506,6 +512,9 @@ def bimodule_diff(space: PreBraidedSpace, B: Bimodule,
     pulled rightmost after cycling M around (the ambient symmetry is the
     plain block flip)."""
     if not B.verified and not space.allow_unverified:
+        if B.verified is False:
+            raise UnverifiedError(f"bimodule {B.name!r} fails the bimodule axioms "
+                                  "(pass --allow-unverified to use it anyway)")
         raise UnverifiedError(f"bimodule {B.name!r} not verified; run check_bimodule first")
     m = B.dim
     left = _pull(space, B.right_action, 1, n, "left", lead=m)
@@ -892,7 +901,8 @@ def _sides(*read):
     """The characters the boundary of a generic kind reads (0 its left one,
     1 its right one). Both are resolved into params for its label: the left
     character, else the only declared one; then the twist, else the right
-    character, else the left one. Either may be None."""
+    character, else the left one. Either may be None; an undeclared one is
+    refused, since the label names it."""
     def chars(space, params):
         left = params.get("left_char")
         if left is None and len(space.characters) == 1:
@@ -900,6 +910,9 @@ def _sides(*read):
         right = params.get("right_char", left)
         if "twist" in params:
             right = _twist(space, params["twist"])
+        for name in (left, right):
+            if name is not None:
+                space.character(name)
         params.update(left_char=left, right_char=right)
         return tuple((left, right)[i] for i in read)
     return chars

@@ -372,6 +372,30 @@ def test_bad_flag_exits_2_with_message(tmp_path, capsys, flags, message):
     assert json.loads(capsys.readouterr().out)["error"] == message
 
 
+@pytest.mark.parametrize("flags", [
+    ["--diff", "right", "--left-char", "nope", "--right-char", "ones"],
+    ["--diff", "combined", "--left-char", "ones", "--right-char", "nope"],
+    ["--diff", "hyper-right", "--right-char", "nope"],
+], ids=["unread-left", "right", "hyper-right"])
+def test_undeclared_character_in_label_exits_2(capsys, flags):
+    """A character the builder label would name must be declared, even one
+    the boundary does not read."""
+    code = cli.main(["homology", str(SCENARIOS / "dihedral3.json"), *flags, "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "unknown character 'nope'; declared characters: ones")
+
+
+def test_failed_bimodule_check_is_named(tmp_path, capsys):
+    """A bimodule that fails its axioms is refused as such, not as unchecked."""
+    doc = dict(KZ2_DOC, bimodules={"bad": {"dim": 1, "right_action": [[0, 0, 1], [0, 1, 2]],
+                                           "left_action": [[0, 0, 1], [0, 1, 1]]}})
+    code = cli.main(["homology", write(tmp_path, doc), "--bimodule", "bad", "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "bimodule 'bad' fails the bimodule axioms (pass --allow-unverified to use it anyway)")
+
+
 def test_several_characters_need_left_char(capsys):
     code = cli.main(["complex", str(SCENARIOS / "group_algebra_z2.json"), "--json"])
     assert code == 2

@@ -758,6 +758,26 @@ def test_zero_bimodule(kz2):
     assert l.is_zero() and r.is_zero()
 
 
+def test_failed_module_checks_say_the_axioms_fail(kz2):
+    """A module or bimodule whose check ran and failed is refused for failing
+    its axioms; one never checked is refused as not verified."""
+    # g acts by 2 on the right and by 1 on the left: g.g = 4 is not e = 1.
+    right = SparseLinearMap.from_entries(1, 2, [(0, 0, 1), (0, 1, 2)], ZZ)
+    left = SparseLinearMap.from_entries(1, 2, [(0, 0, 1), (0, 1, 1)], ZZ)
+    B = Bimodule(1, right, left, name="bad")
+    with pytest.raises(UnverifiedError, match="not verified; run check_bimodule first"):
+        bimodule_diff(kz2, B, 2)
+    assert not check_bimodule(kz2, B).ok
+    with pytest.raises(UnverifiedError, match="'bad' fails the bimodule axioms"):
+        bimodule_diff(kz2, B, 2)
+    M = BraidedModule(1, right, "right", name="bad")
+    with pytest.raises(UnverifiedError, match="not verified; run check_braided_module first"):
+        coeff_diff(kz2, M, None, 2)
+    assert not check_braided_module(kz2, M).ok
+    with pytest.raises(UnverifiedError, match="'bad' fails the braided module axiom"):
+        coeff_diff(kz2, M, None, 2)
+
+
 # ---------------------------------------------------------------------------
 # Named complexes against the printed formulas
 # ---------------------------------------------------------------------------

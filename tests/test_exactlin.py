@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from braidhom import (
     ExactError,
@@ -20,7 +21,7 @@ from braidhom import (
     try_inverse,
 )
 from braidhom.complexes import named_complex
-from braidhom.exactlin import digits_of, flat_index
+from braidhom.exactlin import _eliminate, _eliminate_chain, digits_of, flat_index
 from braidhom.structures import adjoin_unit, leibniz_braiding
 
 from conftest import sl2_data
@@ -405,6 +406,89 @@ def test_rack_boundaries_universal_coefficients():
         assert len(factors) == rank(m.with_ring(QQ))
         for p in (2, 5, 7):
             assert rank(m.with_ring(PrimeField(p))) == sum(1 for f in factors if f % p)
+
+
+# -- elimination kernel: property tests against the dense oracles ---------------
+#
+# The kernel takes its pivots in the sparsest column first, so the families
+# below stress the column order: wide matrices whose extra columns each meet
+# one row, integer matrices without a +-1 entry (every Smith pivot is then
+# Euclidean), and mixed ones where unit and non-unit pivots alternate.
+
+KERNEL = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+SMALL = tuple(range(-3, 4))
+UNIT_FREE = (2, -2, 3, -3, 4, 6)
+MIXED = (1, -1, 2, -3, 6)
+
+
+@hs.composite
+def integer_matrices(draw, max_rows=5, max_cols=6):
+    """A dense integer matrix from one of four families: sparse, wide,
+    unit-free or mixed."""
+    family = draw(hs.sampled_from(["sparse", "wide", "unit-free", "mixed"]))
+    values = {"unit-free": UNIT_FREE, "mixed": MIXED}.get(family, SMALL)
+    entry = hs.sampled_from((0,) * draw(hs.integers(0, 3)) + values)
+    rows = draw(hs.integers(1, max_rows))
+    cols = draw(hs.integers(1, 3 if family == "wide" else max_cols))
+    dense = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if family == "wide":
+        for _ in range(draw(hs.integers(1, 8))):
+            r, v = draw(hs.integers(0, rows - 1)), draw(hs.sampled_from((1, -1, 2, -3)))
+            for i, row in enumerate(dense):
+                row.append(v if i == r else 0)
+    return dense
+
+
+@KERNEL
+@given(integer_matrices(), hs.lists(hs.integers(1, 4), min_size=5, max_size=5),
+       hs.sampled_from([2, 3, 7]))
+def test_kernel_matches_dense_oracles(dense, dens, p):
+    """rank over Q (rows divided by small denominators), rank over F_p and
+    the Smith form over Z agree with the dense oracles."""
+    rational = [[Fraction(v, dens[i]) for v in row] for i, row in enumerate(dense)]
+    assert rank(from_dense(rational, QQ)) == dense_rank(rational)
+    assert rank(from_dense(dense, ZZ).with_ring(PrimeField(p))) == dense_rank_mod_p(dense, p)
+    assert smith_normal_form(from_dense(dense, ZZ)) == snf_by_minor_gcds(dense)
+
+
+@hs.composite
+def chain_pairs(draw):
+    """Dense integer (d1, d2) with d1 d2 = 0: d1 = [D1 | 0] and d2 = [0 ; D2]
+    seen through a random unimodular change of the middle basis, each step
+    row i += q row j of d2 and column j -= q column i of d1."""
+    values = draw(hs.sampled_from([SMALL, UNIT_FREE, MIXED]))
+    entry = hs.sampled_from((0,) + values)
+    mid = draw(hs.integers(1, 6))
+    split = draw(hs.integers(0, mid))
+    k, l = draw(hs.integers(1, 4)), draw(hs.integers(1, 5))
+    d1 = [[draw(entry) if c < split else 0 for c in range(mid)] for _ in range(k)]
+    d2 = [[draw(entry) if r >= split else 0 for _ in range(l)] for r in range(mid)]
+    if mid > 1:
+        for _ in range(draw(hs.integers(0, 6))):
+            i, j = draw(hs.permutations(range(mid)))[:2]
+            q = draw(hs.sampled_from((-2, -1, 1, 2)))
+            d2[i] = [x + q * y for x, y in zip(d2[i], d2[j])]
+            for row in d1:
+                row[j] -= q * row[i]
+    return d1, d2
+
+
+@KERNEL
+@given(chain_pairs(), hs.sampled_from(["z", "q", "fp:2", "fp:3"]))
+def test_chain_elimination_matches_per_boundary(pair, ring_name):
+    """Eliminating a pair with d1 d2 = 0 as a chain (step -1) or its
+    transpose as a cochain (step +1) gives the per-boundary answers."""
+    d1, d2 = (from_dense(d, ZZ) for d in pair)
+    assert d1.compose(d2).is_zero()
+    field = None if ring_name == "z" else ring_from_name(ring_name)
+
+    def alone(m):
+        return _eliminate(m if field is None else m.with_ring(field), field is None)[0]
+
+    expected = {1: alone(d1), 2: alone(d2)}
+    assert _eliminate_chain({1: d1, 2: d2}, -1, field) == expected
+    assert _eliminate_chain({0: d1.transpose(), 1: d2.transpose()}, 1, field) == \
+        {0: expected[1], 1: expected[2]}
 
 
 def test_snf_rejects_fractions():
