@@ -18,7 +18,13 @@ and on V^(x)n (x) trail the first-strand mirror, which carries the sign
     H'(0,n) = Id,  H'(k,n) = (-1)^k Id_1 (x) H'(k,n-1)
                              + (-1)^(n-1) A'_q o (Id_1 (x) H'(k-1,n-1)).
 
-The codifferentials are the dual formula with the shuffle product (_push).
+No braid lift is built either: A_q takes one crossing of the negated
+braiding at a time (_crossed),
+
+    A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma),
+
+and A'_q is its mirror. The codifferentials are the dual formula with the
+shuffle product (_push).
 """
 
 from __future__ import annotations
@@ -76,34 +82,36 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
 
     No coshuffle is built. With q = n - k, the last strand of Delta_(k,q)
     either ends the right block or crosses its q strands to end the left one
-    (shuffle_coproduct):
-
-        Delta_(k,q) = Delta_(k,q-1) (x) Id_1 + (Id_(k-1) (x) L_q) o (Delta_(k-1,q) (x) Id_1),
-
-    with L_q the negated lift pulling strand q+1 of q+1 to the left. Feeding
-    this to rho_k = rho o (rho_(k-1) (x) Id_1), and moving rho_(k-1) past
-    Id (x) L_q by the interchange law (f (x) Id) o (Id (x) g) =
-    (Id (x) g) o (f (x) Id), gives the boundary H on lead (x) V^(x)n from two
-    smaller ones:
+    (shuffle_coproduct). Feeding this to rho_k = rho o (rho_(k-1) (x) Id_1),
+    and moving rho_(k-1) past the crossing by the interchange law
+    (f (x) Id) o (Id (x) g) = (Id (x) g) o (f (x) Id), gives the boundary H
+    on lead (x) V^(x)n from two smaller ones:
 
         H(0,n) = Id,  H(k,n) = H(k,n-1) (x) Id_1 + A_q o (H(k-1,n-1) (x) Id_1),
-        A_q = (rho (x) Id_q) o (Id_lead (x) L_q).
+
+    where A_q: lead (x) V^(x)(q+1) -> lead (x) V^(x)q crosses the last
+    strand over the q before it, one negated braiding at a time from the
+    right, and feeds it to rho:
+
+        A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma).
 
     On the right the first strand either starts the left block or crosses
-    its q strands to start the right one, through R_q, the negated lift
-    pulling strand 1 of q+1 to the right. The same steps, mirrored, give the
+    its q strands to start the right one. The same steps, mirrored, give the
     boundary H' on V^(x)n (x) trail, and since s(k,n) = (-1)^k s(k,n-1) =
     (-1)^(n-1) s(k-1,n-1) the recursion carries the sign:
 
         H'(0,n) = Id,  H'(k,n) = (-1)^k Id_1 (x) H'(k,n-1)
                                  + (-1)^(n-1) A'_q o (Id_1 (x) H'(k-1,n-1)),
-        A'_q = (Id_q (x) rho') o (R_q (x) Id_trail).
+        A'_0 = rho', A'_q = (Id_1 (x) A'_(q-1)) o (-sigma (x) Id_(d^(q-1) trail)).
 
-    The first term is absent when q = 0. Under the YBE a lift does not
-    depend on the reduced word, so H' equals the formula; without it (a
-    space whose allow_unverified overrides the gate) the right boundaries of
-    order >= 2 may differ from those of shuffle_coproduct's words. Each H
-    and H' is cached on the space, keyed by the action's value, so a
+    The first term is absent when q = 0. The crossings of A_q (A'_q) are
+    those of the canonical reduced word s_1...s_q (s_q...s_1), the only
+    reduced word of its permutation, so A_q is the same matrix with or
+    without the YBE. Under the YBE a coshuffle does not depend on its
+    words, so H' equals the formula; without it (a space whose
+    allow_unverified overrides the gate) the right boundaries of order >= 2
+    may differ from those of shuffle_coproduct's words. Each H, H', A_q and
+    A'_q is cached on the space, keyed by the action's value, so a
     character replaced under the same name gets boundaries of its own;
     _around adds the block a side does not touch.
     """
@@ -128,13 +136,9 @@ def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int,
         q = n - k
         one = space.identity_power(1)
         left = side == "left"
-        lift = braid_lift(space, moving_permutation(q + 1 if left else 1, q + 1, to_left=left),
-                          q + 1, -1)
-        if left:
-            got = _around(1, rho, space.dim ** q).compose(_around(rho.rows, lift, 1))
-        else:
-            got = _around(space.dim ** q, rho, 1).compose(_around(1, lift, rho.rows)).scale(
-                (-1) ** (n - 1))
+        got = _crossed(space, rho, side, q)
+        if not left:
+            got = got.scale((-1) ** (n - 1))
         if k > 1:  # H(0,n-1) is the identity
             inner = _pulled(space, rho, side, k - 1, n - 1)
             got = got.compose(tensor(inner, one) if left else tensor(one, inner))
@@ -142,6 +146,32 @@ def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int,
             stay = _pulled(space, rho, side, k, n - 1)
             got = (tensor(stay, one) if left else tensor(one.scale((-1) ** k), stay)).add_map(got)
     space._boundary_cache[key] = got
+    return got
+
+
+def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str,
+             q: int) -> SparseLinearMap:
+    """A_q of _pull (side 'left') or A'_q (side 'right'): one strand crosses
+    q strands through the negated braiding and the action eats it. Each
+    comes from the one below by a single crossing,
+
+        A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma),
+        A'_0 = rho', A'_q = (Id_1 (x) A'_(q-1)) o (-sigma (x) Id_(d^(q-1) trail)),
+
+    and is cached on the space beside the boundaries."""
+    if q == 0:
+        return rho
+    key = (rho, side, "crossed", q)
+    got = space._boundary_cache.get(key)
+    if got is None:
+        below = _crossed(space, rho, side, q - 1)
+        one = space.identity_power(1)
+        rest = rho.rows * space.dim ** (q - 1)
+        if side == "left":
+            got = tensor(below, one).compose(_around(rest, space.braiding.neg(), 1))
+        else:
+            got = tensor(one, below).compose(_around(1, space.braiding.neg(), rest))
+        space._boundary_cache[key] = got
     return got
 
 
@@ -703,23 +733,29 @@ def check_simplicial(space: PreBraidedSpace, left_char: str, right_char: str,
 def repeated_neighbor_span(d: int, n: int, lead_dim: int = 1) -> Callable[[int], bool]:
     """Basis tensors with some equal adjacent pair of digits (the image of
     the diagonal degeneracies); an optional leading coefficient block is
-    ignored."""
-    dims = (lead_dim,) + (d,) * n
-
+    ignored. The n tensor slots are the low base-d digits of the flat index,
+    read off by divmod; the lead block above them is never reached."""
     def pred(flat: int) -> bool:
-        digs = digits_of(flat, dims)[1:]
-        return any(digs[i] == digs[i + 1] for i in range(n - 1))
+        flat, prev = divmod(flat, d)
+        for _ in range(n - 1):
+            flat, digit = divmod(flat, d)
+            if digit == prev:
+                return True
+            prev = digit
+        return False
     return pred
 
 
 def unit_factor_span(d: int, n: int, unit_index: int,
                      lead_dim: int = 1) -> Callable[[int], bool]:
     """Basis tensors with the unit index in some tensor slot; an optional
-    leading coefficient block is ignored."""
-    dims = (lead_dim,) + (d,) * n
-
+    leading coefficient block is ignored (see repeated_neighbor_span)."""
     def pred(flat: int) -> bool:
-        return unit_index in digits_of(flat, dims)[1:]
+        for _ in range(n):
+            flat, digit = divmod(flat, d)
+            if digit == unit_index:
+                return True
+        return False
     return pred
 
 
@@ -1050,7 +1086,7 @@ _NAMED.update({
                          ("left_char", "order")),
     "hyper-right": _Named(None, _itself, _sides(1), _hyper("right"),
                           _described("hyper-right"), _SIDE_PARAMS + ("order",)),
-    "coeff": _Named(None, _itself, _sides(), _coeff, _described("coeff"), ("module",)),
+    "coeff": _Named(None, _itself, _fixed(), _coeff, "coeff", ("module",)),
     "bimodule": _Named(None, _itself, _fixed(), _bimodule, "bimodule", ("bimodule",)),
 })
 

@@ -416,6 +416,20 @@ def test_normalized_with_coefficient_module(tmp_path, capsys):
     assert dims == {0: 3, **{n: 3 * 3 * 2 ** (n - 1) for n in (1, 2, 3)}}
 
 
+@pytest.mark.parametrize("flags, builder", [
+    ([], "coeff"),
+    (["--normalized"], "coeff:normalized"),
+], ids=["plain", "normalized"])
+def test_module_label_names_no_character(tmp_path, capsys, flags, builder):
+    """The coefficient boundary reads the module and no character, so its
+    label names none, though the shelf declares one."""
+    doc = dict(R3_DOC, modules={"self": R3_SELF_MODULE})
+    code = cli.main(["homology", write(tmp_path, doc), "--module", "self", *flags,
+                     "--max-degree", "2", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["complex"]["builder"] == builder
+
+
 def test_user_diff_suppresses_scenario_named_complex(capsys):
     code = cli.main(["homology", str(SCENARIOS / "dihedral3.json"), "--diff", "bogus",
                      "--json"])
@@ -789,3 +803,32 @@ def test_malformed_scenario_block_exits_2(tmp_path, capsys, block, detail):
     assert json.loads(out) == {"command": "homology", "error": "invalid scenario",
                                "details": [detail]}
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Values taken from theorems, read below the top degree (whose outgoing
+# boundary is not built)
+# ---------------------------------------------------------------------------
+
+def _degrees(capsys, argv):
+    code = cli.main(["homology", *argv, "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0, rep
+    return rep["homology"]["degrees"]
+
+
+def test_sl2_leibniz_homology_vanishes_in_positive_degrees(capsys):
+    """HL_n(sl2; Q) is Q in degree 0 and 0 above (Ntolo; Pirashvili)."""
+    degrees = _degrees(capsys, [str(SCENARIOS / "sl2.json"), "--named", "leibniz",
+                                "--ring", "q", "--max-degree", "5"])
+    assert [degrees[str(n)]["free_rank"] for n in range(5)] == [1, 0, 0, 0, 0]
+
+
+def test_group_complex_of_z2_is_group_homology(capsys):
+    """H_n(Z/2; Z) is Z in degree 0, Z/2 in odd degrees and 0 in positive
+    even ones (the periodic resolution of a cyclic group)."""
+    degrees = _degrees(capsys, [str(SCENARIOS / "group_algebra_z2.json"), "--named", "group",
+                                "--left-char", "aug", "--right-char", "aug", "--ring", "z",
+                                "--max-degree", "6"])
+    got = [(degrees[str(n)]["free_rank"], degrees[str(n)]["torsion"]) for n in range(6)]
+    assert got == [(1, [])] + [(0, [2] if n % 2 else []) for n in range(1, 6)]

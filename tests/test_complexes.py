@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +56,7 @@ from braidhom import (
     trivial_shelf,
 )
 from braidhom import complexes
-from braidhom.braiding import block_flip
+from braidhom.braiding import block_flip, moving_permutation
 from braidhom.complexes import (
     COMPLEX_PARAMS,
     NAMED_COMPLEXES,
@@ -66,8 +68,11 @@ from braidhom.complexes import (
     regular_bimodule,
     trivial_module,
     character_module,
+    repeated_neighbor_span,
+    unit_factor_span,
 )
-from braidhom.exactlin import digits_of, flat_index
+from braidhom.exactlin import digits_of, flat_index, ring_from_name
+from braidhom.scenario import build_space, parse as parse_scenario
 from braidhom.structures import cyclic_shelf
 
 from conftest import (
@@ -546,6 +551,97 @@ def test_bimodule_diff_matches_coshuffle_formula(kz2, dual_numbers):
             fwd = block_flip(space.ring, m, d ** n)
             back = block_flip(space.ring, d ** (n - 1), m)
             assert right == back.compose(mid).compose(fwd)
+
+
+# ---------------------------------------------------------------------------
+# The one-crossing recursion of A_q, against the braid lift of its permutation
+# ---------------------------------------------------------------------------
+
+def crossed_oracle(space, rho, side, q):
+    """A_q = (rho (x) Id_q) o (Id_lead (x) L_q) on the left, with L_q the
+    negated lift pulling strand q+1 of q+1 to the left; on the right A'_q =
+    (Id_q (x) rho') o (R_q (x) Id_trail), with R_q pulling strand 1 of q+1
+    to the right."""
+    ring, left = space.ring, side == "left"
+
+    def ident(m):
+        return SparseLinearMap.identity(m, ring)
+
+    lift = braid_lift(space, moving_permutation(q + 1 if left else 1, q + 1, to_left=left),
+                      q + 1, -1)
+    if left:
+        return tensor(rho, ident(space.dim ** q)).compose(tensor(ident(rho.rows), lift))
+    return tensor(ident(space.dim ** q), rho).compose(tensor(lift, ident(rho.rows)))
+
+
+def assert_crossed_matches_lift(space, rho, max_q=4):
+    for side in ("left", "right"):
+        for q in range(max_q + 1):
+            assert complexes._crossed(space, rho, side, q) == crossed_oracle(space, rho, side, q), \
+                (space.dim, rho.rows, side, q)
+            if q:
+                assert (rho, side, "crossed", q) in space._boundary_cache
+
+
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("ring_name", ["z", "q", "fp:3"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_crossed_matches_lift_on_scenario_characters(name, ring_name):
+    space = verify_space(build_space(parse_scenario(SCENARIO_DIR / name),
+                                     ring_from_name(ring_name)))
+    for char in space.characters:
+        assert_crossed_matches_lift(space, space.character(char))
+
+
+def test_crossed_matches_lift_for_module_lead_and_trail(r3):
+    """The R3 self-module's action as the lead block's right action and as
+    the trail block's left action (the check is a linear identity)."""
+    assert_crossed_matches_lift(r3, rackset_module(r3).action)
+
+
+def test_crossed_matches_lift_without_ybe():
+    """Moving one strand across q is a Coxeter element with a single reduced
+    word, so the recursion equals the lift even where lifts depend on the
+    word."""
+    rng = random.Random(11)
+    entries = [(i, j, rng.randint(-2, 2)) for i in range(4) for j in range(4)]
+    space = PreBraidedSpace(2, ZZ, SparseLinearMap.from_entries(4, 4, entries, ZZ))
+    assert not check_ybe(space).ok
+    space.allow_unverified = True
+    space.add_character("c", [1, -2])
+    action = SparseLinearMap.from_entries(
+        2, 4, [(i, j, rng.randint(-1, 1)) for i in range(2) for j in range(4)], ZZ)
+    for rho in (space.character("c"), action):
+        assert_crossed_matches_lift(space, rho)
+
+
+def test_boundaries_build_no_lift(r3):
+    """Every boundary comes from the crossing recursion; no braid lift is
+    built on the way."""
+    for side in ("left", "right"):
+        for n in range(5):
+            for k in range(n + 1):
+                hyper_boundary(r3, "ones", k, n, side)
+    M = rackset_module(r3)
+    assert check_braided_module(r3, M).ok
+    for n in range(1, 5):
+        coeff_diff(r3, M, None, n)
+    assert r3._lift_cache == {}
+
+
+@pytest.mark.parametrize("lead_dim", [1, 3])
+def test_span_predicates_match_digit_definition(lead_dim):
+    for d in (1, 2, 3):
+        for n in range(5):
+            dims = (lead_dim,) + (d,) * n
+            repeated = repeated_neighbor_span(d, n, lead_dim)
+            bearing = [unit_factor_span(d, n, u, lead_dim) for u in range(d)]
+            for flat in range(lead_dim * d ** n):
+                digs = digits_of(flat, dims)[1:]
+                assert repeated(flat) == any(digs[i] == digs[i + 1] for i in range(n - 1))
+                assert [pred(flat) for pred in bearing] == [u in digs for u in range(d)]
 
 
 def test_replaced_character_builds_a_new_boundary(r3):
