@@ -241,6 +241,7 @@ class PreBraidedSpace:
         self._coshuffle_cache: dict = {}
         self._shuffle_cache: dict = {}
         self._boundary_cache: dict = {}
+        self._twin: Optional[PreBraidedSpace] = None
 
     # -- data installation ---------------------------------------------------
 
@@ -315,6 +316,16 @@ class PreBraidedSpace:
 
     def identity_power(self, n: int) -> SparseLinearMap:
         return SparseLinearMap.identity(self.dim ** n, self.ring)
+
+    def transposed(self) -> "PreBraidedSpace":
+        """The twin with braiding sigma^T and caches of its own, built once.
+        sigma^T satisfies the YBE exactly when sigma does, so each call
+        copies this space's YBE flag and override onto the twin."""
+        if self._twin is None:
+            self._twin = PreBraidedSpace(self.dim, self.ring, self.braiding.transpose())
+        self._twin.ybe_checked = self.ybe_checked
+        self._twin.allow_unverified = self.allow_unverified
+        return self._twin
 
 
 def make_flip(d: int, ring: Ring) -> SparseLinearMap:
@@ -428,6 +439,7 @@ def shuffle_product(space: PreBraidedSpace, p: int, q: int, sign: int = 1) -> Sp
         S(p,q) = (S(p,q-1) (x) Id_1) + (S(p-1,q) (x) Id_1) o (Id_(p-1) (x) R_q),
 
     where R_q lifts the permutation pulling strand 1 of q+1 to the right.
+    Only the Hopf-level checks below call it.
     """
     key = (p, q, sign)
     got = space._shuffle_cache.get(key)
@@ -468,31 +480,31 @@ def antipode(space: PreBraidedSpace, n: int) -> SparseLinearMap:
 # Characters and coalgebra checks
 # ---------------------------------------------------------------------------
 
-def check_braided_character(space: PreBraidedSpace, name: str) -> CharacterReport:
-    """A covector eps is a braided character when (eps (x) eps) o sigma
-    equals eps (x) eps. Success is recorded on the space."""
-    eps = space.character(name)
+def _check_character(braiding: SparseLinearMap, eps: SparseLinearMap, name: str,
+                     verified: set) -> CharacterReport:
+    """(eps (x) eps) o braiding = eps (x) eps, entrywise; success adds the
+    name to verified, failure reports the first differing column."""
     ee = tensor(eps, eps)
-    lhs = ee.compose(space.braiding)
+    lhs = ee.compose(braiding)
     if lhs == ee:
-        space.verified_characters.add(name)
+        verified.add(name)
         return CharacterReport(name, True)
-    diff = lhs.sub_map(ee)
-    _, c, _ = next(diff.entries())
+    _, c, _ = next(lhs.sub_map(ee).entries())
     return CharacterReport(name, False, (c, lhs.entry(0, c), ee.entry(0, c)))
 
 
+def check_braided_character(space: PreBraidedSpace, name: str) -> CharacterReport:
+    """A covector eps is a braided character when (eps (x) eps) o sigma
+    equals eps (x) eps. Success is recorded on the space."""
+    return _check_character(space.braiding, space.character(name), name,
+                            space.verified_characters)
+
+
 def check_braided_cocharacter(space: PreBraidedSpace, name: str) -> CharacterReport:
-    """Column version: sigma o (e (x) e) = e (x) e."""
-    e = space.cocharacter(name)
-    ee = tensor(e, e)
-    lhs = space.braiding.compose(ee)
-    if lhs == ee:
-        space.verified_cocharacters.add(name)
-        return CharacterReport(name, True)
-    diff = lhs.sub_map(ee)
-    r, _, _ = next(diff.entries())
-    return CharacterReport(name, False, (r, lhs.entry(r, 0), ee.entry(r, 0)))
+    """Column version, sigma o (e (x) e) = e (x) e: e^T is a braided
+    character of the transposed twin. Success is recorded on the space."""
+    return _check_character(space.transposed().braiding, space.cocharacter(name).transpose(),
+                            name, space.verified_cocharacters)
 
 
 def check_character_compat(space: PreBraidedSpace, name1: str, name2: str) -> CompatReport:

@@ -23,8 +23,9 @@ braiding at a time (_crossed),
 
     A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma),
 
-and A'_q is its mirror. The codifferentials are the dual formula with the
-shuffle product (_push).
+and A'_q is its mirror. The co-side has no formula of its own: each
+degree +1 map is the transpose of a boundary of the transposed coaction on
+the space's transposed twin (PreBraidedSpace.transposed, braiding sigma^T).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .braiding import (
     check_ybe,
     extended_braiding,
     moving_permutation,
-    shuffle_product,
 )
 from . import homology
 from .homology import ChainComplex, build_chain_complex, subquotient
@@ -52,7 +52,7 @@ from . import structures as st
 
 
 # ---------------------------------------------------------------------------
-# The one boundary formula and its dual
+# The one boundary formula
 # ---------------------------------------------------------------------------
 
 def _around(lead: int, m: SparseLinearMap, trail: int) -> SparseLinearMap:
@@ -173,21 +173,6 @@ def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str,
             got = tensor(one, below).compose(_around(1, space.braiding.neg(), rest))
         space._boundary_cache[key] = got
     return got
-
-
-def _push(space: PreBraidedSpace, coaction: SparseLinearMap, n: int, side: str, *,
-          lead: int = 1, trail: int = 1) -> SparseLinearMap:
-    """The order-one dual of _pull, of degree +1 on lead (x) V^(x)n (x) trail:
-    the coaction puts a new strand at one end, lead -> lead (x) V on the left
-    or trail -> V (x) trail on the right, and the negated shuffle product
-    shuffles it in. The right family carries the sign (-1)^n."""
-    rest = space.dim ** n
-    if side == "left":
-        sh = shuffle_product(space, 1, n, sign=-1)
-        return _around(lead, sh, trail).compose(_around(1, coaction, rest * trail))
-    sh = shuffle_product(space, n, 1, sign=-1)
-    out = _around(lead, sh, trail).compose(_around(lead * rest, coaction, 1))
-    return out.neg() if n % 2 == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -559,54 +544,51 @@ def bimodule_diff(space: PreBraidedSpace, B: Bimodule,
 # ---------------------------------------------------------------------------
 
 def left_codiff(space: PreBraidedSpace, cochar: str, n: int) -> SparseLinearMap:
-    """Insert the cocharacter in front and shuffle it in: V^(x)n -> V^(x)(n+1)."""
+    """Insert the cocharacter in front and shuffle it in, V^(x)n -> V^(x)(n+1):
+    the transposed left differential of e^T on the transposed twin."""
     e = space.require_cocharacter(cochar)
-    return _push(space, e, n, "left")
+    return _pull(space.transposed(), e.transpose(), 1, n + 1, "left").transpose()
 
 
 def right_codiff(space: PreBraidedSpace, cochar: str, n: int) -> SparseLinearMap:
     """Mirror: insert at the end, shuffle, sign (-1)^n."""
     e = space.require_cocharacter(cochar)
-    return _push(space, e, n, "right")
+    return _pull(space.transposed(), e.transpose(), 1, n + 1, "right").transpose()
 
 
 @dataclass
 class Bicomodule:
-    """Coactions rho: M -> M (x) V and lam: M -> V (x) M."""
+    """Coactions rho: M -> M (x) V and lam: M -> V (x) M. verified is None
+    until check_bicomodule runs, then its result."""
     dim: int
     right_coaction: SparseLinearMap
     left_coaction: SparseLinearMap
     name: str = ""
-    verified: bool = False
+    verified: Optional[bool] = None
+
+
+def _transposed_bimodule(B: Bicomodule) -> Bimodule:
+    """The transposed coactions, as actions on the transposed twin."""
+    return Bimodule(B.dim, B.right_coaction.transpose(), B.left_coaction.transpose(), B.name,
+                    B.verified)
 
 
 def check_bicomodule(space: PreBraidedSpace, B: Bicomodule) -> ModuleReport:
-    """Transpose-dual of the bimodule axioms."""
-    rho, lam = B.right_coaction, B.left_coaction
-    idv = SparseLinearMap.identity(space.dim, space.ring)
-    idm = SparseLinearMap.identity(B.dim, space.ring)
-    lhs_r = tensor(rho, idv).compose(rho)
-    r_ok = lhs_r == tensor(idm, space.braiding).compose(lhs_r)
-    lhs_l = tensor(idv, lam).compose(lam)
-    l_ok = lhs_l == tensor(space.braiding, idm).compose(lhs_l)
-    compat = tensor(lam, idv).compose(rho) == tensor(idv, rho).compose(lam)
-    ok = r_ok and l_ok and compat
-    B.verified = ok
-    return ModuleReport(ok, r_ok and l_ok, compat)
+    """The bimodule axioms of the transposed coactions on the twin."""
+    rep = check_bimodule(space.transposed(), _transposed_bimodule(B))
+    B.verified = rep.ok
+    return rep
 
 
 def bicomodule_codiff(space: PreBraidedSpace, B: Bicomodule,
                       n: int) -> tuple[SparseLinearMap, SparseLinearMap]:
-    """Degree +1 pair on M (x) V^(x)n, the transpose-dual of the bimodule
-    differentials."""
+    """Degree +1 pair on M (x) V^(x)n: the transposes of the bimodule
+    differentials of the transposed coactions on the transposed twin, whose
+    two block flips trade places under transposition."""
     if not B.verified and not space.allow_unverified:
         raise UnverifiedError(f"bicomodule {B.name!r} not verified; run check_bicomodule first")
-    m = B.dim
-    left = _push(space, B.right_coaction, n, "left", lead=m)
-    mid = _push(space, B.left_coaction, n, "right", trail=m)
-    fwd = block_flip(space.ring, m, space.dim ** n)
-    back = block_flip(space.ring, space.dim ** (n + 1), m)
-    return left, back.compose(mid).compose(fwd)
+    left, right = bimodule_diff(space.transposed(), _transposed_bimodule(B), n + 1)
+    return left.transpose(), right.transpose()
 
 
 def coalgebra_self_bicomodule(space: PreBraidedSpace) -> Bicomodule:
@@ -935,10 +917,9 @@ def _dirac_character(space, params):
 
 def _sides(*read):
     """The characters the boundary of a generic kind reads (0 its left one,
-    1 its right one). Both are resolved into params for its label: the left
-    character, else the only declared one; then the twist, else the right
-    character, else the left one. Either may be None; an undeclared one is
-    refused, since the label names it."""
+    1 its right one). Both are resolved into params: the left character,
+    else the only declared one; then the twist, else the right character,
+    else the left one. Either may be None; an undeclared one is refused."""
     def chars(space, params):
         left = params.get("left_char")
         if left is None and len(space.characters) == 1:
@@ -1009,12 +990,12 @@ def _difference(pair):
     return left.sub_map(right)
 
 
-def _described(kind):
-    """The label of a generic kind: its name, its two characters and, for
-    the hyper kinds, its order."""
+def _described(kind, read):
+    """The label of a generic kind: its name, the characters its boundary
+    reads (see _sides) and, for the hyper kinds, its order."""
     def label(params):
-        parts = [kind] + [f"{side}={params[side + '_char']}" for side in ("left", "right")
-                          if params[side + "_char"]]
+        sides = [("left", "right")[i] for i in read]
+        parts = [kind] + [f"{side}={params[side + '_char']}" for side in sides]
         if kind.startswith("hyper"):
             parts.append(f"k={params.get('order', 1)}")
         return ",".join(parts)
@@ -1075,17 +1056,20 @@ _NAMED = {
 # --diff, --module and --bimodule.
 NAMED_COMPLEXES = tuple(_NAMED)
 
+
+def _generic(kind, diff, reads, *read):
+    """The row of a generic kind whose boundary reads the sides in read."""
+    return _Named(None, _itself, _sides(*read), diff, _described(kind, read), reads)
+
+
 _SIDE_PARAMS = ("left_char", "right_char", "twist")
 _NAMED.update({
-    "left": _Named(None, _itself, _sides(0), _left, _described("left"), ("left_char",)),
-    "right": _Named(None, _itself, _sides(1), _right, _described("right"), _SIDE_PARAMS),
-    "combined": _Named(None, _itself, _sides(0, 1), _combined, _described("combined"),
-                       _SIDE_PARAMS),
-    "face": _Named(None, _itself, _sides(0), _faces, _described("face"), ("left_char",)),
-    "hyper-left": _Named(None, _itself, _sides(0), _hyper("left"), _described("hyper-left"),
-                         ("left_char", "order")),
-    "hyper-right": _Named(None, _itself, _sides(1), _hyper("right"),
-                          _described("hyper-right"), _SIDE_PARAMS + ("order",)),
+    "left": _generic("left", _left, ("left_char",), 0),
+    "right": _generic("right", _right, _SIDE_PARAMS, 1),
+    "combined": _generic("combined", _combined, _SIDE_PARAMS, 0, 1),
+    "face": _generic("face", _faces, ("left_char",), 0),
+    "hyper-left": _generic("hyper-left", _hyper("left"), ("left_char", "order"), 0),
+    "hyper-right": _generic("hyper-right", _hyper("right"), _SIDE_PARAMS + ("order",), 1),
     "coeff": _Named(None, _itself, _fixed(), _coeff, "coeff", ("module",)),
     "bimodule": _Named(None, _itself, _fixed(), _bimodule, "bimodule", ("bimodule",)),
 })

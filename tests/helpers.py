@@ -1,7 +1,9 @@
 """Independent dense oracles used to cross-check the sparse implementations.
 
 Everything here works on plain lists of Fractions/ints and never calls into
-the code paths it is checking.
+the code paths it is checking. The exceptions are the co-side references at
+the end: they use sparse maps and the quantum shuffle product, a formula the
+codifferentials and bicomodule checks no longer call.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from braidhom import SparseLinearMap
+from braidhom import SparseLinearMap, shuffle_product, tensor
 
 
 def dense_of(m: SparseLinearMap) -> list[list[Fraction]]:
@@ -142,3 +144,61 @@ def _det(a) -> int:
 def from_dense(rows, ring):
     entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v != 0]
     return SparseLinearMap.from_entries(len(rows), len(rows[0]) if rows else 0, entries, ring)
+
+
+# ---------------------------------------------------------------------------
+# Co-side references. The library builds every degree +1 map as the
+# transpose of a boundary on the transposed twin of the space; these are the
+# direct formulas with the shuffle product.
+# ---------------------------------------------------------------------------
+
+def _around(lead, m, trail):
+    ring = m.ring
+    return tensor(SparseLinearMap.identity(lead, ring),
+                  tensor(m, SparseLinearMap.identity(trail, ring)))
+
+
+def _swap(ring, a, b):
+    """X (x) Y -> Y (x) X for blocks of dimensions a and b."""
+    return SparseLinearMap.from_entries(
+        a * b, a * b, [(y * a + x, x * b + y, 1) for x in range(a) for y in range(b)], ring)
+
+
+def pushed(space, coaction, n, side, *, lead=1, trail=1):
+    """The degree +1 map of a coaction on lead (x) V^(x)n (x) trail: the
+    coaction puts a new strand at one end (lead -> lead (x) V on the left,
+    trail -> V (x) trail on the right), then the shuffle product of the
+    negated braiding shuffles it in. The right family carries (-1)^n."""
+    rest = space.dim ** n
+    if side == "left":
+        sh = shuffle_product(space, 1, n, sign=-1)
+        return _around(lead, sh, trail).compose(_around(1, coaction, rest * trail))
+    sh = shuffle_product(space, n, 1, sign=-1)
+    out = _around(lead, sh, trail).compose(_around(lead * rest, coaction, 1))
+    return out.neg() if n % 2 == 1 else out
+
+
+def pushed_bicomodule(space, B, n):
+    """The pair of a bicomodule on M (x) V^(x)n: the right coaction pushed
+    in on the left, and the left coaction pushed in on the right with M
+    cycled to the back and then to the front again."""
+    m, ring = B.dim, space.ring
+    left = pushed(space, B.right_coaction, n, "left", lead=m)
+    mid = pushed(space, B.left_coaction, n, "right", trail=m)
+    return left, _swap(ring, space.dim ** (n + 1), m).compose(mid).compose(
+        _swap(ring, m, space.dim ** n))
+
+
+def bicomodule_axioms(space, B):
+    """(both coassociativity axioms, the compatibility axiom), checked on the
+    coactions themselves: (rho (x) Id) o rho is fixed by Id_M (x) sigma,
+    (Id (x) lam) o lam by sigma (x) Id_M, and (lam (x) Id) o rho equals
+    (Id (x) rho) o lam."""
+    rho, lam = B.right_coaction, B.left_coaction
+    idv = SparseLinearMap.identity(space.dim, space.ring)
+    idm = SparseLinearMap.identity(B.dim, space.ring)
+    lhs_r = tensor(rho, idv).compose(rho)
+    lhs_l = tensor(idv, lam).compose(lam)
+    sides = (lhs_r == tensor(idm, space.braiding).compose(lhs_r)
+             and lhs_l == tensor(space.braiding, idm).compose(lhs_l))
+    return sides, tensor(lam, idv).compose(rho) == tensor(idv, rho).compose(lam)

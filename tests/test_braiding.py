@@ -453,6 +453,34 @@ def test_group_like_cocharacter():
     assert check_braided_cocharacter(space, "unit").ok
 
 
+def test_cocharacter_check_is_the_column_condition():
+    """check_braided_cocharacter tests e^T against the transposed twin; its
+    verdict and first violation are those of sigma o (e (x) e) = e (x) e
+    read on the columns, on braidings that are not permutations. Each of
+    the last two pairs is braided for one of sigma, sigma^T and not for the
+    other."""
+    rng = random.Random(7)
+    cases = [([rng.randint(-2, 2) for _ in range(16)], [rng.randint(-1, 1) for _ in range(2)])
+             for _ in range(6)]
+    cases += [([1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [1, 0]),
+              ([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], [1, 0])]
+    verdicts = []
+    for flat, coords in cases:
+        sigma = SparseLinearMap.from_entries(4, 4, [(k // 4, k % 4, v) for k, v in enumerate(flat)],
+                                             ZZ)
+        space = PreBraidedSpace(2, ZZ, sigma)
+        e = space.add_cocharacter("e", coords)
+        ee = tensor(e, e)
+        lhs = sigma.compose(ee)
+        rep = check_braided_cocharacter(space, "e")
+        verdicts.append(rep.ok)
+        assert rep.ok == (lhs == ee) == ("e" in space.verified_cocharacters)
+        if not rep.ok:
+            r, _, _ = next(lhs.sub_map(ee).entries())
+            assert rep.violation == (r, lhs.entry(r, 0), ee.entry(r, 0))
+    assert verdicts[-2:] == [True, False]
+
+
 def test_coshuffle_coassociativity_degree_five():
     from braidhom.braiding import check_coshuffle_coassociativity, check_shuffle_associativity
     space = flip_braiding(2, ZZ)

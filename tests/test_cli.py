@@ -378,8 +378,8 @@ def test_bad_flag_exits_2_with_message(tmp_path, capsys, flags, message):
     ["--diff", "hyper-right", "--right-char", "nope"],
 ], ids=["unread-left", "right", "hyper-right"])
 def test_undeclared_character_in_label_exits_2(capsys, flags):
-    """A character the builder label would name must be declared, even one
-    the boundary does not read."""
+    """A character given by name must be declared, even one the boundary
+    does not read and the builder label does not name."""
     code = cli.main(["homology", str(SCENARIOS / "dihedral3.json"), *flags, "--json"])
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"] == (
@@ -414,6 +414,19 @@ def test_normalized_with_coefficient_module(tmp_path, capsys):
     dims = {int(n): d["dim"] for n, d in rep["complex"]["degrees"].items()}
     # the module block times the words of length n with no equal neighbours
     assert dims == {0: 3, **{n: 3 * 3 * 2 ** (n - 1) for n in (1, 2, 3)}}
+
+
+@pytest.mark.parametrize("diff, builder", [
+    ("left", "left,left=ones"), ("right", "right,right=ones"), ("face", "face,left=ones"),
+    ("hyper-right", "hyper-right,right=ones,k=1"), ("combined", "combined,left=ones,right=ones"),
+])
+def test_diff_label_names_the_characters_the_boundary_reads(capsys, diff, builder):
+    """A one-sided boundary reads one character, and its label names that
+    one only; the combined boundary reads and names both."""
+    code = cli.main(["complex", str(SCENARIOS / "dihedral3.json"), "--diff", diff,
+                     "--max-degree", "2", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["complex"]["builder"] == builder
 
 
 @pytest.mark.parametrize("flags, builder", [
@@ -832,3 +845,14 @@ def test_group_complex_of_z2_is_group_homology(capsys):
                                 "--max-degree", "6"])
     got = [(degrees[str(n)]["free_rank"], degrees[str(n)]["torsion"]) for n in range(6)]
     assert got == [(1, [])] + [(0, [2] if n % 2 else []) for n in range(1, 6)]
+
+
+def test_hochschild_complex_of_z2_is_twice_group_homology(capsys):
+    """HH_n(Z[G]; Z) is the sum over the conjugacy classes g of G of
+    H_n(C_G(g); Z) (Burghelea, Comment. Math. Helv. 60, 1985). G = Z/2 is
+    abelian with two classes, so HH_n(Z[Z/2]) = H_n(Z/2; Z)^2: Z^2 in degree
+    0, (Z/2)^2 in odd degrees and 0 in positive even ones."""
+    degrees = _degrees(capsys, [str(SCENARIOS / "group_algebra_z2.json"), "--named",
+                                "hochschild", "--ring", "z", "--max-degree", "6"])
+    got = [(degrees[str(n)]["free_rank"], degrees[str(n)]["torsion"]) for n in range(6)]
+    assert got == [(2, [])] + [(0, [2, 2] if n % 2 else []) for n in range(1, 6)]

@@ -24,11 +24,13 @@ from braidhom import (
     braid_lift,
     check_bimodule,
     check_braided_character,
+    check_braided_cocharacter,
     check_braided_module,
     check_naturality,
     check_simplicial,
     check_ybe,
     coalgebra_extend,
+    coassoc_braiding,
     coeff_diff,
     combined_diff,
     compose,
@@ -60,6 +62,7 @@ from braidhom.braiding import block_flip, moving_permutation
 from braidhom.complexes import (
     COMPLEX_PARAMS,
     NAMED_COMPLEXES,
+    Bicomodule,
     check_bicomodule,
     coalgebra_self_bicomodule,
     bicomodule_codiff,
@@ -83,6 +86,7 @@ from conftest import (
     verify_space,
     zero_coalgebra_data,
 )
+from helpers import bicomodule_axioms, pushed, pushed_bicomodule
 
 
 # ---------------------------------------------------------------------------
@@ -1095,6 +1099,73 @@ def test_bicomodule_codiff_pair():
         assert anti.is_zero()
 
 
+def _random_map(rng, rows, cols, ring):
+    return SparseLinearMap.from_entries(
+        rows, cols, [(i, j, rng.randint(-2, 2)) for i in range(rows) for j in range(cols)], ring)
+
+
+@pytest.mark.parametrize("ring_name", ["z", "q", "fp:3"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_codifferentials_match_the_shuffle_product_formula(name, ring_name):
+    """Every degree +1 map is a transposed boundary on the transposed twin;
+    the direct shuffle-product formula checks it on the declared
+    cocharacters, on a random one, and on the bicomodules: the coalgebra's
+    own and a random one, whose M block (dimension 2) leads the left map and
+    trails the right one."""
+    space = build_space(parse_scenario(SCENARIO_DIR / name), ring_from_name(ring_name))
+    assert check_ybe(space).ok
+    for cochar in space.cocharacters:
+        assert check_braided_cocharacter(space, cochar).ok
+    rng = random.Random(13)
+    d, ring = space.dim, space.ring
+    bicomodules = [Bicomodule(2, _random_map(rng, 2 * d, 2, ring),
+                              _random_map(rng, 2 * d, 2, ring), "random")]
+    if getattr(space.payload, "kind", None) == "coalgebra":
+        bicomodules.append(coalgebra_self_bicomodule(space))
+    space.add_cocharacter("random", [rng.randint(-2, 2) for _ in range(d)])
+    space.allow_unverified = True   # for the random data, which satisfy no axiom
+    for n in range(4):
+        for cochar, e in space.cocharacters.items():
+            assert left_codiff(space, cochar, n) == pushed(space, e, n, "left"), (cochar, n)
+            assert right_codiff(space, cochar, n) == pushed(space, e, n, "right"), (cochar, n)
+        for B in bicomodules:
+            assert bicomodule_codiff(space, B, n) == pushed_bicomodule(space, B, n), (B.name, n)
+
+
+def test_bicomodule_check_matches_the_coaction_axioms(dual_numbers):
+    """check_bicomodule runs the bimodule axioms of the transposed coactions
+    on the twin; its report matches the axioms read on the coactions."""
+    data = coalgebra_extend(algebra_from_constants("coalgebra", 1, [(0, 0, 0, 1)], ZZ))
+    co = coassoc_braiding(data)
+    check_ybe(co)
+    rng = random.Random(5)
+    cases = [(co, coalgebra_self_bicomodule(co))]
+    for space in (co, dual_numbers):
+        for m in (1, 2):
+            d = space.dim
+            cases.append((space, Bicomodule(m, _random_map(rng, m * d, m, space.ring),
+                                            _random_map(rng, m * d, m, space.ring))))
+    assert cases[0][1].verified is None
+    for space, B in cases:
+        rep = check_bicomodule(space, B)
+        assert (rep.braided_ok, rep.compat_ok) == bicomodule_axioms(space, B)
+        assert B.verified is rep.ok
+    assert cases[0][1].verified and not all(B.verified for _, B in cases)
+
+
+def test_twin_is_built_once_and_follows_the_gates(r3):
+    """The transposed twin keeps its own caches and reads the space's YBE
+    flag and override on every call."""
+    twin = r3.transposed()
+    assert twin is r3.transposed()
+    assert twin.braiding == r3.braiding.transpose()
+    assert twin._boundary_cache is not r3._boundary_cache
+    assert twin.ybe_checked and not twin.allow_unverified
+    r3.allow_unverified = True
+    r3.ybe_checked = False
+    assert r3.transposed().allow_unverified and not r3.transposed().ybe_checked
+
+
 def test_named_complex_unknown_name(r3):
     with pytest.raises(ExactError):
         named_complex(r3, "mystery", 3)
@@ -1110,7 +1181,7 @@ def test_every_complex_is_one_row():
 def test_named_hyper_row_has_step_minus_order(r3):
     c = named_complex(r3, "hyper-left", 6, {"left_char": "ones", "order": 3})
     assert c.step == -3
-    assert c.builder == "hyper-left,left=ones,right=ones,k=3"
+    assert c.builder == "hyper-left,left=ones,k=3"
     assert set(c.diffs) == {3, 4, 5, 6}
     for n, m in c.diffs.items():
         assert m == hyper_boundary(r3, "ones", 3, n)
