@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .exactlin import ExactError, QQ, Ring, ZZ, ring_from_name
+from .exactlin import ExactError, QQ, Ring, ZZ, ring_from_name, tensor
 from .braiding import (
     UnverifiedError,
     _declared,
@@ -28,6 +28,7 @@ from .braiding import (
     check_sigma_commutativity,
     check_ybe,
     invert_braiding,
+    shuffle_product,
 )
 from . import structures as st
 from .complexes import (
@@ -575,11 +576,16 @@ def _suite_duality(space, args, report) -> bool:
     check_ybe(cospace)
     cospace.add_cocharacter("dual", eps.transpose())
     check_braided_cocharacter(cospace, "dual")
+    # The paper's cobar codifferential, sh_(1,n) of the negated braiding
+    # after the cocharacter, against the codifferential the library builds
+    # and against the transposed bar boundary.
+    e = cospace.cocharacter("dual")
     degreewise = True
     for n in range(0, n_max):
-        up = left_codiff(cospace, "dual", n)
-        down = left_diff(space, lc, n + 1)
-        degreewise &= up == down.transpose()
+        up = shuffle_product(cospace, 1, n, sign=-1).compose(
+            tensor(e, cospace.identity_power(n)))
+        degreewise &= up == left_codiff(cospace, "dual", n)
+        degreewise &= up == left_diff(space, lc, n + 1).transpose()
     report["duality"] = {"braiding_transposed": transposed_ok,
                          "codifferentials_are_transposes": degreewise,
                          "max_degree": n_max}

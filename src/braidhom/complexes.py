@@ -712,11 +712,11 @@ def check_simplicial(space: PreBraidedSpace, left_char: str, right_char: str,
 # Spans for quotient / restricted complexes
 # ---------------------------------------------------------------------------
 
-def repeated_neighbor_span(d: int, n: int, lead_dim: int = 1) -> Callable[[int], bool]:
+def repeated_neighbor_span(d: int, n: int) -> Callable[[int], bool]:
     """Basis tensors with some equal adjacent pair of digits (the image of
-    the diagonal degeneracies); an optional leading coefficient block is
-    ignored. The n tensor slots are the low base-d digits of the flat index,
-    read off by divmod; the lead block above them is never reached."""
+    the diagonal degeneracies); a leading coefficient block is ignored. The
+    n tensor slots are the low base-d digits of the flat index, read off by
+    divmod; the lead block above them is never reached."""
     def pred(flat: int) -> bool:
         flat, prev = divmod(flat, d)
         for _ in range(n - 1):
@@ -728,10 +728,9 @@ def repeated_neighbor_span(d: int, n: int, lead_dim: int = 1) -> Callable[[int],
     return pred
 
 
-def unit_factor_span(d: int, n: int, unit_index: int,
-                     lead_dim: int = 1) -> Callable[[int], bool]:
-    """Basis tensors with the unit index in some tensor slot; an optional
-    leading coefficient block is ignored (see repeated_neighbor_span)."""
+def unit_factor_span(d: int, n: int, unit_index: int) -> Callable[[int], bool]:
+    """Basis tensors with the unit index in some tensor slot; a leading
+    coefficient block is ignored (see repeated_neighbor_span)."""
     def pred(flat: int) -> bool:
         for _ in range(n):
             flat, digit = divmod(flat, d)
@@ -745,16 +744,16 @@ def unit_factor_span(d: int, n: int, unit_index: int,
 # One assembly path for every complex
 # ---------------------------------------------------------------------------
 
-def _degenerate(space, lead, n):
-    return repeated_neighbor_span(space.dim, n, lead)
+def _degenerate(space, n):
+    return repeated_neighbor_span(space.dim, n)
 
 
-def _unit_bearing(space, lead, n):
-    return unit_factor_span(space.dim, n, space.unit_index, lead)
+def _unit_bearing(space, n):
+    return unit_factor_span(space.dim, n, space.unit_index)
 
 
-def _unit_free(space, lead, n):
-    bearing = unit_factor_span(space.dim, n, space.unit_index, lead)
+def _unit_free(space, n):
+    bearing = unit_factor_span(space.dim, n, space.unit_index)
     return lambda flat: not bearing(flat)
 
 
@@ -762,7 +761,7 @@ def _assemble(space, lead, step, n_max, diff_fn, builder, *, span=None,
               keep="quotient", normalized=False, cap=None) -> ChainComplex:
     """The complex on (lead block) (x) V^(x)n for n = 0..n_max whose boundary
     out of degree n is diff_fn(n), of degree step. With a span (a function
-    (space, lead, n) -> basis-index predicate), only the kept half is built:
+    (space, n) -> basis-index predicate), only the kept half is built:
     the restriction to the span (keep="sub") or the quotient by it
     (keep="quotient"). normalized adds the degenerate span to a complex that
     has none of its own."""
@@ -783,7 +782,7 @@ def _assemble(space, lead, step, n_max, diff_fn, builder, *, span=None,
     c = build_chain_complex(space.ring, dims, diffs, step, builder, basis_cap=cap)
     if span is None:
         return c
-    preds = {n: span(space, lead, n) for n in range(n_max + 1)}
+    preds = {n: span(space, n) for n in range(n_max + 1)}
     kept = subquotient(c, lambda n, flat: preds[n](flat), keep)
     kept.builder = builder
     return kept
@@ -915,11 +914,12 @@ def _dirac_character(space, params):
     return (name,)
 
 
-def _sides(*read):
+def _sides(kind, *read):
     """The characters the boundary of a generic kind reads (0 its left one,
     1 its right one). Both are resolved into params: the left character,
     else the only declared one; then the twist, else the right character,
-    else the left one. Either may be None; an undeclared one is refused."""
+    else the left one. An undeclared one is refused, and so is a missing
+    one that the boundary reads, naming the flag that gives it."""
     def chars(space, params):
         left = params.get("left_char")
         if left is None and len(space.characters) == 1:
@@ -931,6 +931,11 @@ def _sides(*read):
             if name is not None:
                 space.character(name)
         params.update(left_char=left, right_char=right)
+        for i in read:
+            if (left, right)[i] is None:
+                declared = ", ".join(sorted(space.characters)) or "none"
+                raise ExactError(f"the {kind} differential needs --{('left', 'right')[i]}-char; "
+                                 f"declared characters: {declared}")
         return tuple((left, right)[i] for i in read)
     return chars
 
@@ -1059,7 +1064,7 @@ NAMED_COMPLEXES = tuple(_NAMED)
 
 def _generic(kind, diff, reads, *read):
     """The row of a generic kind whose boundary reads the sides in read."""
-    return _Named(None, _itself, _sides(*read), diff, _described(kind, read), reads)
+    return _Named(None, _itself, _sides(kind, *read), diff, _described(kind, read), reads)
 
 
 _SIDE_PARAMS = ("left_char", "right_char", "twist")
@@ -1108,10 +1113,6 @@ def named_complex(space: PreBraidedSpace, name: str, n_max: int, params: Optiona
     carrier = row.carrier(space)
     _ensure_ybe(carrier)
     chars = row.chars(carrier, params)
-    if None in chars:
-        declared = ", ".join(sorted(carrier.characters)) or "none"
-        raise ExactError(f"the {name} differential needs --left-char; "
-                         f"declared characters: {declared}")
     for char in chars:
         _ensure_verified(carrier, char, co=row.step > 0)
     lead, diff_fn = row.diff(carrier, chars, params)

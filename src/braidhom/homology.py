@@ -129,7 +129,6 @@ class HomologyReport:
     ring_name: str
     builder: str
     degrees: dict[int, DegreeHomology]
-    square_zero_verified: bool = True
 
     def free_ranks(self) -> dict[int, int]:
         return {n: h.free_rank for n, h in sorted(self.degrees.items())}

@@ -3,7 +3,9 @@
 Everything here works on plain lists of Fractions/ints and never calls into
 the code paths it is checking. The exceptions are the co-side references at
 the end: they use sparse maps and the quantum shuffle product, a formula the
-codifferentials and bicomodule checks no longer call.
+codifferentials and bicomodule checks do not call. The shuffle product is
+the transposed coshuffle of the transposed twin, a recursion of its own
+that the boundaries (`complexes._pull`) do not share.
 """
 
 from __future__ import annotations

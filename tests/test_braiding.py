@@ -297,17 +297,54 @@ def test_shuffle_recursion_matches_lift_sums_scenarios(name, ring_name):
     assert_recursion_matches_sums(lambda: build_space(sc, ring), max_total)
 
 
+def non_ybe_space():
+    """A random braiding of a 2-dimensional space that fails the YBE."""
+    rng = random.Random(7)
+    entries = [(i, j, rng.randint(-2, 2)) for i in range(4) for j in range(4)]
+    return PreBraidedSpace(2, ZZ, SparseLinearMap.from_entries(4, 4, entries, ZZ))
+
+
 def test_shuffle_recursion_matches_lift_sums_without_ybe():
     # the recursion follows the canonical reduced words, so it agrees with
     # the sums even where the lift depends on the word
-    rng = random.Random(7)
-    entries = [(i, j, rng.randint(-2, 2)) for i in range(4) for j in range(4)]
+    assert not check_ybe(non_ybe_space()).ok
+    assert_recursion_matches_sums(non_ybe_space, 5)
 
-    def make():
-        return PreBraidedSpace(2, ZZ, SparseLinearMap.from_entries(4, 4, entries, ZZ))
 
-    assert not check_ybe(make()).ok
-    assert_recursion_matches_sums(make, 5)
+def reference_hopf_failures(space, max_total, inverse):
+    """Oracle: the (co)associativity failures of the literal lift sums, as
+    (label, p, q, r) in the order the checks visit them."""
+    def sh(p, q):
+        return lift_sum(space, p, q, 1, inverse)
+
+    failures = []
+    for total in range(max_total + 1):
+        for p in range(total + 1):
+            for q in range(total - p + 1):
+                r = total - p - q
+                id_p, id_r = space.identity_power(p), space.identity_power(r)
+                if inverse:
+                    lhs = tensor(sh(p, q), id_r).compose(sh(p + q, r))
+                    rhs = tensor(id_p, sh(q, r)).compose(sh(p, q + r))
+                else:
+                    lhs = sh(p + q, r).compose(tensor(sh(p, q), id_r))
+                    rhs = sh(p, q + r).compose(tensor(id_p, sh(q, r)))
+                if lhs != rhs:
+                    failures.append(("coassociativity" if inverse else "associativity", p, q, r))
+    return failures
+
+
+def test_hopf_failure_lists_match_lift_sums_without_ybe():
+    # both checks report exactly the failures of the literal sums: labels,
+    # indices and order alike
+    from braidhom.braiding import check_coshuffle_coassociativity, check_shuffle_associativity
+    built, oracle = non_ybe_space(), non_ybe_space()
+    built.allow_unverified = oracle.allow_unverified = True
+    assoc = reference_hopf_failures(oracle, 4, inverse=False)
+    coassoc = reference_hopf_failures(oracle, 4, inverse=True)
+    assert assoc and coassoc
+    assert check_shuffle_associativity(built, 4).failures == assoc
+    assert check_coshuffle_coassociativity(built, 4).failures == coassoc
 
 
 # -- extended braiding and antipode ----------------------------------------------

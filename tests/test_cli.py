@@ -240,6 +240,20 @@ def test_verify_duality_on_algebra(tmp_path, capsys):
     assert rep["duality"]["codifferentials_are_transposes"] is True
 
 
+def test_duality_suite_catches_a_wrong_boundary_recursion(monkeypatch, capsys):
+    """The cobar side is built by the shuffle-product formula, so a fault in
+    the one boundary recursion, on either side, shows in the flag."""
+    from braidhom import complexes
+    pull = complexes._pull
+    monkeypatch.setattr(complexes, "_pull", lambda *a, **k: pull(*a, **k).scale(2))
+    code = cli.main(["verify", str(SCENARIOS / "dual_numbers.json"), "--suite", "duality",
+                     "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["duality"]["braiding_transposed"] is True
+    assert rep["duality"]["codifferentials_are_transposes"] is False
+
+
 def test_verify_homotopy_on_algebra(tmp_path, capsys):
     path = write(tmp_path, KZ2_DOC)
     code = cli.main(["verify", path, "--suite", "homotopy", "--left-char", "aug",
@@ -401,6 +415,15 @@ def test_several_characters_need_left_char(capsys):
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"] == (
         "the combined differential needs --left-char; declared characters: aug, sign")
+
+
+@pytest.mark.parametrize("diff", ["right", "hyper-right"])
+def test_one_sided_right_boundary_needs_right_char(diff, capsys):
+    code = cli.main(["complex", str(SCENARIOS / "group_algebra_z2.json"), "--diff", diff,
+                     "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        f"the {diff} differential needs --right-char; declared characters: aug, sign")
 
 
 def test_normalized_with_coefficient_module(tmp_path, capsys):

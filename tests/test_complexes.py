@@ -640,8 +640,8 @@ def test_span_predicates_match_digit_definition(lead_dim):
     for d in (1, 2, 3):
         for n in range(5):
             dims = (lead_dim,) + (d,) * n
-            repeated = repeated_neighbor_span(d, n, lead_dim)
-            bearing = [unit_factor_span(d, n, u, lead_dim) for u in range(d)]
+            repeated = repeated_neighbor_span(d, n)
+            bearing = [unit_factor_span(d, n, u) for u in range(d)]
             for flat in range(lead_dim * d ** n):
                 digs = digits_of(flat, dims)[1:]
                 assert repeated(flat) == any(digs[i] == digs[i + 1] for i in range(n - 1))
