@@ -17,7 +17,6 @@ from .exactlin import (
     Ring,
     SparseLinearMap,
     tensor,
-    try_inverse,
 )
 
 
@@ -206,7 +205,6 @@ class PreBraidedSpace:
     """
 
     def __init__(self, dim: int, ring: Ring, braiding: SparseLinearMap, *,
-                 grading: Optional[list[int]] = None,
                  unit_index: Optional[int] = None,
                  comultiplication: Optional[SparseLinearMap] = None,
                  payload=None):
@@ -216,15 +214,11 @@ class PreBraidedSpace:
             raise ExactError("braiding ring mismatch")
         if comultiplication is not None and (comultiplication.rows, comultiplication.cols) != (dim * dim, dim):
             raise ExactError(f"comultiplication must be {dim * dim}x{dim}")
-        if grading is not None and len(grading) != dim:
-            raise ExactError("grading must assign a degree to every basis vector")
         if unit_index is not None and not 0 <= unit_index < dim:
             raise ExactError("unit index out of range")
         self.dim = dim
         self.ring = ring
         self.braiding = braiding
-        self.braiding_inverse: Optional[SparseLinearMap] = None
-        self.grading = list(grading) if grading is not None else None
         self.unit_index = unit_index
         self.comultiplication = comultiplication
         self.payload = payload
@@ -518,15 +512,6 @@ def check_braided_coalgebra(space: PreBraidedSpace) -> CoalgebraReport:
     return CoalgebraReport(co1 == co2, compat_left, compat_right, cocomm)
 
 
-def invert_braiding(space: PreBraidedSpace) -> Optional[SparseLinearMap]:
-    """Exact inverse of the braiding over the active ring (unimodular over Z),
-    installed on the space when it exists."""
-    inv = try_inverse(space.braiding)
-    if inv is not None:
-        space.braiding_inverse = inv
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # Hopf-level checks on the truncated tensor space. All statements are
 # graded, so checking degree by degree up to a cap loses nothing there.
@@ -565,15 +550,18 @@ def check_coshuffle_coassociativity(space: PreBraidedSpace, max_total: int = 4) 
 
 def check_sigma_commutativity(space: PreBraidedSpace, max_total: int = 4) -> HopfReport:
     """For involutive braidings the shuffle product absorbs the block
-    crossing: sh(p,q) = sh(q,p) o crossing."""
+    crossing: sh(p,q) = sh(q,p) o crossing. Checked transposed: sh(p,q)^T is
+    the coshuffle D(p,q) of the transposed twin, so the law reads
+    D(p,q) = crossing^T o D(q,p)."""
     if space.braiding.compose(space.braiding) != space.identity_power(2):
         raise ExactError("sigma-commutativity applies to involutive braidings only")
+    twin = space.transposed()
     failures = []
     for total in range(max_total + 1):
         for p in range(total + 1):
             q = total - p
-            lhs = shuffle_product(space, p, q)
-            rhs = shuffle_product(space, q, p).compose(extended_braiding(space, q, p))
+            lhs = shuffle_coproduct(twin, p, q)
+            rhs = extended_braiding(space, q, p).transpose().compose(shuffle_coproduct(twin, q, p))
             if lhs != rhs:
                 failures.append(("sigma-commutativity", p, q))
     return HopfReport(not failures, failures)
@@ -581,7 +569,10 @@ def check_sigma_commutativity(space: PreBraidedSpace, max_total: int = 4) -> Hop
 
 def check_hopf_compatibility(space: PreBraidedSpace, max_total: int = 4) -> HopfReport:
     """Deconcatenation and the shuffle product satisfy the braided bialgebra
-    law, block by block on the truncated tensor space."""
+    law, block by block on the truncated tensor space. Each block is checked
+    transposed, with the coshuffles D of the transposed twin in place of the
+    transposed shuffle products, so that only the crossings are transposed."""
+    twin = space.transposed()
     failures = []
     for p in range(max_total + 1):
         for q in range(max_total - p + 1):
@@ -596,26 +587,29 @@ def check_hopf_compatibility(space: PreBraidedSpace, max_total: int = 4) -> Hopf
                         continue
                     p2, q2 = p - p1, q - q1
                     mid = tensor(space.identity_power(p1),
-                                 tensor(extended_braiding(space, q1, p2),
+                                 tensor(extended_braiding(space, q1, p2).transpose(),
                                         space.identity_power(q2)))
-                    term = tensor(shuffle_product(space, p1, q1),
-                                  shuffle_product(space, p2, q2)).compose(mid)
+                    term = mid.compose(tensor(shuffle_coproduct(twin, p1, q1),
+                                              shuffle_coproduct(twin, p2, q2)))
                     rhs = rhs.add_map(term)
-                if rhs != shuffle_product(space, p, q):
+                if rhs != shuffle_coproduct(twin, p, q):
                     failures.append(("hopf-compat", p, q, a))
     return HopfReport(not failures, failures)
 
 
 def check_antipode_axiom(space: PreBraidedSpace, max_total: int = 4) -> HopfReport:
     """sum over p+q=n of sh(p,q) o (antipode_p (x) Id_q) is zero in positive
-    degree and the identity in degree zero."""
+    degree and the identity in degree zero. Checked transposed, as the sum
+    of (antipode_p^T (x) Id_q) o D(p,q) over the coshuffles D of the
+    transposed twin."""
+    twin = space.transposed()
     failures = []
     for n in range(1, max_total + 1):
         acc = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
         for p in range(n + 1):
             q = n - p
-            term = shuffle_product(space, p, q).compose(
-                tensor(antipode(space, p), space.identity_power(q)))
+            term = tensor(antipode(space, p).transpose(), space.identity_power(q)).compose(
+                shuffle_coproduct(twin, p, q))
             acc = acc.add_map(term)
         if not acc.is_zero():
             failures.append(("antipode", n))

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .exactlin import ExactError, QQ, Ring, ZZ, ring_from_name, tensor
+from .exactlin import ExactError, QQ, Ring, ZZ, is_invertible, ring_from_name, tensor
 from .braiding import (
     UnverifiedError,
     _declared,
@@ -27,7 +27,6 @@ from .braiding import (
     check_hopf_compatibility,
     check_sigma_commutativity,
     check_ybe,
-    invert_braiding,
     shuffle_product,
 )
 from . import structures as st
@@ -284,8 +283,7 @@ def _run_check(space, args, report) -> bool:
             "character_compatibility": {k: v for k, v in sorted(rep.char_compat.items())},
         }
 
-    inv = invert_braiding(space)
-    report["braiding_invertible"] = inv is not None
+    report["braiding_invertible"] = is_invertible(space.braiding)
 
     mods = {}
     for name in sorted(space.modules):

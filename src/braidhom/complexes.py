@@ -532,8 +532,8 @@ def bimodule_diff(space: PreBraidedSpace, B: Bimodule,
                                   "(pass --allow-unverified to use it anyway)")
         raise UnverifiedError(f"bimodule {B.name!r} not verified; run check_bimodule first")
     m = B.dim
-    left = _pull(space, B.right_action, 1, n, "left", lead=m)
-    mid = _pull(space, B.left_action, 1, n, "right", trail=m)
+    left = _pull(space, B.right_action, 1, n, "left")
+    mid = _pull(space, B.left_action, 1, n, "right")
     fwd = block_flip(space.ring, m, space.dim ** n)
     back = block_flip(space.ring, space.dim ** (n - 1), m)
     return left, back.compose(mid).compose(fwd)

@@ -51,9 +51,6 @@ class Ring:
     def is_unit(self, a) -> bool:
         raise NotImplementedError
 
-    def inv(self, a):
-        raise NotImplementedError
-
     def parse(self, text) -> object:
         """Accept ints and 'p/q' strings (reduced on input)."""
         if isinstance(text, str):
@@ -88,11 +85,6 @@ class IntegerRing(Ring):
     def is_unit(self, a) -> bool:
         return a in (1, -1)
 
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise ExactError(f"{a} is not a unit in Z")
-
 
 class RationalField(Ring):
     name = "Q"
@@ -109,11 +101,6 @@ class RationalField(Ring):
 
     def is_unit(self, a) -> bool:
         return a != 0
-
-    def inv(self, a):
-        if a == 0:
-            raise ExactError("division by zero in Q")
-        return self.coerce(1 / Fraction(a))
 
     def fmt(self, a) -> str:
         a = Fraction(a)
@@ -144,11 +131,6 @@ class PrimeField(Ring):
 
     def is_unit(self, a) -> bool:
         return a % self.p != 0
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ExactError(f"division by zero in F_{self.p}")
-        return pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -306,13 +288,6 @@ class SparseLinearMap:
     def __repr__(self):
         return f"SparseLinearMap({self.rows}x{self.cols} over {self.ring}, nnz={self.nnz})"
 
-    def to_dense(self) -> list[list]:
-        z = self.ring.zero
-        out = [[z] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries():
-            out[r][c] = v
-        return out
-
     # -- algebra ------------------------------------------------------------
 
     def compose(self, other: "SparseLinearMap") -> "SparseLinearMap":
@@ -431,18 +406,18 @@ def tensor(f: SparseLinearMap, g: SparseLinearMap) -> SparseLinearMap:
 
 # ---------------------------------------------------------------------------
 # Elimination. One kernel serves rank over F_p, rank over Q and the Smith
-# form over Z. Each pivot is taken in the live column meeting the fewest
-# rows, read from the columns bucketed by that count, and in its shortest
-# row. A pivot in a column met by k rows updates the k - 1 other rows, so
-# the sparsest column first keeps fill low: on the R5 rack boundary d_5
-# over F7 it makes about 9x fewer entry updates than the shortest row
-# first. Over Z only +-1 entries are pivots until none is left; a column
-# found to hold none is set aside until an update touches it, so the
-# search does not rescan it. Each update a*row - b*prow is one in-place
-# loop over the pivot row, reduced mod p over F_p. Over Q rows are kept
-# integral: denominators are cleared, and each updated row is divided by
-# its content (gcd) to keep the integers small. The Smith form never
-# divides out contents (see smith_normal_form).
+# form over Z, and through them the invertibility test (is_invertible).
+# Each pivot is taken in the live column meeting the fewest rows, read from
+# the columns bucketed by that count, and in its shortest row. A pivot in a
+# column met by k rows updates the k - 1 other rows, so the sparsest column
+# first keeps fill low: on the R5 rack boundary d_5 over F7 it makes about
+# 9x fewer entry updates than the shortest row first. Over Z only +-1
+# entries are pivots until none is left; a column found to hold none is set
+# aside until an update touches it, so the search does not rescan it. Each
+# update a*row - b*prow is one in-place loop over the pivot row, reduced
+# mod p over F_p. Over Q rows are kept integral: denominators are cleared,
+# and each updated row is divided by its content (gcd) to keep the integers
+# small. The Smith form never divides out contents (see smith_normal_form).
 #
 # A complex is eliminated one boundary after the other (_eliminate_chain).
 # A pivot of d_n at column c fixes the coordinate x_c of every kernel vector
@@ -746,6 +721,16 @@ def smith_normal_form(m: SparseLinearMap) -> list[int]:
     return _eliminate(m, smith=True)[0]
 
 
+def is_invertible(m: SparseLinearMap) -> bool:
+    """Whether m is invertible over its ring: square with every invariant
+    factor 1 over Z (unimodular), square of full rank over a field."""
+    if m.rows != m.cols:
+        return False
+    if m.ring.is_field:
+        return rank(m) == m.rows
+    return smith_normal_form(m) == [1] * m.rows
+
+
 def _eliminate_chain(diffs: dict[int, SparseLinearMap], step: int,
                      field: Optional[Ring] = None) -> dict[int, object]:
     """Per degree n, the rank of diffs[n] over field, or its nonzero
@@ -766,51 +751,4 @@ def _eliminate_chain(diffs: dict[int, SparseLinearMap], step: int,
         out[n], fixed = _eliminate(m, field is None, passed.pop(n + step, frozenset()))
         if n - step in diffs:
             passed[n] = set(fixed)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Dense exact inverse (used for small braiding matrices only).
-# ---------------------------------------------------------------------------
-
-def try_inverse(m: SparseLinearMap) -> Optional[SparseLinearMap]:
-    """Exact inverse, or None when the map is not invertible over its ring.
-
-    Over Z the inverse must itself be integral (unimodularity); otherwise
-    None is returned even if the matrix is invertible over Q.
-    """
-    if m.rows != m.cols:
-        return None
-    n = m.rows
-    if n == 0:
-        return SparseLinearMap.zero(0, 0, m.ring)
-    field = m.ring if m.ring.is_field else QQ
-    work = m.with_ring(field)
-    a = work.to_dense()
-    inv = SparseLinearMap.identity(n, field).to_dense()
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pv = field.inv(a[col][col])
-        a[col] = [field.coerce(pv * x) for x in a[col]]
-        inv[col] = [field.coerce(pv * x) for x in inv[col]]
-        for r in range(n):
-            f = a[r][col]
-            if r == col or not f:
-                continue
-            a[r] = [field.coerce(x - f * y) for x, y in zip(a[r], a[col])]
-            inv[r] = [field.coerce(x - f * y) for x, y in zip(inv[r], inv[col])]
-    entries = [(r, c, inv[r][c]) for r in range(n) for c in range(n) if inv[r][c]]
-    out = SparseLinearMap.from_entries(n, n, entries, field)
-    if m.ring is ZZ:
-        if any(v.denominator != 1 for _, _, v in out.entries()):
-            return None
-        return out.with_ring(ZZ)
     return out

@@ -2,9 +2,9 @@
 
 Each constructor linearizes one algebraic structure into a pre-braiding on a
 based space, installing whatever companion data the structure provides for
-free (characters, comultiplications, units, inverse braidings). The check_*
-functions are total: they return structured reports and never raise on a
-mere axiom failure, so a front end can present every violation.
+free (characters, comultiplications, units). The check_* functions are
+total: they return structured reports and never raise on a mere axiom
+failure, so a front end can present every violation.
 """
 
 from __future__ import annotations
@@ -373,16 +373,11 @@ def coalgebra_extend(a: AlgebraData) -> AlgebraData:
 # ---------------------------------------------------------------------------
 
 def flip_braiding(d: int, ring: Ring = ZZ) -> PreBraidedSpace:
-    space = PreBraidedSpace(d, ring, make_flip(d, ring))
-    space.braiding_inverse = space.braiding
-    return space
+    return PreBraidedSpace(d, ring, make_flip(d, ring))
 
 
 def signed_flip_braiding(d: int, ring: Ring = ZZ) -> PreBraidedSpace:
-    sigma = make_flip(d, ring).neg()
-    space = PreBraidedSpace(d, ring, sigma)
-    space.braiding_inverse = sigma
-    return space
+    return PreBraidedSpace(d, ring, make_flip(d, ring).neg())
 
 
 def koszul_braiding(grading: list[int], ring: Ring = ZZ) -> PreBraidedSpace:
@@ -394,10 +389,7 @@ def koszul_braiding(grading: list[int], ring: Ring = ZZ) -> PreBraidedSpace:
         for b in range(d):
             v = one if (grading[a] * grading[b]) % 2 == 0 else -one
             entries.append((b * d + a, a * d + b, v))
-    sigma = SparseLinearMap.from_entries(d * d, d * d, entries, ring)
-    space = PreBraidedSpace(d, ring, sigma, grading=grading)
-    space.braiding_inverse = sigma
-    return space
+    return PreBraidedSpace(d, ring, SparseLinearMap.from_entries(d * d, d * d, entries, ring))
 
 
 def q_flip_braiding(q, ring: Ring) -> PreBraidedSpace:
@@ -407,8 +399,6 @@ def q_flip_braiding(q, ring: Ring) -> PreBraidedSpace:
         raise ExactError("q must be nonzero")
     sigma = SparseLinearMap.from_entries(1, 1, [(0, 0, qv)], ring)
     space = PreBraidedSpace(1, ring, sigma)
-    if ring.is_unit(qv):
-        space.braiding_inverse = SparseLinearMap.from_entries(1, 1, [(0, 0, ring.inv(qv))], ring)
     space.add_character("ones", [ring.one])
     return space
 
@@ -433,7 +423,7 @@ def assoc_braiding(a: AlgebraData) -> PreBraidedSpace:
     delta = SparseLinearMap.from_entries(
         d * d, d, [(u * d + v, v, ring.one) for v in range(d)], ring)
     space = PreBraidedSpace(d, ring, sigma, unit_index=u,
-                            comultiplication=delta, payload=a, grading=a.grading)
+                            comultiplication=delta, payload=a)
     if a.counit is not None:
         space.add_character("counit", a.counit)
     for name, cov in a.characters.items():
@@ -442,9 +432,8 @@ def assoc_braiding(a: AlgebraData) -> PreBraidedSpace:
 
 
 def leibniz_braiding(a: AlgebraData) -> PreBraidedSpace:
-    """v (x) w -> w (x) v + 1 (x) [v,w] for a bracket with central unit; the
-    closed-form inverse w (x) v -> v (x) w - [w,v] (x) 1 and the primitive
-    comultiplication are installed."""
+    """v (x) w -> w (x) v + 1 (x) [v,w] for a bracket with central unit, with
+    the primitive comultiplication installed."""
     if a.kind != "leibniz":
         raise ExactError("leibniz_braiding expects leibniz data")
     if a.unit_index is None:
@@ -456,15 +445,11 @@ def leibniz_braiding(a: AlgebraData) -> PreBraidedSpace:
     u = a.unit_index
     ring = a.ring
     entries = []
-    inv_entries = []
     for i in range(d):
         for j in range(d):
             entries.append((j * d + i, i * d + j, ring.one))
-            inv_entries.append((j * d + i, i * d + j, ring.one))
             for k, v in _mul_basis(a, i, j).items():
                 entries.append((u * d + k, i * d + j, v))
-            for k, v in _mul_basis(a, j, i).items():
-                inv_entries.append((k * d + u, i * d + j, -v))
     sigma = SparseLinearMap.from_entries(d * d, d * d, entries, ring)
     delta_entries = [(u * d + u, u, ring.one)]
     for v in range(d):
@@ -473,8 +458,7 @@ def leibniz_braiding(a: AlgebraData) -> PreBraidedSpace:
             delta_entries.append((v * d + u, v, ring.one))
     delta = SparseLinearMap.from_entries(d * d, d, delta_entries, ring)
     space = PreBraidedSpace(d, ring, sigma, unit_index=u,
-                            comultiplication=delta, payload=a, grading=a.grading)
-    space.braiding_inverse = SparseLinearMap.from_entries(d * d, d * d, inv_entries, ring)
+                            comultiplication=delta, payload=a)
     if a.counit is not None:
         space.add_character("counit", a.counit)
     for name, cov in a.characters.items():
@@ -503,7 +487,7 @@ def graded_leibniz_braiding(a: AlgebraData) -> PreBraidedSpace:
             for k, v in _mul_basis(a, i, j).items():
                 entries.append((u * d + k, i * d + j, v))
     sigma = SparseLinearMap.from_entries(d * d, d * d, entries, ring)
-    space = PreBraidedSpace(d, ring, sigma, unit_index=u, payload=a, grading=a.grading)
+    space = PreBraidedSpace(d, ring, sigma, unit_index=u, payload=a)
     if a.counit is not None:
         space.add_character("counit", a.counit)
     for name, cov in a.characters.items():

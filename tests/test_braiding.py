@@ -23,7 +23,7 @@ from braidhom import (
     dihedral_shelf,
     extended_braiding,
     flip_braiding,
-    invert_braiding,
+    is_invertible,
     q_flip_braiding,
     reduced_word,
     shelf_braiding,
@@ -334,17 +334,55 @@ def reference_hopf_failures(space, max_total, inverse):
     return failures
 
 
+def reference_bialgebra_failures(space, max_total):
+    """Oracle: the Hopf-compatibility and antipode failures of the literal
+    lift sums of the shuffle product, in the order the checks visit them."""
+    def sh(p, q):
+        return lift_sum(space, p, q, 1, False)
+
+    compat = []
+    for p in range(max_total + 1):
+        for q in range(max_total - p + 1):
+            n = p + q
+            for a in range(n + 1):
+                rhs = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
+                for p1 in range(min(a, p) + 1):
+                    q1 = a - p1
+                    if q1 > q:
+                        continue
+                    p2, q2 = p - p1, q - q1
+                    mid = tensor(space.identity_power(p1),
+                                 tensor(extended_braiding(space, q1, p2), space.identity_power(q2)))
+                    rhs = rhs.add_map(tensor(sh(p1, q1), sh(p2, q2)).compose(mid))
+                if rhs != sh(p, q):
+                    compat.append(("hopf-compat", p, q, a))
+    anti = []
+    for n in range(1, max_total + 1):
+        acc = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
+        for p in range(n + 1):
+            acc = acc.add_map(sh(p, n - p).compose(tensor(antipode(space, p),
+                                                          space.identity_power(n - p))))
+        if not acc.is_zero():
+            anti.append(("antipode", n))
+    return compat, anti
+
+
 def test_hopf_failure_lists_match_lift_sums_without_ybe():
-    # both checks report exactly the failures of the literal sums: labels,
-    # indices and order alike
-    from braidhom.braiding import check_coshuffle_coassociativity, check_shuffle_associativity
+    # every check reports exactly the failures of the literal sums: labels,
+    # indices and order alike. The bialgebra law holds on the lift sums even
+    # without the YBE, so its list is empty; the other three are not.
+    from braidhom.braiding import (check_antipode_axiom, check_coshuffle_coassociativity,
+                                   check_hopf_compatibility, check_shuffle_associativity)
     built, oracle = non_ybe_space(), non_ybe_space()
     built.allow_unverified = oracle.allow_unverified = True
     assoc = reference_hopf_failures(oracle, 4, inverse=False)
     coassoc = reference_hopf_failures(oracle, 4, inverse=True)
-    assert assoc and coassoc
+    compat, anti = reference_bialgebra_failures(oracle, 4)
+    assert assoc and coassoc and anti and not compat
     assert check_shuffle_associativity(built, 4).failures == assoc
     assert check_coshuffle_coassociativity(built, 4).failures == coassoc
+    assert check_hopf_compatibility(built, 4).failures == compat
+    assert check_antipode_axiom(built, 4).failures == anti
 
 
 # -- extended braiding and antipode ----------------------------------------------
@@ -450,33 +488,43 @@ def test_coalgebra_without_delta_raises():
         check_braided_coalgebra(space)
 
 
-# -- inverses ---------------------------------------------------------------------
+# -- invertibility -----------------------------------------------------------------
 
 def test_invert_flip():
     space = flip_braiding(2, ZZ)
-    inv = invert_braiding(space)
-    assert inv == space.braiding
+    assert is_invertible(space.braiding)
+    assert compose(space.braiding, space.braiding) == space.identity_power(2)
 
 
 def test_assoc_braiding_not_invertible(kz2):
-    assert invert_braiding(kz2) is None
+    assert not is_invertible(kz2.braiding)
 
 
 def test_leibniz_braiding_inverse_formula(sl2_unital):
+    # w (x) v -> v (x) w - [v,w] (x) 1 undoes v (x) w -> w (x) v + 1 (x) [v,w]
+    # on both sides, because the unit is central for the bracket
+    d, u = sl2_unital.dim, sl2_unital.unit_index
+    bracket = sl2_unital.payload.operation
+    entries = []
+    for w in range(d):
+        for v in range(d):
+            entries.append((v * d + w, w * d + v, 1))
+            for k, c in bracket.column(v * d + w).items():
+                entries.append((k * d + u, w * d + v, -c))
+    inv = SparseLinearMap.from_entries(d * d, d * d, entries, ZZ)
     sigma = sl2_unital.braiding
-    inv = sl2_unital.braiding_inverse
     assert compose(sigma, inv) == sl2_unital.identity_power(2)
     assert compose(inv, sigma) == sl2_unital.identity_power(2)
-    assert invert_braiding(sl2_unital) == inv
+    assert is_invertible(sigma)
 
 
 def test_rack_braiding_invertible_iff_rack(r3):
-    assert invert_braiding(r3) is not None
+    assert is_invertible(r3.braiding)
     # constant table: self-distributive but not a rack
     t = ShelfTable(((1, 1), (1, 1)))
     space = shelf_braiding(t, ZZ)
     assert check_ybe(space).ok
-    assert invert_braiding(space) is None
+    assert not is_invertible(space.braiding)
 
 
 # -- cocharacters ------------------------------------------------------------------

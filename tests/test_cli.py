@@ -152,6 +152,29 @@ def test_check_command_non_sd_table(tmp_path, capsys):
     assert rep["ybe"]["ok"] is False
 
 
+# Invertibility of each shipped braiding, from theory. R3 is a rack, so its
+# braiding permutes the basis; the Leibniz braiding of sl2 has the integral
+# inverse w (x) v -> v (x) w - [v,w] (x) 1. The associative braidings land in
+# 1 (x) A and the coalgebra braiding factors through the counit, so their
+# rank is below d^2.
+BRAIDING_INVERTIBLE = {
+    "dihedral3.json": True,
+    "sl2.json": True,
+    "dual_numbers.json": False,
+    "group_algebra_z2.json": False,
+    "dual_numbers_coalgebra.json": False,
+}
+
+
+@pytest.mark.parametrize("ring", ["z", "q", "fp:3"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_check_reports_braiding_invertible(name, ring, capsys):
+    code = cli.main(["check", str(SCENARIOS / name), "--ring", ring, "--json"])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["braiding_invertible"] is BRAIDING_INVERTIBLE[name]
+
+
 def test_homology_command_uses_scenario_defaults(tmp_path, capsys):
     code = cli.main(["homology", write(tmp_path, R3_DOC), "--json"])
     assert code == 0

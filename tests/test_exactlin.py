@@ -16,9 +16,9 @@ from braidhom import (
     rank,
     ring_from_name,
     shelf_braiding,
+    is_invertible,
     smith_normal_form,
     tensor,
-    try_inverse,
 )
 from braidhom.complexes import named_complex
 from braidhom.exactlin import _eliminate, _eliminate_chain, digits_of, flat_index
@@ -27,6 +27,7 @@ from braidhom.structures import adjoin_unit, leibniz_braiding
 from conftest import sl2_data
 
 from helpers import (
+    _det,
     dense_kron,
     dense_matmul,
     dense_of,
@@ -127,7 +128,6 @@ def test_prime_field_arithmetic():
     assert f5.coerce(-3) == 2
     assert f5.coerce(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
     assert f5.coerce(3 * 4) == 2
-    assert f5.inv(2) == 3
     with pytest.raises(ExactError):
         f5.coerce(Fraction(1, 5))
 
@@ -497,33 +497,63 @@ def test_snf_rejects_fractions():
         smith_normal_form(m)
 
 
-# -- inverse -----------------------------------------------------------------
+# -- invertibility -------------------------------------------------------------
 
-def test_try_inverse_identity_and_singular():
-    eye = SparseLinearMap.identity(3, QQ)
-    assert try_inverse(eye) == eye
-    sing = from_dense([[1, 1], [1, 1]], QQ)
-    assert try_inverse(sing) is None
-
-
-def test_try_inverse_unimodularity_over_z():
-    m = from_dense([[2, 0], [0, 1]], ZZ)
-    assert try_inverse(m) is None          # inverse exists over Q only
-    assert try_inverse(m.with_ring(QQ)) is not None
-    u = from_dense([[1, 1], [0, 1]], ZZ)
-    inv = try_inverse(u)
-    assert inv is not None
-    assert compose(u, inv) == SparseLinearMap.identity(2, ZZ)
+def random_unimodular(n, rng):
+    """The identity under random row additions, swaps and sign changes, so
+    an integer matrix of determinant +-1."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            k = rng.choice([-2, -1, 1, 2])
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        a[i], a[j] = a[j], [-x for x in a[i]]
+    return a
 
 
-def test_try_inverse_random_check():
-    rng = random.Random(43)
-    found = 0
-    for _ in range(20):
-        m = random_sparse(4, 4, QQ, rng, density=0.7)
-        inv = try_inverse(m)
-        if inv is not None:
-            found += 1
-            assert compose(m, inv) == SparseLinearMap.identity(4, QQ)
-            assert compose(inv, m) == SparseLinearMap.identity(4, QQ)
-    assert found > 0
+def test_is_invertible_matches_dense_oracles():
+    # over Z invertible means unimodular: diag(2, 1) is invertible over Q
+    # and over F3, but not over Z or F2
+    diag = [[2, 0], [0, 1]]
+    assert not is_invertible(from_dense(diag, ZZ))
+    assert is_invertible(from_dense(diag, QQ))
+    assert is_invertible(from_dense(diag, PrimeField(3)))
+    assert not is_invertible(from_dense(diag, PrimeField(2)))
+    for ring in (ZZ, QQ, PrimeField(2)):
+        # a non-square map is never invertible, the empty one always
+        assert not is_invertible(from_dense([[1, 0, 0], [0, 1, 0]], ring))
+        assert is_invertible(SparseLinearMap.identity(0, ring))
+    rng = random.Random(15)
+    seen = {name: set() for name in ("z", "q", "fp")}
+    q_only = 0
+    for trial in range(240):
+        n = rng.randint(1, 4)
+        kind = trial % 3
+        if kind == 0:
+            mat = random_unimodular(n, rng)
+        elif kind == 1:
+            # determinant +-2 or +-3: invertible over Q and over F_p for p
+            # not dividing it
+            mat = random_unimodular(n, rng)
+            r = rng.randrange(n)
+            mat[r] = [rng.choice([2, 3]) * x for x in mat[r]]
+        else:
+            mat = [[rng.choice([-2, -1, 0, 0, 1, 2]) for _ in range(n)] for _ in range(n)]
+        unimodular = _det(mat) in (1, -1)
+        assert unimodular == (snf_by_minor_gcds(mat) == [1] * n)
+        got = is_invertible(from_dense(mat, ZZ))
+        assert got == unimodular, mat
+        seen["z"].add(got)
+        # rows scaled by random denominators keep the rank over Q
+        qmat = [[Fraction(x, rng.randint(1, 3)) for x in row] for row in mat]
+        got = is_invertible(from_dense(qmat, QQ))
+        assert got == (dense_rank(qmat) == n), qmat
+        seen["q"].add(got)
+        q_only += got and not unimodular
+        for p in (2, 3, 7):
+            got = is_invertible(from_dense(mat, PrimeField(p)))
+            assert got == (dense_rank_mod_p(mat, p) == n), (p, mat)
+            seen["fp"].add(got)
+    assert all(v == {True, False} for v in seen.values())
+    assert q_only > 0
