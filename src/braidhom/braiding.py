@@ -579,7 +579,6 @@ def check_hopf_compatibility(space: PreBraidedSpace, max_total: int = 4) -> Hopf
             n = p + q
             # block (a, n-a) of deconcat o sh(p,q) is sh(p,q) itself
             for a in range(n + 1):
-                b = n - a
                 rhs = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
                 for p1 in range(min(a, p) + 1):
                     q1 = a - p1
@@ -604,13 +603,15 @@ def check_antipode_axiom(space: PreBraidedSpace, max_total: int = 4) -> HopfRepo
     transposed twin."""
     twin = space.transposed()
     failures = []
-    for n in range(1, max_total + 1):
+    for n in range(max_total + 1):
         acc = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
         for p in range(n + 1):
             q = n - p
             term = tensor(antipode(space, p).transpose(), space.identity_power(q)).compose(
                 shuffle_coproduct(twin, p, q))
             acc = acc.add_map(term)
+        if n == 0:
+            acc = acc.sub_map(space.identity_power(0))
         if not acc.is_zero():
             failures.append(("antipode", n))
     return HopfReport(not failures, failures)

@@ -23,18 +23,21 @@ braiding at a time (_crossed),
 
     A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma),
 
-and A'_q is its mirror. The co-side has no formula of its own: each
-degree +1 map is the transpose of a boundary of the transposed coaction on
-the space's transposed twin (PreBraidedSpace.transposed, braiding sigma^T).
+and A'_q is its mirror. The formulas are recipes, not steps: each H and
+each A_q is written column by column from the columns of the maps it comes
+from, and no tensor product, sum or identity block is materialised. The
+co-side has no formula of its own: each degree +1 map is the transpose of a
+boundary of the transposed coaction on the space's transposed twin
+(PreBraidedSpace.transposed, braiding sigma^T).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .exactlin import ExactError, SparseLinearMap, digits_of, flat_index, tensor
+from .exactlin import ExactError, SparseLinearMap, _axpy, digits_of, flat_index, tensor
 from .braiding import (
     PreBraidedSpace,
     UnverifiedError,
@@ -111,9 +114,11 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
     words, so H' equals the formula; without it (a space whose
     allow_unverified overrides the gate) the right boundaries of order >= 2
     may differ from those of shuffle_coproduct's words. Each H, H', A_q and
-    A'_q is cached on the space, keyed by the action's value, so a
-    character replaced under the same name gets boundaries of its own;
-    _around adds the block a side does not touch.
+    A'_q is written column by column (_pulled, _crossed), with no tensor
+    product, sum or identity block materialised, and cached on the space,
+    keyed by the action's value, so a character replaced under the same
+    name gets boundaries of its own; _around adds the block a side does not
+    touch.
     """
     if side not in ("left", "right"):
         raise ExactError("side must be 'left' or 'right'")
@@ -125,28 +130,86 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
 def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int,
             n: int) -> SparseLinearMap:
     """H(k,n) of _pull (side 'left'), or H'(k,n) with its sign (side
-    'right'), from the cache on the space or by the recursion."""
+    'right'), from the cache on the space or by the recursion, written
+    column by column. Column J d + t of H(k,n) is column J of H(k,n-1) with
+    row r moved to r d + t, plus the sum over r of H(k-1,n-1)[r, J] times
+    column r d + t of A_q (_fed). On the right, with m columns and m' rows
+    in the smaller boundaries, column t m + J of H'(k,n) is (-1)^k times
+    column J of H'(k,n-1) with row r moved to t m' + r, plus (-1)^(n-1)
+    times the sum over r of H'(k-1,n-1)[r, J] times column t m' + r of
+    A'_q. At k = 1 the sum is column J d + t (t m + J) of A_q itself. The
+    columns and their entries come in the order that tensor, compose and
+    add_map would give them."""
     key = (rho, side, k, n)
     got = space._boundary_cache.get(key)
     if got is not None:
         return got
+    d, ring = space.dim, space.ring
     if k == 0:
-        got = SparseLinearMap.identity(rho.rows * space.dim ** n, space.ring)
+        got = SparseLinearMap.identity(rho.rows * d ** n, ring)
     else:
-        q = n - k
-        one = space.identity_power(1)
-        left = side == "left"
-        got = _crossed(space, rho, side, q)
-        if not left:
-            got = got.scale((-1) ** (n - 1))
-        if k > 1:  # H(0,n-1) is the identity
-            inner = _pulled(space, rho, side, k - 1, n - 1)
-            got = got.compose(tensor(inner, one) if left else tensor(one, inner))
-        if q:
+        p = ring.characteristic
+        cross = _crossed(space, rho, side, n - k)
+        out: dict[int, dict] = {}
+        if k < n:  # the end strand stays at the end
             stay = _pulled(space, rho, side, k, n - 1)
-            got = (tensor(stay, one) if left else tensor(one.scale((-1) ** k), stay)).add_map(got)
+            if side == "left":
+                for J, col in stay._cols.items():
+                    for t in range(d):
+                        out[J * d + t] = {r * d + t: v for r, v in col.items()}
+            else:
+                m, rows, s = stay.cols, stay.rows, (-1) ** k
+                for t in range(d):
+                    for J, col in stay._cols.items():
+                        out[t * m + J] = {t * rows + r: s * v % p if p else s * v
+                                          for r, v in col.items()}
+        sign = 1 if side == "left" else (-1) ** (n - 1)
+        if k == 1:  # H(0,n-1) is the identity
+            for j, col in cross._cols.items():
+                if not _axpy(out.setdefault(j, {}), col.items(), sign, p):
+                    del out[j]
+        else:  # the end strand crosses n - k strands and the action eats it
+            inner = _pulled(space, rho, side, k - 1, n - 1)
+            for j, acc in _fed(d, cross, inner, side, sign, p):
+                have = out.get(j)
+                if have is None:
+                    out[j] = acc
+                elif not _axpy(have, acc.items(), 1, p):
+                    del out[j]
+        got = SparseLinearMap(cross.rows, rho.rows * d ** n, ring, out)
     space._boundary_cache[key] = got
     return got
+
+
+def _fed(d: int, cross: SparseLinearMap, inner: SparseLinearMap, side: str, sign: int,
+         p: int) -> Iterator[tuple[int, dict]]:
+    """The nonzero columns of sign A_q o (inner (x) Id_1) (side 'left') or
+    of sign A'_q o (Id_1 (x) inner) (side 'right'), as (index, column) in
+    the order compose gives them, each summed by _axpy without building the
+    tensor product."""
+    get = cross._cols.get
+    if side == "left":
+        for J, col in inner._cols.items():
+            shifted = [(r * d, sign * v) for r, v in col.items()]
+            for t in range(d):
+                acc: dict = {}
+                for rd, v in shifted:
+                    src = get(rd + t)
+                    if src is not None:
+                        _axpy(acc, src.items(), v, p)
+                if acc:
+                    yield J * d + t, acc
+    else:
+        m, rows = inner.cols, inner.rows
+        for t in range(d):
+            for J, col in inner._cols.items():
+                acc = {}
+                for r, v in col.items():
+                    src = get(t * rows + r)
+                    if src is not None:
+                        _axpy(acc, src.items(), sign * v, p)
+                if acc:
+                    yield t * m + J, acc
 
 
 def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str,
@@ -158,19 +221,46 @@ def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str,
         A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma),
         A'_0 = rho', A'_q = (Id_1 (x) A'_(q-1)) o (-sigma (x) Id_(d^(q-1) trail)),
 
-    and is cached on the space beside the boundaries."""
+    written column by column. With rest = lead d^(q-1) (d^(q-1) trail on
+    the right), column J d^2 + a b of A_q is the sum over the entries
+    sigma[c e, a b] of -sigma[c e, a b] times column J d + c of A_(q-1)
+    with row r moved to r d + e, and column a b rest + J of A'_q the sum of
+    -sigma[c e, a b] times column e rest + J of A'_(q-1) with row r moved
+    to c rest + r (a b and c e read as two digits base d). Each is cached
+    on the space beside the boundaries."""
     if q == 0:
         return rho
     key = (rho, side, "crossed", q)
     got = space._boundary_cache.get(key)
     if got is None:
-        below = _crossed(space, rho, side, q - 1)
-        one = space.identity_power(1)
-        rest = rho.rows * space.dim ** (q - 1)
+        below = _crossed(space, rho, side, q - 1)._cols
+        d, ring = space.dim, space.ring
+        p, rest = ring.characteristic, rho.rows * d ** (q - 1)
+        # each column a b of sigma as its entries (c, e, sigma[c e, a b])
+        feeds = [(ab, [(*divmod(ce, d), s) for ce, s in col.items()])
+                 for ab, col in space.braiding._cols.items()]
+        out: dict[int, dict] = {}
         if side == "left":
-            got = tensor(below, one).compose(_around(rest, space.braiding.neg(), 1))
+            for J in range(rest):
+                for ab, feed in feeds:
+                    acc: dict = {}
+                    for c, e, s in feed:
+                        src = below.get(J * d + c)
+                        if src is not None:
+                            _axpy(acc, ((r * d + e, v) for r, v in src.items()), -s, p)
+                    if acc:
+                        out[J * d * d + ab] = acc
         else:
-            got = tensor(one, below).compose(_around(1, space.braiding.neg(), rest))
+            for ab, feed in feeds:
+                for J in range(rest):
+                    acc = {}
+                    for c, e, s in feed:
+                        src = below.get(e * rest + J)
+                        if src is not None:
+                            _axpy(acc, ((c * rest + r, v) for r, v in src.items()), -s, p)
+                    if acc:
+                        out[ab * rest + J] = acc
+        got = SparseLinearMap(rho.rows * d ** q, rest * d * d, ring, out)
         space._boundary_cache[key] = got
     return got
 
@@ -233,7 +323,7 @@ def face_sum(space: PreBraidedSpace, char: str, n: int, side: str = "left") -> S
     out = SparseLinearMap.zero(space.dim ** (n - 1), space.dim ** n, space.ring)
     for i in range(1, n + 1):
         f = face(space, char, n, i, side)
-        out = out.add_map(f.neg() if (i - 1) % 2 == 1 else f)
+        out = out.sub_map(f) if (i - 1) % 2 == 1 else out.add_map(f)
     return out
 
 

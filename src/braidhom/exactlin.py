@@ -332,17 +332,21 @@ class SparseLinearMap:
         return SparseLinearMap(self.rows * orows, self.cols * ocols, self.ring, out)
 
     def add_map(self, other: "SparseLinearMap") -> "SparseLinearMap":
+        return self._plus(other, 1)
+
+    def sub_map(self, other: "SparseLinearMap") -> "SparseLinearMap":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "SparseLinearMap", q) -> "SparseLinearMap":
+        """self + q*other, accumulated column by column into a copy of self."""
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
             raise ExactError("shape or ring mismatch in add")
         p = self.ring.characteristic
         out = {j: dict(col) for j, col in self._cols.items()}
         for j, col in other._cols.items():
-            if not _axpy(out.setdefault(j, {}), col.items(), 1, p):
+            if not _axpy(out.setdefault(j, {}), col.items(), q, p):
                 del out[j]
         return SparseLinearMap(self.rows, self.cols, self.ring, out)
-
-    def sub_map(self, other: "SparseLinearMap") -> "SparseLinearMap":
-        return self.add_map(other.neg())
 
     def scale(self, s) -> "SparseLinearMap":
         ring = self.ring

@@ -1,20 +1,24 @@
 """Independent dense oracles used to cross-check the sparse implementations.
 
 Everything here works on plain lists of Fractions/ints and never calls into
-the code paths it is checking. The exceptions are the co-side references at
-the end: they use sparse maps and the quantum shuffle product, a formula the
-codifferentials and bicomodule checks do not call. The shuffle product is
-the transposed coshuffle of the transposed twin, a recursion of its own
-that the boundaries (`complexes._pull`) do not share.
+the code paths it is checking. The exceptions are the references at the
+end. The co-side references use sparse maps and the quantum shuffle
+product, a formula the codifferentials and bicomodule checks do not call.
+The shuffle product is the transposed coshuffle of the transposed twin, a
+recursion of its own that the boundaries (`complexes._pull`) do not share.
+The boundary reference takes the recursion of `complexes._pull` literally,
+as tensor products, compositions and sums of sparse maps, none of which
+the column-by-column kernel calls.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
-from braidhom import SparseLinearMap, shuffle_product, tensor
+from braidhom import PreBraidedSpace, SparseLinearMap, ZZ, shuffle_product, tensor
 
 
 def dense_of(m: SparseLinearMap) -> list[list[Fraction]]:
@@ -204,3 +208,64 @@ def bicomodule_axioms(space, B):
     sides = (lhs_r == tensor(idm, space.braiding).compose(lhs_r)
              and lhs_l == tensor(space.braiding, idm).compose(lhs_l))
     return sides, tensor(lam, idv).compose(rho) == tensor(idv, rho).compose(lam)
+
+
+def non_ybe_space():
+    """A random braiding of a 2-dimensional space that fails the YBE."""
+    rng = random.Random(7)
+    entries = [(i, j, rng.randint(-2, 2)) for i in range(4) for j in range(4)]
+    return PreBraidedSpace(2, ZZ, SparseLinearMap.from_entries(4, 4, entries, ZZ))
+
+
+# ---------------------------------------------------------------------------
+# Boundary reference: the recursion of complexes._pull taken literally. Each
+# step materialises H (x) Id_1, A_q o (...) and the sum; A_q is
+# (A_(q-1) (x) Id_1) o (Id (x) -sigma) and A'_q its mirror. The maps are
+# kept in the cache passed in, never on the space.
+# ---------------------------------------------------------------------------
+
+def pulled_by_tensors(space, rho, side, k, n, cache=None):
+    """H(k,n) (side 'left') or H'(k,n) with its sign (side 'right') of
+    complexes._pull, by tensor, compose and add_map."""
+    cache = {} if cache is None else cache
+    key = (rho, side, k, n)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    if k == 0:
+        got = SparseLinearMap.identity(rho.rows * space.dim ** n, space.ring)
+    else:
+        q = n - k
+        one = space.identity_power(1)
+        left = side == "left"
+        got = crossed_by_tensors(space, rho, side, q, cache)
+        if not left:
+            got = got.scale((-1) ** (n - 1))
+        if k > 1:  # H(0,n-1) is the identity
+            inner = pulled_by_tensors(space, rho, side, k - 1, n - 1, cache)
+            got = got.compose(tensor(inner, one) if left else tensor(one, inner))
+        if q:
+            stay = pulled_by_tensors(space, rho, side, k, n - 1, cache)
+            got = (tensor(stay, one) if left else tensor(one.scale((-1) ** k), stay)).add_map(got)
+    cache[key] = got
+    return got
+
+
+def crossed_by_tensors(space, rho, side, q, cache=None):
+    """A_q (side 'left') or A'_q (side 'right') of complexes._pull, by
+    tensor and compose."""
+    if q == 0:
+        return rho
+    cache = {} if cache is None else cache
+    key = (rho, side, "crossed", q)
+    got = cache.get(key)
+    if got is None:
+        below = crossed_by_tensors(space, rho, side, q - 1, cache)
+        one = space.identity_power(1)
+        rest = rho.rows * space.dim ** (q - 1)
+        if side == "left":
+            got = tensor(below, one).compose(_around(rest, space.braiding.neg(), 1))
+        else:
+            got = tensor(one, below).compose(_around(1, space.braiding.neg(), rest))
+        cache[key] = got
+    return got

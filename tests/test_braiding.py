@@ -41,6 +41,7 @@ from braidhom.structures import ShelfTable, cyclic_shelf
 from conftest import kz2_data, verify_space
 from braidhom import assoc_braiding, adjoin_unit, leibniz_braiding
 from conftest import sl2_data
+from helpers import non_ybe_space
 
 
 # -- permutations and reduced words -------------------------------------------
@@ -297,13 +298,6 @@ def test_shuffle_recursion_matches_lift_sums_scenarios(name, ring_name):
     assert_recursion_matches_sums(lambda: build_space(sc, ring), max_total)
 
 
-def non_ybe_space():
-    """A random braiding of a 2-dimensional space that fails the YBE."""
-    rng = random.Random(7)
-    entries = [(i, j, rng.randint(-2, 2)) for i in range(4) for j in range(4)]
-    return PreBraidedSpace(2, ZZ, SparseLinearMap.from_entries(4, 4, entries, ZZ))
-
-
 def test_shuffle_recursion_matches_lift_sums_without_ybe():
     # the recursion follows the canonical reduced words, so it agrees with
     # the sums even where the lift depends on the word
@@ -357,12 +351,13 @@ def reference_bialgebra_failures(space, max_total):
                 if rhs != sh(p, q):
                     compat.append(("hopf-compat", p, q, a))
     anti = []
-    for n in range(1, max_total + 1):
+    for n in range(max_total + 1):
         acc = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
         for p in range(n + 1):
             acc = acc.add_map(sh(p, n - p).compose(tensor(antipode(space, p),
                                                           space.identity_power(n - p))))
-        if not acc.is_zero():
+        if acc != (space.identity_power(0) if n == 0 else
+                   SparseLinearMap.zero(acc.rows, acc.cols, space.ring)):
             anti.append(("antipode", n))
     return compat, anti
 
@@ -383,6 +378,19 @@ def test_hopf_failure_lists_match_lift_sums_without_ybe():
     assert check_coshuffle_coassociativity(built, 4).failures == coassoc
     assert check_hopf_compatibility(built, 4).failures == compat
     assert check_antipode_axiom(built, 4).failures == anti
+
+
+@pytest.mark.parametrize("factor", [0, 2])
+def test_antipode_axiom_checks_degree_zero(r3, monkeypatch, factor):
+    # in degree zero the sum is the antipode's degree-0 block itself, which
+    # must be the identity of the ground ring
+    from braidhom import braiding
+    assert braiding.check_antipode_axiom(r3, 3).ok
+    real = braiding.antipode
+    monkeypatch.setattr(braiding, "antipode",
+                        lambda space, n: real(space, n).scale(factor) if n == 0 else real(space, n))
+    assert braiding.check_antipode_axiom(r3, 0).failures == [("antipode", 0)]
+    assert braiding.check_antipode_axiom(r3, 2).failures[0] == ("antipode", 0)
 
 
 # -- extended braiding and antipode ----------------------------------------------

@@ -86,7 +86,14 @@ from conftest import (
     verify_space,
     zero_coalgebra_data,
 )
-from helpers import bicomodule_axioms, pushed, pushed_bicomodule
+from helpers import (
+    bicomodule_axioms,
+    crossed_by_tensors,
+    non_ybe_space,
+    pulled_by_tensors,
+    pushed,
+    pushed_bicomodule,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +626,65 @@ def test_crossed_matches_lift_without_ybe():
         2, 4, [(i, j, rng.randint(-1, 1)) for i in range(2) for j in range(4)], ZZ)
     for rho in (space.character("c"), action):
         assert_crossed_matches_lift(space, rho)
+
+
+# ---------------------------------------------------------------------------
+# The column-by-column kernel against the recursion by tensors, compositions
+# and sums
+# ---------------------------------------------------------------------------
+
+def assert_pulled_matches_tensors(space, rho, max_n):
+    """_pulled and _crossed equal the tensor recursion on both sides for
+    every k <= n <= max_n, on a fresh cache, so each map is built by the
+    kernel itself."""
+    space._boundary_cache.clear()
+    cache: dict = {}
+    for side in ("left", "right"):
+        for n in range(max_n + 1):
+            assert complexes._crossed(space, rho, side, n) == \
+                crossed_by_tensors(space, rho, side, n, cache), (space.dim, rho.rows, side, n)
+            for k in range(n + 1):
+                assert complexes._pulled(space, rho, side, k, n) == \
+                    pulled_by_tensors(space, rho, side, k, n, cache), \
+                    (space.dim, rho.rows, side, k, n)
+
+
+@pytest.mark.parametrize("ring_name", ["z", "q", "fp:3"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_pulled_matches_tensor_recursion_on_scenarios(name, ring_name):
+    """Every shipped scenario's characters, and its cocharacters on the
+    transposed twin, where the co-side boundaries are built."""
+    space = build_space(parse_scenario(SCENARIO_DIR / name), ring_from_name(ring_name))
+    max_n = 4 if space.dim >= 4 else 5
+    for char in space.characters:
+        assert_pulled_matches_tensors(space, space.character(char), max_n)
+    twin = space.transposed()
+    for cochar in space.cocharacters:
+        assert_pulled_matches_tensors(twin, space.cocharacter(cochar).transpose(), max_n)
+
+
+@pytest.mark.parametrize("ring_name", ["z", "q", "fp:3"])
+def test_pulled_matches_tensor_recursion_for_module_lead_and_trail(ring_name):
+    """The R3 self-module's action, a block of three rows, as the lead
+    block's right action and as the trail block's left action."""
+    r3 = shelf_braiding(dihedral_shelf(3), ring_from_name(ring_name))
+    assert_pulled_matches_tensors(r3, rackset_module(r3).action, 5)
+
+
+@pytest.mark.parametrize("ring_name", ["z", "q", "fp:3"])
+def test_pulled_matches_tensor_recursion_without_ybe(ring_name):
+    """A braiding that fails the YBE, where lifts depend on the word: the
+    boundaries follow the recursion's own words on both sides, the right
+    ones of order 2 and more included."""
+    ring = ring_from_name(ring_name)
+    base = non_ybe_space()
+    space = PreBraidedSpace(2, ring, base.braiding.with_ring(ring))
+    space.add_character("c", [1, -2])
+    rng = random.Random(5)
+    action = SparseLinearMap.from_entries(
+        2, 4, [(i, j, rng.randint(-2, 2)) for i in range(2) for j in range(4)], ring)
+    for rho in (space.character("c"), action):
+        assert_pulled_matches_tensors(space, rho, 5)
 
 
 def test_boundaries_build_no_lift(r3):
