@@ -483,9 +483,10 @@ def _suite_simplicial(space, args, report) -> bool:
         and rep.pre_bisimplicial and face_ok
 
 
-def _suite_hyper(space, args, report) -> bool:
-    n_max = _suite_degree(space, args, 6)
-    lc, _ = _default_chars(space, args, "hyper")
+def _hyper_side(space, char, n_max: int, side: str) -> tuple[bool, int]:
+    """Check d^(m) d^(k) = signed_binomial(m, k) d^(m+k) on one side for
+    every k <= 4, m <= 4 - k and k + m <= n <= n_max; returns (all held,
+    identities checked)."""
     ok = True
     checked = 0
     for n in range(1, n_max + 1):
@@ -493,13 +494,90 @@ def _suite_hyper(space, args, report) -> bool:
             for m in range(0, 5 - k):
                 if k + m > n:
                     continue
-                for side in ("left", "right"):
-                    lhs = hyper_boundary(space, lc, m, n - k, side).compose(
-                        hyper_boundary(space, lc, k, n, side))
-                    rhs = hyper_boundary(space, lc, m + k, n, side).scale(signed_binomial(m, k))
-                    ok &= lhs == rhs
-                    checked += 1
-    report["hyper"] = {"ok": ok, "identities_checked": checked, "max_degree": n_max}
+                lhs = hyper_boundary(space, char, m, n - k, side).compose(
+                    hyper_boundary(space, char, k, n, side))
+                rhs = hyper_boundary(space, char, m + k, n, side).scale(signed_binomial(m, k))
+                ok &= lhs == rhs
+                checked += 1
+    return ok, checked
+
+
+def _fork_side(space, char, n_max: int, side: str):
+    """Start ``_hyper_side`` for ``side`` in a forked child, which writes
+    ``"<ok> <checked>"`` to a pipe and ends with ``os._exit``. Returns
+    (pid, read end), or None where fork is unavailable or another thread
+    runs: the child would hold only this thread, and any lock another one
+    held would stay held."""
+    fork = getattr(os, "fork", None)
+    threading = sys.modules.get("threading")
+    if fork is None or (threading is not None and threading.active_count() > 1):
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            ok, checked = _hyper_side(space, char, n_max, side)
+            os.write(write_end, f"{int(ok)} {checked}".encode())
+            code = 0
+        finally:
+            # Never return into the caller: it would report a second time.
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _side_result(pid: int, read_end: int):
+    """Read the child's result to the end of the pipe and reap the child;
+    (ok, checked), or None when the child failed, was killed or sent a
+    malformed result."""
+    data = b""
+    while chunk := os.read(read_end, 64):
+        data += chunk
+    _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    fields = data.split()
+    if len(fields) != 2 or fields[0] not in (b"0", b"1") or not fields[1].isdigit():
+        return None
+    return fields[0] == b"1", int(fields[1])
+
+
+def _suite_hyper(space, args, report) -> bool:
+    """The two sides share no boundary, so a forked child checks the right
+    side while this process checks the left. Where the child cannot start
+    or fails, this process checks the right side itself, so an error raised
+    there surfaces here with its usual exit code and message."""
+    n_max = _suite_degree(space, args, 6)
+    lc, _ = _default_chars(space, args, "hyper")
+    pid, read_end = _fork_side(space, lc, n_max, "right") or (None, None)
+    right = None
+    try:
+        left = _hyper_side(space, lc, n_max, "left")
+        if pid is not None:
+            right = _side_result(pid, read_end)
+            pid = None
+    finally:
+        if pid is not None:
+            import signal
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # already reaped
+        if read_end is not None:
+            os.close(read_end)
+    if right is None:
+        right = _hyper_side(space, lc, n_max, "right")
+    ok = left[0] and right[0]
+    report["hyper"] = {"ok": ok, "identities_checked": left[1] + right[1],
+                       "max_degree": n_max}
     return ok
 
 

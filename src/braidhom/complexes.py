@@ -110,10 +110,14 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
     The first term is absent when q = 0. The crossings of A_q (A'_q) are
     those of the canonical reduced word s_1...s_q (s_q...s_1), the only
     reduced word of its permutation, so A_q is the same matrix with or
-    without the YBE. Under the YBE a coshuffle does not depend on its
-    words, so H' equals the formula; without it (a space whose
-    allow_unverified overrides the gate) the right boundaries of order >= 2
-    may differ from those of shuffle_coproduct's words. Each H, H', A_q and
+    without the YBE. H' peels the first strand where shuffle_coproduct
+    peels the last, so the two give a shuffle different reduced words. Each
+    block keeps its order, so a shuffle moves no three strands into reverse
+    order: it is fully commutative (Billey-Jockusch-Stanley), and any two
+    of its reduced words differ by commutations s_i s_j = s_j s_i,
+    |i - j| > 1, which hold for every braiding by the interchange law. So H
+    and H' equal the formula even where the YBE fails (a space whose
+    allow_unverified overrides the gate). Each H, H', A_q and
     A'_q is written column by column (_pulled, _crossed), with no tensor
     product, sum or identity block materialised, and cached on the space,
     keyed by the action's value, so a character replaced under the same

@@ -1,7 +1,10 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 
 from braidhom import cli, scenario
 from braidhom.complexes import COMPLEX_PARAMS, NAMED_COMPLEXES
+from braidhom.exactlin import ExactError
 from braidhom.scenario import ScenarioError, build_space, parse, parse_dict, serialize, to_dict
 
 
@@ -517,6 +521,154 @@ def test_hyper_suite_end_to_end(capsys):
     hyper = json.loads(capsys.readouterr().out)["hyper"]
     assert hyper["ok"] is True
     assert hyper["identities_checked"] == 158
+
+
+# -- the hyper suite's two processes ------------------------------------------
+
+def _open_fds():
+    """This process's open descriptors, or None where the platform does not
+    list them."""
+    fd_dir = Path("/proc/self/fd")
+    return set(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+
+
+@pytest.fixture
+def hyper_run(capsys):
+    """run(degree) -> (exit code, stdout) of the hyper suite on R3.
+    After each test no child of this process is left and no descriptor is
+    left open."""
+    fds = _open_fds()
+
+    def run(degree):
+        code = cli.main(["verify", str(SCENARIOS / "dihedral3.json"), "--suite", "hyper",
+                         "--max-degree", str(degree), "--json"])
+        return code, capsys.readouterr().out
+
+    yield run
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def _no_fork(*args):
+    raise OSError("fork is not available")
+
+
+@pytest.mark.parametrize("degree", [6, 7])
+@pytest.mark.parametrize("unavailable", ["raises", "missing"])
+def test_hyper_suite_without_fork_gives_the_same_bytes(monkeypatch, hyper_run, degree,
+                                                        unavailable):
+    forked = hyper_run(degree)
+    if unavailable == "raises":
+        monkeypatch.setattr(os, "fork", _no_fork)
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert hyper_run(degree) == forked
+    assert json.loads(forked[1])["hyper"]["identities_checked"] == {6: 128, 7: 158}[degree]
+
+
+def _patch_hyper_boundary(monkeypatch, change):
+    """Replace the suite's hyper_boundary by change(boundary, k, side, in
+    this process); returns the sides built in this process."""
+    from braidhom.complexes import hyper_boundary
+    parent = os.getpid()
+    built = []
+
+    def patched(space, char, k, n, side="left"):
+        here = os.getpid() == parent
+        if here:
+            built.append(side)
+        return change(hyper_boundary(space, char, k, n, side), k, side, here)
+
+    monkeypatch.setattr(cli, "hyper_boundary", patched)
+    return built
+
+
+def test_hyper_suite_reads_the_childs_verdict(monkeypatch, hyper_run):
+    """A fault in the right boundaries only, inherited by the child, fails
+    the run, while this process builds only the left side."""
+    built = _patch_hyper_boundary(
+        monkeypatch, lambda b, k, side, here: b.scale(2) if side == "right" and k == 1 else b)
+    code, out = hyper_run(6)
+    assert code == 1
+    assert json.loads(out)["hyper"] == {"ok": False, "identities_checked": 128,
+                                        "max_degree": 6}
+    assert set(built) == {"left"}
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_hyper_suite_error_on_one_side_matches_one_process(monkeypatch, hyper_run, side):
+    """An ExactError on either side gives the exit code and message of a run
+    without fork."""
+    def change(boundary, k, built_side, here):
+        if built_side == side and k == 2:
+            raise ExactError(f"no {side} boundary of order 2")
+        return boundary
+
+    _patch_hyper_boundary(monkeypatch, change)
+    code, out = hyper_run(5)
+    assert code == 2
+    assert json.loads(out)["error"] == f"no {side} boundary of order 2"
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert hyper_run(5) == (code, out)
+
+
+def test_hyper_suite_with_another_thread_runs_in_one_process(monkeypatch, hyper_run):
+    """fork copies only the calling thread, so with another thread running
+    this process checks both sides."""
+    expected = hyper_run(5)
+    built = _patch_hyper_boundary(monkeypatch, lambda b, k, side, here: b)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(60,))
+    waiter.start()
+    try:
+        assert hyper_run(5) == expected
+    finally:
+        stop.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert set(built) == {"left", "right"}
+
+
+def test_hyper_suite_interrupted_kills_the_child(monkeypatch, hyper_run):
+    """An interrupt on this process's side kills and reaps the child, which
+    would otherwise run for a minute."""
+    def change(boundary, k, side, here):
+        if not here:
+            time.sleep(60)
+            os._exit(1)
+        if k == 3:
+            raise KeyboardInterrupt
+        return boundary
+
+    _patch_hyper_boundary(monkeypatch, change)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        hyper_run(5)
+    assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("fault", [
+    lambda result: os.kill(os.getpid(), signal.SIGKILL),
+    lambda result: os._exit(0),
+    lambda result: os._exit(5),
+    lambda result: (result[0], -result[1]),
+    lambda result: (result[0], f"{result[1]} {result[1]}"),
+], ids=["killed", "silent", "exit-5", "negative-count", "three-fields"])
+def test_hyper_suite_checks_the_right_side_itself_when_the_child_fails(
+        monkeypatch, hyper_run, fault):
+    """A child that is killed, exits without a result or non-zero, or sends
+    a malformed one, leaves the right side to this process: same bytes."""
+    expected = hyper_run(5)
+    parent = os.getpid()
+    side_check = cli._hyper_side
+
+    def patched(space, char, n_max, side):
+        result = side_check(space, char, n_max, side)
+        return result if os.getpid() == parent else fault(result)
+
+    monkeypatch.setattr(cli, "_hyper_side", patched)
+    assert hyper_run(5) == expected
 
 
 @pytest.mark.parametrize("read_first", [True, False], ids=["after-one-byte", "before-output"])

@@ -687,6 +687,37 @@ def test_pulled_matches_tensor_recursion_without_ybe(ring_name):
         assert_pulled_matches_tensors(space, rho, 5)
 
 
+@pytest.mark.parametrize("dim, max_n", [(2, 5), (3, 4)])
+def test_boundaries_match_coshuffle_formula_without_ybe(dim, max_n):
+    """The right recursion peels the first strand where shuffle_coproduct
+    peels the last, so the two give a shuffle different reduced words. A
+    shuffle is fully commutative, so the words differ by commutations only,
+    which need no YBE: on random braidings that fail it, every boundary,
+    a character's and a two-row action's, equals the coshuffle formula."""
+    rng = random.Random(dim)
+    braidings = 0
+    while braidings < 6:
+        entries = [(i, j, rng.randint(-2, 2)) for i in range(dim * dim)
+                   for j in range(dim * dim)]
+        space = PreBraidedSpace(dim, ZZ, SparseLinearMap.from_entries(
+            dim * dim, dim * dim, entries, ZZ))
+        if check_ybe(space).ok:
+            continue
+        braidings += 1
+        space.allow_unverified = True
+        for rows in (1, 2):
+            rho = SparseLinearMap.from_entries(
+                rows, rows * dim, [(i, j, rng.randint(-2, 2)) for i in range(rows)
+                                   for j in range(rows * dim)], ZZ)
+            for side in ("left", "right"):
+                block = {"lead": rows} if side == "left" else {"trail": rows}
+                for n in range(max_n + 1):
+                    for k in range(n + 1):
+                        assert complexes._pulled(space, rho, side, k, n) == \
+                            pull_oracle(space, rho, k, n, side, **block), \
+                            (dim, braidings, rows, side, k, n)
+
+
 def test_boundaries_build_no_lift(r3):
     """Every boundary comes from the crossing recursion; no braid lift is
     built on the way."""
