@@ -13,6 +13,7 @@ import os
 import sys
 from pathlib import Path
 
+from ._fork import Child
 from .exactlin import ExactError, QQ, Ring, ZZ, is_invertible, ring_from_name, tensor
 from .braiding import (
     UnverifiedError,
@@ -51,6 +52,7 @@ from .homology import (
     ResourceCapError,
     SquareZeroError,
     SpanStabilityError,
+    _SquareZeroInChild,
     betti,
     certify_acyclic,
     ensure_cap,
@@ -415,12 +417,16 @@ def _run_complex(space, args, report) -> bool:
 
 
 def _run_homology(space, args, report) -> bool:
-    c = _complex_from_args(space, args)
+    """The square-zero check of the full complex runs in a forked child
+    while this process projects and eliminates; the report is written only
+    once its verdict is in (see _SquareZeroInChild)."""
+    with _SquareZeroInChild():
+        c = _complex_from_args(space, args)
+        if space.ring is ZZ:
+            hom = integral_homology(c)
+        else:
+            hom = betti(c, space.ring if space.ring.is_field else QQ)
     report["complex"] = _complex_report(space, c)
-    if space.ring is ZZ:
-        hom = integral_homology(c)
-    else:
-        hom = betti(c, space.ring if space.ring.is_field else QQ)
     degrees = {}
     for n, h in sorted(hom.degrees.items()):
         entry = {"dim": h.space_dim, "free_rank": h.free_rank}
@@ -502,48 +508,10 @@ def _hyper_side(space, char, n_max: int, side: str) -> tuple[bool, int]:
     return ok, checked
 
 
-def _fork_side(space, char, n_max: int, side: str):
-    """Start ``_hyper_side`` for ``side`` in a forked child, which writes
-    ``"<ok> <checked>"`` to a pipe and ends with ``os._exit``. Returns
-    (pid, read end), or None where fork is unavailable or another thread
-    runs: the child would hold only this thread, and any lock another one
-    held would stay held."""
-    fork = getattr(os, "fork", None)
-    threading = sys.modules.get("threading")
-    if fork is None or (threading is not None and threading.active_count() > 1):
-        return None
-    read_end, write_end = os.pipe()
-    try:
-        pid = fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            ok, checked = _hyper_side(space, char, n_max, side)
-            os.write(write_end, f"{int(ok)} {checked}".encode())
-            code = 0
-        finally:
-            # Never return into the caller: it would report a second time.
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _side_result(pid: int, read_end: int):
-    """Read the child's result to the end of the pipe and reap the child;
-    (ok, checked), or None when the child failed, was killed or sent a
-    malformed result."""
-    data = b""
-    while chunk := os.read(read_end, 64):
-        data += chunk
-    _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        return None
-    fields = data.split()
+def _side_result(data):
+    """(ok, checked) from the child's ``"<ok> <checked>"``, or None when it
+    sent nothing or something malformed."""
+    fields = data.split() if data is not None else []
     if len(fields) != 2 or fields[0] not in (b"0", b"1") or not fields[1].isdigit():
         return None
     return fields[0] == b"1", int(fields[1])
@@ -556,23 +524,14 @@ def _suite_hyper(space, args, report) -> bool:
     there surfaces here with its usual exit code and message."""
     n_max = _suite_degree(space, args, 6)
     lc, _ = _default_chars(space, args, "hyper")
-    pid, read_end = _fork_side(space, lc, n_max, "right") or (None, None)
-    right = None
-    try:
+
+    def right_side():
+        ok, checked = _hyper_side(space, lc, n_max, "right")
+        return f"{int(ok)} {checked}".encode()
+
+    with Child(right_side) as child:
         left = _hyper_side(space, lc, n_max, "left")
-        if pid is not None:
-            right = _side_result(pid, read_end)
-            pid = None
-    finally:
-        if pid is not None:
-            import signal
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # already reaped
-        if read_end is not None:
-            os.close(read_end)
+        right = _side_result(child.result())
     if right is None:
         right = _hyper_side(space, lc, n_max, "right")
     ok = left[0] and right[0]

@@ -464,10 +464,14 @@ def _strip_content(row: dict):
 
 
 def _integer_rows(rows: list[dict]) -> list[dict]:
+    """The rows scaled to primitive integer rows. A row of ints is divided
+    by its content in place; one holding a Fraction, integral or not, is
+    copied with its denominators cleared first."""
     out = []
     for row in rows:
-        den = math.lcm(*(v.denominator for v in row.values()))
-        row = {c: int(v * den) for c, v in row.items()}
+        if not all(type(v) is int for v in row.values()):
+            den = math.lcm(*(v.denominator for v in row.values()))
+            row = {c: int(v * den) for c, v in row.items()}
         _strip_content(row)
         out.append(row)
     return out
@@ -674,9 +678,11 @@ def _eliminate(m: SparseLinearMap, smith: bool, drop=frozenset()) -> tuple:
     rows = _row_dicts(m, drop)
     fixed: list[int] = []
     if smith:
-        if any(v.denominator != 1 for col in m._cols.values() for v in col.values()):
-            raise ExactError("Smith normal form needs integer entries")
-        elim = _Elimination([{c: int(v) for c, v in row.items()} for row in rows])
+        if not isinstance(m.ring, IntegerRing):
+            if any(v.denominator != 1 for col in m._cols.values() for v in col.values()):
+                raise ExactError("Smith normal form needs integer entries")
+            rows = [{c: int(v) for c, v in row.items()} for row in rows]
+        elim = _Elimination(rows)
         units = 0
         euclid: list[int] = []
         while elim.rows:

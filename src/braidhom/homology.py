@@ -1,16 +1,22 @@
 """Chain complex assembly, homology over fields and over the integers, and
 acyclicity certification.
 
-Square-zero verification is mandatory at assembly: it is cheap relative to
-any rank computation and converts silent mathematical errors upstream into
-located failures.
+Square-zero verification is mandatory at assembly and always runs: it is
+cheap relative to any rank computation and converts silent mathematical
+errors upstream into located failures. It runs in the calling process,
+except in ``braidhom homology``: there a forked child checks the full
+complex while the command projects and eliminates, and the report waits
+for the child's verdict. Where no child can start, or it gives no pass, the
+command runs the check itself (see _SquareZeroInChild).
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ._fork import Child
 from .exactlin import (
     ExactError,
     QQ,
@@ -90,7 +96,8 @@ def build_chain_complex(ring: Ring, dims: list[int], diffs: dict[int, SparseLine
                         step: int, builder: str, *,
                         basis_cap: Optional[int] = None) -> ChainComplex:
     """Validate shapes, verify square-zero on every composable pair, and
-    freeze the result."""
+    freeze the result. Inside a _SquareZeroInChild block the first complex
+    built is verified in a forked child instead."""
     ensure_cap(dims, basis_cap)
     n_max = len(dims) - 1
     for n, m in diffs.items():
@@ -103,13 +110,69 @@ def build_chain_complex(ring: Ring, dims: list[int], diffs: dict[int, SparseLine
                 f"expected {dims[target]}x{dims[n]}")
         if m.ring != ring:
             raise ExactError("boundary ring mismatch")
+    diffs = dict(diffs)
+    block = _in_child.get()
+    if block is None or not block.start(diffs, step):
+        _check_square_zero(diffs, step)
+    return ChainComplex(ring, list(dims), diffs, step, builder)
+
+
+def _check_square_zero(diffs: dict[int, SparseLinearMap], step: int):
     for n, m in diffs.items():
         nxt = diffs.get(n + step)
         if nxt is not None:
             square = nxt.compose(m)
             if not square.is_zero():
                 raise SquareZeroError(n, next(square.entries()))
-    return ChainComplex(ring, list(dims), dict(diffs), step, builder)
+
+
+class _SquareZeroInChild:
+    """Within ``with _SquareZeroInChild():``, the square-zero check of the
+    first complex built runs in a forked child while this process goes on;
+    later complexes are checked here. Leaving the block waits for the
+    child's verdict. Unless it is a pass, the check runs again here, and
+    what it raises replaces what the block raised; so errors, messages and
+    exit codes stay those of a run in one process, provided the caller
+    writes its report only after the block. An interrupt kills and reaps
+    the child."""
+
+    def __init__(self):
+        self.used = False
+        self.child: Optional[Child] = None
+        self.diffs: dict[int, SparseLinearMap] = {}
+        self.step = 0
+
+    def start(self, diffs, step) -> bool:
+        """Hand the check of diffs to a child; False when this process must
+        check them itself: a child was started before, there is no
+        composable pair, or no child could start."""
+        if self.used or not any(n + step in diffs for n in diffs):
+            return False
+        self.used = True
+        child = Child(lambda: _check_square_zero(diffs, step) or b"ok")
+        if child.pid is None:
+            return False
+        self.child, self.diffs, self.step = child, diffs, step
+        return True
+
+    def __enter__(self):
+        self.token = _in_child.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        _in_child.reset(self.token)
+        if self.child is None:
+            return
+        try:
+            if (exc_type is None or issubclass(exc_type, Exception)) \
+                    and self.child.result() != b"ok":
+                _check_square_zero(self.diffs, self.step)
+        finally:
+            self.child.close()
+
+
+# The block build_chain_complex is called in, if any.
+_in_child: ContextVar[Optional[_SquareZeroInChild]] = ContextVar("_in_child", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +301,9 @@ def subquotient(c: ChainComplex, predicate: Callable[[int, int], bool],
     for n, m in c.diffs.items():
         target = n + c.step
         tgt_span = in_span[target]
+        cols = m._cols
         for j in span_idx[n]:
-            for r in m.column(j):
+            for r in cols.get(j, ()):
                 if r not in tgt_span:
                     raise SpanStabilityError(n, j, r)
         diffs[n] = m.submatrix(kept_idx[target], kept_idx[n])

@@ -533,21 +533,25 @@ def _open_fds():
 
 
 @pytest.fixture
-def hyper_run(capsys):
-    """run(degree) -> (exit code, stdout) of the hyper suite on R3.
-    After each test no child of this process is left and no descriptor is
+def no_leftovers():
+    """After the test no child of this process is left and no descriptor is
     left open."""
     fds = _open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
+
+@pytest.fixture
+def hyper_run(capsys, no_leftovers):
+    """run(degree) -> (exit code, stdout) of the hyper suite on R3."""
     def run(degree):
         code = cli.main(["verify", str(SCENARIOS / "dihedral3.json"), "--suite", "hyper",
                          "--max-degree", str(degree), "--json"])
         return code, capsys.readouterr().out
 
-    yield run
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _open_fds() == fds
+    return run
 
 
 def _no_fork(*args):
@@ -669,6 +673,181 @@ def test_hyper_suite_checks_the_right_side_itself_when_the_child_fails(
 
     monkeypatch.setattr(cli, "_hyper_side", patched)
     assert hyper_run(5) == expected
+
+
+# -- homology's square-zero check in a child ----------------------------------
+
+@pytest.fixture
+def homology_run(capsys, no_leftovers):
+    """run(scenario file, *flags) -> (exit code, stdout, stderr) of
+    ``homology --json``."""
+    def run(scenario_file, *flags):
+        code = cli.main(["homology", str(SCENARIOS / scenario_file), *flags, "--json"])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return run
+
+
+# Complexes of every shape the homology command assembles: one complex, a
+# quotient and a restriction of one, higher boundaries, cochain complexes,
+# and a failing square-zero check and span.
+HOMOLOGY_CASES = [
+    ("dihedral3.json", "--named", "rack"),
+    ("dihedral3.json", "--named", "quandle"),
+    ("dihedral3.json", "--named", "twisted-rack", "--twist", "-1"),
+    ("dihedral3.json", "--named", "partial-derivative", "--element", "0"),
+    ("dihedral3.json", "--diff", "combined", "--normalized"),
+    ("dihedral3.json", "--diff", "hyper:2"),
+    ("dihedral3.json", "--diff", "hyper:3", "--max-degree", "6"),
+    ("sl2.json", "--named", "leibniz"),
+    ("sl2.json", "--diff", "hyper-right"),
+    ("group_algebra_z2.json", "--named", "group", "--left-char", "aug", "--right-char", "aug"),
+    ("group_algebra_z2.json", "--named", "koszul", "--left-char", "sign"),
+    ("dual_numbers.json", "--named", "bar"),
+    ("dual_numbers.json", "--diff", "left", "--normalized"),
+    ("dual_numbers_coalgebra.json", "--named", "cobar"),
+    ("dual_numbers_coalgebra.json", "--named", "cartier"),
+]
+
+
+def _counted_check(monkeypatch, child_fault=None):
+    """Count the square-zero checks this process runs; child_fault(diffs,
+    step), when given, replaces the check in a child. Returns the count."""
+    from braidhom import homology
+    parent = os.getpid()
+    check = homology._check_square_zero
+    calls = []
+
+    def patched(diffs, step):
+        if os.getpid() == parent:
+            calls.append(step)
+            return check(diffs, step)
+        return check(diffs, step) if child_fault is None else child_fault(diffs, step)
+
+    monkeypatch.setattr(homology, "_check_square_zero", patched)
+    return calls
+
+
+@pytest.mark.parametrize("ring", ["z", "q", "fp:3"])
+@pytest.mark.parametrize("unavailable", ["raises", "missing"])
+def test_homology_without_fork_gives_the_same_bytes(monkeypatch, homology_run, ring,
+                                                    unavailable):
+    cases = [(*case, "--ring", ring) for case in HOMOLOGY_CASES]
+    forked = [homology_run(*case) for case in cases]
+    if unavailable == "raises":
+        monkeypatch.setattr(os, "fork", _no_fork)
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert [homology_run(*case) for case in cases] == forked
+    assert {code for code, _, _ in forked} == {0, 1}
+
+
+@pytest.mark.parametrize("named, here", [("rack", 0), ("quandle", 1)])
+def test_homology_checks_the_full_complex_in_a_child(monkeypatch, homology_run, named, here):
+    """The child checks the full complex; this process checks only the
+    quotient a quandle complex projects onto."""
+    calls = _counted_check(monkeypatch)
+    code, out, _ = homology_run("dihedral3.json", "--named", named, "--ring", "z")
+    assert code == 0 and json.loads(out)["complex"]["square_zero_verified"] is True
+    assert len(calls) == here
+
+
+SQUARE_ZERO_FAILURE = ("dihedral3.json", "--diff", "hyper:2", "--ring", "z",
+                       "--max-degree", "5", "--normalized")
+
+
+def _raise_span_error(*args):
+    from braidhom.homology import SpanStabilityError
+    raise SpanStabilityError(2, 0, 1)
+
+
+def _raise_exact_error(*args):
+    raise ExactError("elimination failed")
+
+
+@pytest.mark.parametrize("later", [None, "span", "elimination"])
+def test_homology_square_zero_failure_gives_the_same_bytes(monkeypatch, homology_run, later):
+    """The full complex fails its check in the child. The report is that
+    failure, with no complex block, even where this process raised another
+    error after the fork."""
+    from braidhom import complexes
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", _no_fork)
+        expected = homology_run(*SQUARE_ZERO_FAILURE)
+    assert expected[0] == 1
+    report = json.loads(expected[1])
+    assert report["error"].startswith("boundary composition out of degree 4 is nonzero")
+    assert "complex" not in report
+    if later == "span":
+        monkeypatch.setattr(complexes, "subquotient", _raise_span_error)
+    elif later == "elimination":
+        monkeypatch.setattr(cli, "integral_homology", _raise_exact_error)
+    calls = _counted_check(monkeypatch)
+    assert homology_run(*SQUARE_ZERO_FAILURE) == expected
+    assert len(calls) == 1  # the check that raises, run here after the child's verdict
+
+
+def _kill_self(diffs, step):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _fail_in_child(diffs, step):
+    from braidhom.homology import SquareZeroError
+    raise SquareZeroError(0, (0, 0, 1))
+
+
+@pytest.mark.parametrize("fault", [
+    _kill_self,
+    lambda diffs, step: os._exit(0),
+    lambda diffs, step: os._exit(5),
+    lambda diffs, step: b"passed",
+    _fail_in_child,
+], ids=["killed", "silent", "exit-5", "malformed", "failed"])
+def test_homology_checks_square_zero_itself_when_the_child_fails(
+        monkeypatch, homology_run, fault):
+    """A child that is killed, exits without a verdict or non-zero, sends a
+    malformed one or finds a failure leaves the check to this process, whose
+    verdict is reported: same bytes."""
+    case = ("dihedral3.json", "--named", "rack", "--ring", "q", "--max-degree", "5")
+    expected = homology_run(*case)
+    calls = _counted_check(monkeypatch, fault)
+    assert homology_run(*case) == expected
+    assert len(calls) == 1
+
+
+def test_homology_with_another_thread_runs_in_one_process(monkeypatch, homology_run):
+    case = ("dihedral3.json", "--named", "rack", "--ring", "z", "--max-degree", "5")
+    expected = homology_run(*case)
+    calls = _counted_check(monkeypatch)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(60,))
+    waiter.start()
+    try:
+        assert homology_run(*case) == expected
+    finally:
+        stop.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert len(calls) == 1
+
+
+def test_homology_interrupted_kills_the_child(monkeypatch, homology_run):
+    """An interrupt during elimination kills and reaps the child, which
+    would otherwise run for a minute."""
+    def slow(diffs, step):
+        time.sleep(60)
+        os._exit(1)
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    _counted_check(monkeypatch, slow)
+    monkeypatch.setattr(cli, "integral_homology", interrupt)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        homology_run("dihedral3.json", "--named", "rack", "--ring", "z")
+    assert time.monotonic() - start < 30
 
 
 @pytest.mark.parametrize("read_first", [True, False], ids=["after-one-byte", "before-output"])

@@ -497,6 +497,52 @@ def test_snf_rejects_fractions():
         smith_normal_form(m)
 
 
+def _raw(rows, cols, ring, dense):
+    """A map holding dense's entries as given, without the ring's coercion,
+    the way a map built column by column holds them."""
+    data = {}
+    for r, row in enumerate(dense):
+        for c, v in enumerate(row):
+            if v:
+                data.setdefault(c, {})[r] = v
+    return SparseLinearMap(rows, cols, ring, data)
+
+
+INTEGRAL = [[2, 4, 0], [6, 8, 2], [0, 2, 4]]
+
+
+def test_elimination_of_integral_fraction_entries_over_q():
+    """Integral Fractions eliminate as the ints they equal: same rank, same
+    pivots and the same Smith form."""
+    ints = _raw(3, 3, QQ, INTEGRAL)
+    fractions = _raw(3, 3, QQ, [[Fraction(v) for v in row] for row in INTEGRAL])
+    assert type(next(fractions.entries())[2]) is Fraction
+    assert _eliminate(fractions, smith=False) == _eliminate(ints, smith=False)
+    assert _eliminate(fractions, smith=True) == _eliminate(ints, smith=True)
+    assert smith_normal_form(fractions) == snf_by_minor_gcds(INTEGRAL) == [2, 2, 10]
+
+
+def test_elimination_of_a_proper_fraction_over_q():
+    """A proper fraction is cleared from its row before elimination, and
+    the Smith form still refuses it."""
+    dense = [[Fraction(1, 2), 1, 0], [1, 3, Fraction(2, 3)], [0, 1, 1]]
+    m = _raw(3, 3, QQ, dense)
+    assert rank(m) == dense_rank(dense) == 3
+    scaled = _raw(3, 3, QQ, [[1, 2, 0], [3, 9, 2], [0, 1, 1]])
+    assert _eliminate(m, smith=False) == _eliminate(scaled, smith=False)
+    with pytest.raises(ExactError, match="Smith normal form needs integer entries"):
+        smith_normal_form(m)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, PrimeField(7)])
+def test_elimination_leaves_its_map_unchanged(ring):
+    rng = random.Random(41)
+    m = random_sparse(8, 9, ring, rng, density=0.5)
+    before = list(m.entries())
+    _eliminate(m, smith=ring is ZZ)
+    assert list(m.entries()) == before
+
+
 # -- invertibility -------------------------------------------------------------
 
 def random_unimodular(n, rng):
