@@ -18,10 +18,11 @@ class Child:
     pipe and ends with ``os._exit``: 0 after writing, 1 when work raised. It
     never returns into the caller, which would report a second time.
 
-    No child starts (pid is None) where fork is unavailable or fails, or
-    where another thread runs: the child would hold only this thread, and
-    any lock another one held would stay held. Leaving the ``with`` block,
-    or close(), kills and reaps a child not yet reaped and closes the pipe."""
+    No child starts (pid is None) where fork is unavailable, where the pipe
+    or the fork fails, or where another thread runs: the child would hold
+    only this thread, and any lock another one held would stay held.
+    Leaving the ``with`` block, or close(), kills and reaps a child not yet
+    reaped and closes the pipe."""
 
     def __init__(self, work: Callable[[], bytes]):
         self.pid: Optional[int] = None
@@ -30,13 +31,15 @@ class Child:
         threading = sys.modules.get("threading")
         if fork is None or (threading is not None and threading.active_count() > 1):
             return
-        read_end, write_end = os.pipe()
+        ends = ()
         try:
+            ends = os.pipe()
             pid = fork()
         except OSError:
-            os.close(read_end)
-            os.close(write_end)
+            for fd in ends:
+                os.close(fd)
             return
+        read_end, write_end = ends
         if pid == 0:
             code = 1
             try:

@@ -21,8 +21,8 @@ from .exactlin import (
 
 
 class UnverifiedError(RuntimeError):
-    """A builder was asked to trust a braiding or character that has not
-    passed its axiom check. Set allow_unverified = True on the space to
+    """A builder was asked to trust a braiding, (co)character or module
+    that fails its axiom check. Set allow_unverified = True on the space to
     override."""
 
 
@@ -198,10 +198,11 @@ class PreBraidedSpace:
 
     The space is immutable once populated: braiding, characters and
     comultiplication are installed at construction time (or right after by
-    the structure constructors) and then only read. check_ybe and the
-    character checks record verification flags that the complex builders
-    consult before trusting the data; allow_unverified overrides every one
-    of those gates for this space.
+    the structure constructors) and then only read. Builders trust them only
+    through the gates require_ybe, require_character and require_cocharacter:
+    each runs its check on first use, which records a pass in ybe_checked,
+    verified_characters or verified_cocharacters, and refuses a datum that
+    fails it. allow_unverified opens every gate of this space unchecked.
     """
 
     def __init__(self, dim: int, ring: Ring, braiding: SparseLinearMap, *,
@@ -270,26 +271,25 @@ class PreBraidedSpace:
         return _declared(self.cocharacters, name, "cocharacter")
 
     def require_ybe(self):
-        if not self.ybe_checked and not self.allow_unverified:
-            raise UnverifiedError(
-                "braiding not YBE-verified; run check_ybe first "
-                "or set allow_unverified on the space")
+        """The braiding's gate, by check_ybe."""
+        if not self.ybe_checked and not self.allow_unverified and not check_ybe(self).ok:
+            raise UnverifiedError("braiding fails the Yang-Baxter equation")
 
     def require_character(self, name: str) -> SparseLinearMap:
-        eps = self.character(name)
-        if name not in self.verified_characters and not self.allow_unverified:
-            raise UnverifiedError(
-                f"character {name!r} not verified; run check_braided_character first "
-                "or set allow_unverified on the space")
-        return eps
+        """The character name through its gate, by check_braided_character."""
+        return self._gated(self.character(name), name, "character",
+                           self.verified_characters, check_braided_character)
 
     def require_cocharacter(self, name: str) -> SparseLinearMap:
-        e = self.cocharacter(name)
-        if name not in self.verified_cocharacters and not self.allow_unverified:
-            raise UnverifiedError(
-                f"cocharacter {name!r} not verified; run check_braided_cocharacter first "
-                "or set allow_unverified on the space")
-        return e
+        """The cocharacter name through its gate, by check_braided_cocharacter."""
+        return self._gated(self.cocharacter(name), name, "cocharacter",
+                           self.verified_cocharacters, check_braided_cocharacter)
+
+    def _gated(self, m, name, kind, verified, check) -> SparseLinearMap:
+        if name not in verified and not self.allow_unverified and not check(self, name).ok:
+            raise UnverifiedError(f"{kind} {name!r} is not a braided {kind} "
+                                  "(pass --allow-unverified to use it anyway)")
+        return m
 
     # -- cached building blocks ----------------------------------------------
 
@@ -421,8 +421,10 @@ def shuffle_product(space: PreBraidedSpace, p: int, q: int, sign: int = 1) -> Sp
     permutation lifts over the (p,q)-shuffles, built as the transposed
     coshuffle of the transposed twin. The coshuffle's crossing L_q has the
     word s_q...s_1, whose lift on sigma^T transposes to that of s_1...s_q,
-    so the two agree term by term even where the YBE fails. The twin caches
-    its coshuffles; nothing is cached here."""
+    so the two agree term by term even where the YBE fails. The YBE gate is
+    this space's, whose pass the twin copies; the twin caches its
+    coshuffles, and nothing is cached here."""
+    space.require_ybe()
     return shuffle_coproduct(space.transposed(), p, q, sign).transpose()
 
 

@@ -43,9 +43,6 @@ from .braiding import (
     UnverifiedError,
     block_flip,
     braid_lift,
-    check_braided_character,
-    check_braided_cocharacter,
-    check_ybe,
     extended_braiding,
     moving_permutation,
 )
@@ -603,13 +600,8 @@ def coeff_diff(space: PreBraidedSpace, M: Optional[BraidedModule],
         N = trivial_module(space, "left")
     if M.side != "right" or N.side != "left":
         raise ExactError("coefficients need a right module M and a left module N")
-    if not (M.verified and N.verified) and not space.allow_unverified:
-        failed = [X.name for X in (M, N) if X.verified is False]
-        if failed:
-            raise UnverifiedError(f"module {failed[0]!r} fails the braided module axiom "
-                                  "(pass --allow-unverified to use it anyway)")
-        raise UnverifiedError(
-            f"modules {M.name!r}/{N.name!r} not verified; run check_braided_module first")
+    _require_module(space, M)
+    _require_module(space, N)
     return _pull(space, M.action if side == "left" else N.action, 1, n, side,
                  lead=M.dim, trail=N.dim)
 
@@ -620,11 +612,7 @@ def bimodule_diff(space: PreBraidedSpace, B: Bimodule,
     action eats the strand pulled leftmost; the left action eats the strand
     pulled rightmost after cycling M around (the ambient symmetry is the
     plain block flip)."""
-    if not B.verified and not space.allow_unverified:
-        if B.verified is False:
-            raise UnverifiedError(f"bimodule {B.name!r} fails the bimodule axioms "
-                                  "(pass --allow-unverified to use it anyway)")
-        raise UnverifiedError(f"bimodule {B.name!r} not verified; run check_bimodule first")
+    _require_module(space, B)
     m = B.dim
     left = _pull(space, B.right_action, 1, n, "left")
     mid = _pull(space, B.left_action, 1, n, "right")
@@ -639,14 +627,17 @@ def bimodule_diff(space: PreBraidedSpace, B: Bimodule,
 
 def left_codiff(space: PreBraidedSpace, cochar: str, n: int) -> SparseLinearMap:
     """Insert the cocharacter in front and shuffle it in, V^(x)n -> V^(x)(n+1):
-    the transposed left differential of e^T on the transposed twin."""
+    the transposed left differential of e^T on the transposed twin. The YBE
+    gate is this space's, whose pass the twin copies (transposed)."""
     e = space.require_cocharacter(cochar)
+    space.require_ybe()
     return _pull(space.transposed(), e.transpose(), 1, n + 1, "left").transpose()
 
 
 def right_codiff(space: PreBraidedSpace, cochar: str, n: int) -> SparseLinearMap:
     """Mirror: insert at the end, shuffle, sign (-1)^n."""
     e = space.require_cocharacter(cochar)
+    space.require_ybe()
     return _pull(space.transposed(), e.transpose(), 1, n + 1, "right").transpose()
 
 
@@ -679,10 +670,23 @@ def bicomodule_codiff(space: PreBraidedSpace, B: Bicomodule,
     """Degree +1 pair on M (x) V^(x)n: the transposes of the bimodule
     differentials of the transposed coactions on the transposed twin, whose
     two block flips trade places under transposition."""
-    if not B.verified and not space.allow_unverified:
-        raise UnverifiedError(f"bicomodule {B.name!r} not verified; run check_bicomodule first")
+    _require_module(space, B)
+    space.require_ybe()
     left, right = bimodule_diff(space.transposed(), _transposed_bimodule(B), n + 1)
     return left.transpose(), right.transpose()
+
+
+def _require_module(space: PreBraidedSpace, X) -> None:
+    """The gate of a module, bimodule or bicomodule, as PreBraidedSpace's:
+    its check runs on first use, records X.verified, and refuses a failure."""
+    check, kind, axioms = {
+        BraidedModule: (check_braided_module, "module", "the braided module axiom"),
+        Bimodule: (check_bimodule, "bimodule", "the bimodule axioms"),
+        Bicomodule: (check_bicomodule, "bicomodule", "the bicomodule axioms"),
+    }[type(X)]
+    if not X.verified and not space.allow_unverified and not check(space, X).ok:
+        raise UnverifiedError(f"{kind} {X.name!r} fails {axioms} "
+                              "(pass --allow-unverified to use it anyway)")
 
 
 def coalgebra_self_bicomodule(space: PreBraidedSpace) -> Bicomodule:
@@ -873,7 +877,7 @@ def _assemble(space, lead, step, n_max, diff_fn, builder, *, span=None,
     dims = [lead * space.dim ** n for n in range(n_max + 1)]
     homology.ensure_cap(dims, cap)
     diffs = {n: diff_fn(n) for n in range(n_max + 1) if 0 <= n + step <= n_max}
-    c = build_chain_complex(space.ring, dims, diffs, step, builder, basis_cap=cap)
+    c = build_chain_complex(space.ring, dims, diffs, step, builder)
     if span is None:
         return c
     preds = {n: span(space, n) for n in range(n_max + 1)}
@@ -896,25 +900,6 @@ def _require_payload(space, kind):
     elif kind is not None:
         if not (isinstance(payload, st.AlgebraData) and payload.kind == kind):
             raise ExactError(f"this complex needs a {kind} payload")
-
-
-def _ensure_ybe(space):
-    """The YBE gate of a carrier, which its allow_unverified overrides."""
-    if not space.ybe_checked and not space.allow_unverified and not check_ybe(space).ok:
-        raise UnverifiedError("braiding fails the Yang-Baxter equation")
-
-
-def _ensure_verified(space, name, co=False):
-    """The gate of a character (a cocharacter when co) a boundary reads,
-    which the space's allow_unverified overrides; an undeclared name is an
-    input error."""
-    kind = "cocharacter" if co else "character"
-    (space.cocharacter if co else space.character)(name)
-    verified = space.verified_cocharacters if co else space.verified_characters
-    check = check_braided_cocharacter if co else check_braided_character
-    if name not in verified and not space.allow_unverified and not check(space, name).ok:
-        raise UnverifiedError(f"{kind} {name!r} is not a braided {kind} "
-                              "(pass --allow-unverified to use it anyway)")
 
 
 # Carrier spaces --------------------------------------------------------------
@@ -988,7 +973,7 @@ def _twist(space, value):
     name = f"twist:{value}"
     if name not in space.characters:
         space.add_character(name, st.twist_character(value, space.dim, space.ring))
-    _ensure_verified(space, name)
+    space.require_character(name)
     return name
 
 
@@ -1066,21 +1051,16 @@ def _left_co(space, chars, params):
 
 def _coeff(space, chars, params):
     module = params.get("module") or trivial_module(space)
-    if not module.verified:
-        check_braided_module(space, module)
     return module.dim, lambda n: coeff_diff(space, module, None, n)
 
 
 def _bimodule(space, chars, params):
     bim = params.get("bimodule") or regular_bimodule(space)
-    if not bim.verified:
-        check_bimodule(space, bim)
     return bim.dim, lambda n: _difference(bimodule_diff(space, bim, n))
 
 
 def _bicomodule(space, chars, params):
     bic = coalgebra_self_bicomodule(space)
-    check_bicomodule(space, bic)
     return bic.dim, lambda n: _difference(bicomodule_codiff(space, bic, n))
 
 
@@ -1190,9 +1170,10 @@ def named_complex(space: PreBraidedSpace, name: str, n_max: int, params: Optiona
     normalized divides a complex without a span of its own by the
     degenerate span; basis_cap bounds every degree.
 
-    The YBE of the carrier and the characters the boundary reads are
-    verified first, unless the carrier's allow_unverified overrides the
-    gates; a carrier a row builds is a new space and has no override."""
+    The carrier's YBE and the characters the boundary reads pass their gates
+    first, before any cap or --normalized error; a module is gated at its
+    first boundary. The carrier's allow_unverified opens every gate; a
+    carrier a row builds is a new space and has no override."""
     row = _NAMED.get(name)
     if row is None:
         raise ExactError(f"unknown named complex {name!r}")
@@ -1205,10 +1186,11 @@ def named_complex(space: PreBraidedSpace, name: str, n_max: int, params: Optiona
         raise ExactError(f"hyper order must be 1 or more, not {order}")
     _require_payload(space, row.payload)
     carrier = row.carrier(space)
-    _ensure_ybe(carrier)
+    carrier.require_ybe()
     chars = row.chars(carrier, params)
+    gate = carrier.require_cocharacter if row.step > 0 else carrier.require_character
     for char in chars:
-        _ensure_verified(carrier, char, co=row.step > 0)
+        gate(char)
     lead, diff_fn = row.diff(carrier, chars, params)
     label = (row.label.format(*chars, **params) if isinstance(row.label, str)
              else row.label(params))

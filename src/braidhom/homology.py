@@ -93,12 +93,11 @@ class ChainComplex:
 
 
 def build_chain_complex(ring: Ring, dims: list[int], diffs: dict[int, SparseLinearMap],
-                        step: int, builder: str, *,
-                        basis_cap: Optional[int] = None) -> ChainComplex:
+                        step: int, builder: str) -> ChainComplex:
     """Validate shapes, verify square-zero on every composable pair, and
     freeze the result. Inside a _SquareZeroInChild block the first complex
-    built is verified in a forked child instead."""
-    ensure_cap(dims, basis_cap)
+    built is verified in a forked child instead. The basis cap is the
+    caller's to check, before it builds the boundaries (ensure_cap)."""
     n_max = len(dims) - 1
     for n, m in diffs.items():
         target = n + step

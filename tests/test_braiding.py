@@ -172,11 +172,20 @@ def test_lift_identity_and_generator():
 
 
 def test_lift_requires_ybe_flag():
+    """The lift checks the YBE on first use: a braiding never checked that
+    satisfies it is lifted and flagged; one that fails it is refused until
+    the space's allow_unverified opens the gate, which runs no check."""
     space = flip_braiding(2, ZZ)
-    with pytest.raises(UnverifiedError):
-        braid_lift(space, Permutation.transposition(2, 1), 2)
-    space.allow_unverified = True
-    assert braid_lift(space, Permutation.transposition(2, 1), 2) is not None
+    assert not space.ybe_checked
+    assert braid_lift(space, Permutation.transposition(2, 1), 2) == make_flip(2, ZZ)
+    assert space.ybe_checked
+    bad = non_ybe_space()
+    with pytest.raises(UnverifiedError, match="^braiding fails the Yang-Baxter equation$"):
+        braid_lift(bad, Permutation.transposition(2, 1), 2)
+    assert not bad.ybe_checked
+    bad.allow_unverified = True
+    assert braid_lift(bad, Permutation.transposition(2, 1), 2) == bad.braiding
+    assert not bad.ybe_checked
 
 
 def test_lift_flip_is_slot_permutation():

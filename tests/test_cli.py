@@ -850,6 +850,27 @@ def test_homology_interrupted_kills_the_child(monkeypatch, homology_run):
     assert time.monotonic() - start < 30
 
 
+def _no_pipe():
+    raise OSError(24, "Too many open files")
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology", "--named", "rack", "--max-degree", "3"),
+    ("verify", "--suite", "hyper", "--max-degree", "5"),
+], ids=["homology", "hyper"])
+def test_failing_pipe_gives_the_bytes_of_a_run_without_fork(monkeypatch, capsys, no_leftovers,
+                                                            argv):
+    """Where no pipe can be made, no child starts and this process does the
+    child's work, as where fork is missing."""
+    argv = [argv[0], str(SCENARIOS / "dihedral3.json"), *argv[1:], "--json"]
+    monkeypatch.setattr(os, "pipe", _no_pipe)
+    code = cli.main(argv)
+    got = (code, capsys.readouterr())
+    monkeypatch.delattr(os, "fork")
+    assert (cli.main(argv), capsys.readouterr()) == got
+    assert code == 0
+
+
 @pytest.mark.parametrize("read_first", [True, False], ids=["after-one-byte", "before-output"])
 def test_closed_stdout_keeps_exit_code_and_quiet_stderr(read_first):
     """A reader that closes the pipe early (``| head -c 1``) gets no
@@ -1028,15 +1049,33 @@ RAW_DOC = {
 }
 
 
-@pytest.mark.parametrize("suite", ["simplicial", "hyper", "hopf", "homotopy"])
+# The dual numbers over Z with the covector [1, 1], which is not a braided
+# character (x (x) x goes to 0 where it should go to 1); the duality suite
+# builds its cobar codifferential on the dual of that covector.
+DUAL_AUG_DOC = {
+    "ring": "z",
+    "structure": {"kind": "associative", "dim": 2, "unit": 0,
+                  "products": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]},
+    "characters": {"aug": [1, 1]},
+}
+
+
+@pytest.mark.parametrize("suite", ["simplicial", "hyper", "hopf", "homotopy", "duality"])
 def test_verify_suites_honour_allow_unverified(tmp_path, capsys, suite):
     """Without the flag the run stops at the verification gate; with it the
-    suite runs on the space and reports, whatever its verdict."""
-    argv = ["verify", write(tmp_path, RAW_DOC), "--suite", suite, "--max-degree", "3",
+    suite runs on the space and reports, whatever its verdict. The duality
+    suite passes the flag on to the dual coalgebra, whose braiding is the
+    transposed one."""
+    doc = DUAL_AUG_DOC if suite == "duality" else RAW_DOC
+    argv = ["verify", write(tmp_path, doc), "--suite", suite, "--max-degree", "3",
             "--json"]
     assert cli.main(argv) == 1
     rep = json.loads(capsys.readouterr().out)
-    assert rep["verification"]["ybe"]["ok"] is False
+    if suite == "duality":
+        assert rep["verification"] == {"ybe": {"ok": True},
+                                       "characters": {"aug": {"braided": False}}}
+    else:
+        assert rep["verification"]["ybe"]["ok"] is False
     assert rep["error"] == ("the braiding or a character failed verification "
                             "(run `check` for details, or pass --allow-unverified)")
     code = cli.main(argv + ["--allow-unverified"])

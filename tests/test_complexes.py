@@ -317,29 +317,47 @@ def test_trivial_quandle_combined_vanishes(trivial3):
 
 
 def test_diff_requires_verified_character(r3):
+    """A boundary checks the character it reads on first use, and a
+    coboundary its cocharacter: a valid one never checked builds and is
+    flagged; one that fails is refused until allow_unverified opens it."""
     r3.add_character("raw", [1, 0, 0])
-    with pytest.raises(UnverifiedError):
-        left_diff(r3, "raw", 2)
-    r3.allow_unverified = True
-    assert left_diff(r3, "raw", 2) is not None
+    r3.add_character("broken", [1, 2, 0])
+    assert left_diff(r3, "raw", 2) == shelf_left_oracle(r3.payload, [1, 0, 0], 2)
+    assert r3.verified_characters == {"ones", "raw"}
+    with pytest.raises(UnverifiedError, match=(
+            "^character 'broken' is not a braided character "
+            r"\(pass --allow-unverified to use it anyway\)$")):
+        left_diff(r3, "broken", 2)
+    co = coassoc_braiding(coalgebra_extend(zero_coalgebra_data(ZZ)))
+    co.add_cocharacter("bad", [1, 2])
+    assert left_codiff(co, "unit", 2).rows == 8
+    assert co.verified_cocharacters == {"unit"} and co.ybe_checked
+    with pytest.raises(UnverifiedError, match="^cocharacter 'bad' is not a braided cocharacter"):
+        right_codiff(co, "bad", 2)
+    for space in (r3, co):
+        space.allow_unverified = True
+    assert left_diff(r3, "broken", 2) == shelf_left_oracle(r3.payload, [1, 2, 0], 2)
+    assert right_codiff(co, "bad", 2).rows == 8
+    assert "broken" not in r3.verified_characters and "bad" not in co.verified_cocharacters
 
 
 def test_space_override_opens_every_gate():
-    """A fresh space gates every builder; its allow_unverified attribute,
-    named in the message, opens the braiding, character and module gates."""
+    """On a fresh space each gate runs its check on first use, so the valid
+    braiding, character and module build and are flagged. On another fresh
+    space allow_unverified opens every gate, and no check runs."""
     space = shelf_braiding(dihedral_shelf(3), ZZ)
     M = rackset_module(space)
-    with pytest.raises(UnverifiedError, match="allow_unverified"):
-        left_diff(space, "ones", 2)
-    with pytest.raises(UnverifiedError, match="allow_unverified"):
-        braid_lift(space, Permutation.transposition(2, 1), 2)
-    with pytest.raises(UnverifiedError, match="not verified"):
-        coeff_diff(space, M, None, 2)
-    space.allow_unverified = True
     assert left_diff(space, "ones", 2) == shelf_left_oracle(space.payload, [1, 1, 1], 2)
-    assert braid_lift(space, Permutation.transposition(2, 1), 2) == space.braiding
-    assert shuffle_product(space, 1, 1).rows == 9
     assert coeff_diff(space, M, None, 2).rows == 9
+    assert space.ybe_checked and space.verified_characters == {"ones"} and M.verified
+    fresh = shelf_braiding(dihedral_shelf(3), ZZ)
+    fresh.allow_unverified = True
+    M = rackset_module(fresh)
+    assert left_diff(fresh, "ones", 2) == shelf_left_oracle(fresh.payload, [1, 1, 1], 2)
+    assert braid_lift(fresh, Permutation.transposition(2, 1), 2) == fresh.braiding
+    assert shuffle_product(fresh, 1, 1).rows == 9
+    assert coeff_diff(fresh, M, None, 2).rows == 9
+    assert not fresh.ybe_checked and not fresh.verified_characters and M.verified is None
 
 
 def test_square_zero_all_fixtures(r3, kz2, dual_numbers, sl2_unital, nonlie_unital):
@@ -956,23 +974,45 @@ def test_zero_bimodule(kz2):
 
 
 def test_failed_module_checks_say_the_axioms_fail(kz2):
-    """A module or bimodule whose check ran and failed is refused for failing
-    its axioms; one never checked is refused as not verified."""
+    """A module, bimodule or bicomodule is checked when its first boundary
+    is built: a valid one never checked builds and is flagged; one that
+    fails is refused for failing its axioms until allow_unverified opens
+    the gate."""
     # g acts by 2 on the right and by 1 on the left: g.g = 4 is not e = 1.
     right = SparseLinearMap.from_entries(1, 2, [(0, 0, 1), (0, 1, 2)], ZZ)
     left = SparseLinearMap.from_entries(1, 2, [(0, 0, 1), (0, 1, 1)], ZZ)
-    B = Bimodule(1, right, left, name="bad")
-    with pytest.raises(UnverifiedError, match="not verified; run check_bimodule first"):
-        bimodule_diff(kz2, B, 2)
-    assert not check_bimodule(kz2, B).ok
-    with pytest.raises(UnverifiedError, match="'bad' fails the bimodule axioms"):
-        bimodule_diff(kz2, B, 2)
-    M = BraidedModule(1, right, "right", name="bad")
-    with pytest.raises(UnverifiedError, match="not verified; run check_braided_module first"):
-        coeff_diff(kz2, M, None, 2)
-    assert not check_braided_module(kz2, M).ok
-    with pytest.raises(UnverifiedError, match="'bad' fails the braided module axiom"):
-        coeff_diff(kz2, M, None, 2)
+    co = coassoc_braiding(coalgebra_extend(
+        algebra_from_constants("coalgebra", 1, [(0, 0, 0, 1)], ZZ)))
+    good = [(kz2, Bimodule(1, left, left, name="good")),
+            (kz2, BraidedModule(1, left, "left", name="good")),
+            (co, coalgebra_self_bicomodule(co))]
+    bad = [(kz2, Bimodule(1, right, left, name="bad"), "bimodule 'bad' fails the bimodule axioms"),
+           (kz2, BraidedModule(1, right, "right", name="bad"),
+            "module 'bad' fails the braided module axiom"),
+           (co, Bicomodule(1, right.transpose(), left.transpose(), name="bad"),
+            "bicomodule 'bad' fails the bicomodule axioms")]
+
+    def build(space, X):
+        if isinstance(X, Bimodule):
+            return bimodule_diff(space, X, 2)
+        if isinstance(X, Bicomodule):
+            return bicomodule_codiff(space, X, 2)
+        return coeff_diff(space, X if X.side == "right" else None,
+                          X if X.side == "left" else None, 2)
+
+    for space, X in good:
+        assert X.verified is None
+        build(space, X)
+        assert X.verified is True
+    for space, X, message in bad:
+        with pytest.raises(UnverifiedError, match=(
+                f"^{message} " r"\(pass --allow-unverified to use it anyway\)$")):
+            build(space, X)
+        assert X.verified is False
+    for space in (kz2, co):
+        space.allow_unverified = True
+    for space, X, _ in bad:
+        build(space, X)
 
 
 # ---------------------------------------------------------------------------

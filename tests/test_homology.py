@@ -257,6 +257,14 @@ def test_subquotient_rejects_unstable_span(r3):
         assert err.value.escaping_index is not None
 
 
+def test_subquotient_applies_no_cap_of_its_own():
+    """The basis cap is the builder's to check, before any boundary exists
+    (named_complex, the verify suites); a projection of a complex built
+    under a raised cap is not refused at the default one."""
+    c = build_chain_complex(ZZ, [250_000, 1], {}, -1, "x")
+    assert subquotient(c, lambda n, j: False, "quotient").dims == [250_000, 1]
+
+
 # -- homology operations -------------------------------------------------------------------
 
 def test_crossing_action_trivial_on_homology(r3):
