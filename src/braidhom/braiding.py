@@ -4,18 +4,23 @@ A pre-braiding is an endomorphism of V (x) V satisfying the Yang-Baxter
 equation; it need not be invertible. Once the YBE is verified, the lift of a
 permutation through any reduced word is well defined, which is what makes
 the shuffle (co)products and all differentials downstream unambiguous.
+
+The quantum coshuffle and every boundary in complexes are one recursion,
+written column by column (_crossed, _step): the coshuffle's action is the
+identity. Lifts, and so faces, come from generator matrices instead.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .exactlin import (
     ExactError,
     Ring,
     SparseLinearMap,
+    _axpy,
     tensor,
 )
 
@@ -193,6 +198,13 @@ def _declared(table: dict, name: str, kind: str):
     return table[name]
 
 
+def _origin_flag(slot: str) -> property:
+    """A flag kept on the space's origin: the space itself, or for a
+    transposed twin the space it transposes."""
+    return property(lambda space: getattr(space._origin, slot),
+                    lambda space, value: setattr(space._origin, slot, value))
+
+
 class PreBraidedSpace:
     """A finite-dimensional space with a pre-braiding and companion data.
 
@@ -204,6 +216,9 @@ class PreBraidedSpace:
     verified_characters or verified_cocharacters, and refuses a datum that
     fails it. allow_unverified opens every gate of this space unchecked.
     """
+
+    ybe_checked = _origin_flag("_ybe_checked")
+    allow_unverified = _origin_flag("_allow_unverified")
 
     def __init__(self, dim: int, ring: Ring, braiding: SparseLinearMap, *,
                  unit_index: Optional[int] = None,
@@ -227,13 +242,13 @@ class PreBraidedSpace:
         self.cocharacters: dict[str, SparseLinearMap] = {}
         self.modules: dict[str, "object"] = {}
         self.bimodules: dict[str, "object"] = {}
+        self._origin = self
         self.ybe_checked = False
         self.verified_characters: set[str] = set()
         self.verified_cocharacters: set[str] = set()
         self.allow_unverified = False
         self._lift_cache: dict = {}
         self._generator_cache: dict = {}
-        self._coshuffle_cache: dict = {}
         self._boundary_cache: dict = {}
         self._twin: Optional[PreBraidedSpace] = None
 
@@ -312,12 +327,11 @@ class PreBraidedSpace:
 
     def transposed(self) -> "PreBraidedSpace":
         """The twin with braiding sigma^T and caches of its own, built once.
-        sigma^T satisfies the YBE exactly when sigma does, so each call
-        copies this space's YBE flag and override onto the twin."""
+        sigma^T satisfies the YBE exactly when sigma does, so the twin reads
+        and records its YBE flag and override on this space."""
         if self._twin is None:
             self._twin = PreBraidedSpace(self.dim, self.ring, self.braiding.transpose())
-        self._twin.ybe_checked = self.ybe_checked
-        self._twin.allow_unverified = self.allow_unverified
+            self._twin._origin = self
         return self._twin
 
 
@@ -381,22 +395,145 @@ def braid_lift(space: PreBraidedSpace, s: Permutation, n: int, sign: int = 1) ->
     return out
 
 
+# ---------------------------------------------------------------------------
+# The one-strand recursion of every boundary and coshuffle, column by column
+# ---------------------------------------------------------------------------
+
+def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
+             label=None) -> SparseLinearMap:
+    """A_q (side 'left') or A'_q (side 'right') of complexes._pull: one
+    strand crosses q strands through the negated braiding and the action
+    rho: lead (x) V -> out (rho': V (x) trail -> out) eats it. The lead
+    (trail) block is rho.cols // d, so Id_(d^p) is an action too, with
+    A_q = Id_(d^(p-1)) (x) L_q (shuffle_coproduct). With rest = lead d^(q-1)
+    (d^(q-1) trail) and m = out d^(q-1), column J d^2 + a b of A_q is the
+    sum over sigma[c e, a b] of -sigma[c e, a b] times column J d + c of
+    A_(q-1) with row r moved to r d + e; column a b rest + J of A'_q sums
+    column e rest + J of A'_(q-1) with row r moved to c m + r. Each is
+    cached beside the boundaries, under label or else the action's value."""
+    if q == 0:
+        return rho
+    key = (rho if label is None else label, side, "crossed", q)
+    got = space._boundary_cache.get(key)
+    if got is None:
+        below = _crossed(space, rho, side, q - 1, label)._cols
+        d, ring = space.dim, space.ring
+        p, rest, m = ring.characteristic, rho.cols // d * d ** (q - 1), rho.rows * d ** (q - 1)
+        # each column a b of sigma as its entries (c, e, sigma[c e, a b])
+        feeds = [(ab, [(*divmod(ce, d), s) for ce, s in col.items()])
+                 for ab, col in space.braiding._cols.items()]
+        out: dict[int, dict] = {}
+        if side == "left":
+            for J in range(rest):
+                for ab, feed in feeds:
+                    acc: dict = {}
+                    for c, e, s in feed:
+                        src = below.get(J * d + c)
+                        if src is not None:
+                            _axpy(acc, ((r * d + e, v) for r, v in src.items()), -s, p)
+                    if acc:
+                        out[J * d * d + ab] = acc
+        else:
+            for ab, feed in feeds:
+                for J in range(rest):
+                    acc = {}
+                    for c, e, s in feed:
+                        src = below.get(e * rest + J)
+                        if src is not None:
+                            _axpy(acc, ((c * m + r, v) for r, v in src.items()), -s, p)
+                    if acc:
+                        out[ab * rest + J] = acc
+        got = SparseLinearMap(m * d, rest * d * d, ring, out)
+        space._boundary_cache[key] = got
+    return got
+
+
+def _fed(d: int, cross: SparseLinearMap, inner: SparseLinearMap, side: str, sign: int,
+         p: int) -> Iterator[tuple[int, dict]]:
+    """The nonzero columns of sign A_q o (inner (x) Id_1) (side 'left') or
+    of sign A'_q o (Id_1 (x) inner) (side 'right'), as (index, column) in
+    the order compose gives them, each summed by _axpy without building the
+    tensor product."""
+    get = cross._cols.get
+    if side == "left":
+        for J, col in inner._cols.items():
+            shifted = [(r * d, sign * v) for r, v in col.items()]
+            for t in range(d):
+                acc: dict = {}
+                for rd, v in shifted:
+                    src = get(rd + t)
+                    if src is not None:
+                        _axpy(acc, src.items(), v, p)
+                if acc:
+                    yield J * d + t, acc
+    else:
+        m, rows = inner.cols, inner.rows
+        for t in range(d):
+            for J, col in inner._cols.items():
+                acc = {}
+                for r, v in col.items():
+                    src = get(t * rows + r)
+                    if src is not None:
+                        _axpy(acc, src.items(), sign * v, p)
+                if acc:
+                    yield t * m + J, acc
+
+
+def _step(d: int, stay: Optional[SparseLinearMap], cross: SparseLinearMap,
+          inner: Optional[SparseLinearMap], side: str, stay_sign: int,
+          sign: int) -> SparseLinearMap:
+    """One step of the one-strand recursion: stay (x) Id_1 + sign cross o
+    (inner (x) Id_1) on the left, stay_sign Id_1 (x) stay + sign cross o
+    (Id_1 (x) inner) on the right; a stay of None is absent, an inner of
+    None is the identity. Column J d + t is column J of stay with row r
+    moved to r d + t, plus the sum over r of inner[r, J] times column
+    r d + t of cross; on the right, with m columns and m' rows in stay and
+    inner, column t m + J is the mirror, with t m' + r. The columns and
+    their entries come in the order tensor, compose and add_map give."""
+    p = cross.ring.characteristic
+    out: dict[int, dict] = {}
+    if stay is not None:
+        if side == "left":
+            for J, col in stay._cols.items():
+                for t in range(d):
+                    out[J * d + t] = {r * d + t: v for r, v in col.items()}
+        else:
+            m, rows = stay.cols, stay.rows
+            for t in range(d):
+                for J, col in stay._cols.items():
+                    out[t * m + J] = {t * rows + r: stay_sign * v % p if p else stay_sign * v
+                                      for r, v in col.items()}
+    if inner is None:
+        for j, col in cross._cols.items():
+            if not _axpy(out.setdefault(j, {}), col.items(), sign, p):
+                del out[j]
+    else:
+        for j, acc in _fed(d, cross, inner, side, sign, p):
+            have = out.get(j)
+            if have is None:
+                out[j] = acc
+            elif not _axpy(have, acc.items(), 1, p):
+                del out[j]
+    return SparseLinearMap(cross.rows, cross.cols if inner is None else inner.cols * d,
+                           cross.ring, out)
+
+
 def shuffle_coproduct(space: PreBraidedSpace, p: int, q: int, sign: int = 1) -> SparseLinearMap:
     """Quantum coshuffle: the sum of the inverse-permutation lifts over the
     (p,q)-shuffles, as an endomorphism matrix of V^(x)(p+q) read as
-    V^p (x) V^q.
-
-    Built one strand at a time from cached neighbours. The last strand
-    either ends the right block or crosses the q strands of the right block
-    to end the left one:
+    V^p (x) V^q. The last strand either ends the right block or crosses its
+    q strands to end the left one:
 
         D(p,0) = D(0,q) = Id,
-        D(p,q) = (D(p,q-1) (x) Id_1) + (Id_(p-1) (x) L_q) o (D(p-1,q) (x) Id_1),
+        D(p,q) = (D(p,q-1) (x) Id_1) + s (Id_(p-1) (x) L_q) o (D(p-1,q) (x) Id_1),
 
-    where L_q lifts the permutation pulling strand q+1 of q+1 to the left.
-    """
-    key = (p, q, sign)
-    got = space._coshuffle_cache.get(key)
+    with L_q the negated lift pulling strand q+1 of q+1 to the left, and
+    s = 1 for sign -1, (-1)^q for sign +1. Id_(p-1) (x) L_q is the crossing
+    of the action Id_(d^p) (_crossed), so each step is a boundary's _step.
+    The coshuffles and the identity crossings, keyed by size, are cached
+    beside the boundaries."""
+    key = ("coshuffle", p, q, sign)
+    got = space._boundary_cache.get(key)
     if got is None:
         space.require_ybe()
         if p < 0 or q < 0:
@@ -406,25 +543,21 @@ def shuffle_coproduct(space: PreBraidedSpace, p: int, q: int, sign: int = 1) -> 
         if p == 0 or q == 0:
             got = space.identity_power(p + q)
         else:
-            one = space.identity_power(1)
-            stay = shuffle_coproduct(space, p, q - 1, sign)
-            rest = shuffle_coproduct(space, p - 1, q, sign)
-            cross = braid_lift(space, moving_permutation(q + 1, q + 1, to_left=True), q + 1, sign)
-            got = tensor(stay, one).add_map(
-                tensor(space.identity_power(p - 1), cross).compose(tensor(rest, one)))
-        space._coshuffle_cache[key] = got
+            d = space.dim
+            cross = _crossed(space, space.identity_power(p), "left", q, ("identity", d ** p))
+            inner = shuffle_coproduct(space, p - 1, q, sign) if p > 1 else None
+            got = _step(d, shuffle_coproduct(space, p, q - 1, sign), cross, inner, "left", 1,
+                        1 if sign == -1 else (-1) ** q)
+        space._boundary_cache[key] = got
     return got
 
 
 def shuffle_product(space: PreBraidedSpace, p: int, q: int, sign: int = 1) -> SparseLinearMap:
     """Quantum shuffle product V^p (x) V^q -> V^(x)(p+q): the sum of the
     permutation lifts over the (p,q)-shuffles, built as the transposed
-    coshuffle of the transposed twin. The coshuffle's crossing L_q has the
-    word s_q...s_1, whose lift on sigma^T transposes to that of s_1...s_q,
-    so the two agree term by term even where the YBE fails. The YBE gate is
-    this space's, whose pass the twin copies; the twin caches its
-    coshuffles, and nothing is cached here."""
-    space.require_ybe()
+    coshuffle of the transposed twin, which caches it. The coshuffle's
+    crossing L_q has the word s_q...s_1, whose lift on sigma^T transposes to
+    that of s_1...s_q, so the two agree even where the YBE fails."""
     return shuffle_coproduct(space.transposed(), p, q, sign).transpose()
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import reduce
 from pathlib import Path
 
 from ._fork import Child
@@ -18,6 +19,7 @@ from .exactlin import ExactError, QQ, Ring, ZZ, is_invertible, ring_from_name, t
 from .braiding import (
     UnverifiedError,
     _declared,
+    braid_lift,
     check_braided_character,
     check_braided_cocharacter,
     check_braided_coalgebra,
@@ -28,7 +30,7 @@ from .braiding import (
     check_hopf_compatibility,
     check_sigma_commutativity,
     check_ybe,
-    shuffle_product,
+    shuffle_set,
 )
 from . import structures as st
 from .complexes import (
@@ -613,12 +615,14 @@ def _suite_duality(space, args, report) -> bool:
     cospace.add_cocharacter("dual", eps.transpose())
     # The paper's cobar codifferential, sh_(1,n) of the negated braiding
     # after the cocharacter, against the codifferential the library builds
-    # and against the transposed bar boundary.
+    # and against the transposed bar boundary. sh_(1,n) is the literal sum
+    # of the shuffles' lifts, a path the boundary recursion does not share.
     e = cospace.cocharacter("dual")
     degreewise = True
     for n in range(0, n_max):
-        up = shuffle_product(cospace, 1, n, sign=-1).compose(
-            tensor(e, cospace.identity_power(n)))
+        sh = reduce(lambda a, b: a.add_map(b),
+                    (braid_lift(cospace, s, n + 1, -1) for s in shuffle_set(1, n)))
+        up = sh.compose(tensor(e, cospace.identity_power(n)))
         degreewise &= up == left_codiff(cospace, "dual", n)
         degreewise &= up == left_diff(space, lc, n + 1).transpose()
     report["duality"] = {"braiding_transposed": transposed_ok,

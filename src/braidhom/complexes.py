@@ -4,43 +4,30 @@ homotopies, coefficient differentials and the classical named complexes.
 All maps are plain sparse matrices between tensor-power index spaces. Every
 boundary is one formula (_pull): the negated quantum coshuffle pulls k
 strands to one end, where a braided module action (a character, or a
-coefficient module) eats them one at a time. The coshuffle itself is never
-built: its one-strand recursion, carried through the action by the
-interchange law (f (x) Id) o (Id (x) g) = (Id (x) g) o (f (x) Id), gives each
-boundary from two smaller ones. With q = n - k, on lead (x) V^(x)n,
-
-    H(0,n) = Id,  H(k,n) = H(k,n-1) (x) Id_1 + A_q o (H(k-1,n-1) (x) Id_1),
-
-where A_q feeds the strand that crossed q strands to the left to the action,
-and on V^(x)n (x) trail the first-strand mirror, which carries the sign
-(-1)^(kn - k(k+1)/2) of the right family,
-
-    H'(0,n) = Id,  H'(k,n) = (-1)^k Id_1 (x) H'(k,n-1)
-                             + (-1)^(n-1) A'_q o (Id_1 (x) H'(k-1,n-1)).
-
-No braid lift is built either: A_q takes one crossing of the negated
-braiding at a time (_crossed),
-
-    A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma),
-
-and A'_q is its mirror. The formulas are recipes, not steps: each H and
-each A_q is written column by column from the columns of the maps it comes
-from, and no tensor product, sum or identity block is materialised. The
-co-side has no formula of its own: each degree +1 map is the transpose of a
-boundary of the transposed coaction on the space's transposed twin
-(PreBraidedSpace.transposed, braiding sigma^T).
+coefficient module) eats them one at a time. No coshuffle or braid lift is
+built for a boundary: the coshuffle's one-strand recursion, carried through
+the action by the interchange law, gives each boundary from two smaller
+ones, and the strand that crosses q others takes one crossing of the
+negated braiding at a time (_pull states the formulas). Each map is written
+column by column by the braiding module's _step and _crossed, the
+recursion the coshuffle itself is built by, with the identity as its
+action. The co-side has no formula of its own: each degree +1 map is the
+transpose of a boundary of the transposed coaction on the space's
+transposed twin (PreBraidedSpace.transposed, braiding sigma^T).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
-from .exactlin import ExactError, SparseLinearMap, _axpy, digits_of, flat_index, tensor
+from .exactlin import ExactError, SparseLinearMap, digits_of, flat_index, tensor
 from .braiding import (
     PreBraidedSpace,
     UnverifiedError,
+    _crossed,
+    _step,
     block_flip,
     braid_lift,
     extended_braiding,
@@ -82,44 +69,37 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
 
     No coshuffle is built. With q = n - k, the last strand of Delta_(k,q)
     either ends the right block or crosses its q strands to end the left one
-    (shuffle_coproduct). Feeding this to rho_k = rho o (rho_(k-1) (x) Id_1),
-    and moving rho_(k-1) past the crossing by the interchange law
-    (f (x) Id) o (Id (x) g) = (Id (x) g) o (f (x) Id), gives the boundary H
-    on lead (x) V^(x)n from two smaller ones:
+    (shuffle_coproduct). Feeding this to rho_k and moving rho_(k-1) past the
+    crossing by the interchange law (f (x) Id) o (Id (x) g) =
+    (Id (x) g) o (f (x) Id) gives the boundary on lead (x) V^(x)n from two
+    smaller ones, and on V^(x)n (x) trail its first-strand mirror, which
+    carries the sign as s(k,n) = (-1)^k s(k,n-1) = (-1)^(n-1) s(k-1,n-1):
 
         H(0,n) = Id,  H(k,n) = H(k,n-1) (x) Id_1 + A_q o (H(k-1,n-1) (x) Id_1),
+        H'(0,n) = Id, H'(k,n) = (-1)^k Id_1 (x) H'(k,n-1)
+                                + (-1)^(n-1) A'_q o (Id_1 (x) H'(k-1,n-1)),
 
-    where A_q: lead (x) V^(x)(q+1) -> lead (x) V^(x)q crosses the last
-    strand over the q before it, one negated braiding at a time from the
-    right, and feeds it to rho:
+    where the first term is absent when q = 0, and A_q (A'_q) crosses the
+    end strand over the q beside it, one negated braiding at a time, and
+    feeds it to the action:
 
-        A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma).
-
-    On the right the first strand either starts the left block or crosses
-    its q strands to start the right one. The same steps, mirrored, give the
-    boundary H' on V^(x)n (x) trail, and since s(k,n) = (-1)^k s(k,n-1) =
-    (-1)^(n-1) s(k-1,n-1) the recursion carries the sign:
-
-        H'(0,n) = Id,  H'(k,n) = (-1)^k Id_1 (x) H'(k,n-1)
-                                 + (-1)^(n-1) A'_q o (Id_1 (x) H'(k-1,n-1)),
+        A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma),
         A'_0 = rho', A'_q = (Id_1 (x) A'_(q-1)) o (-sigma (x) Id_(d^(q-1) trail)).
 
-    The first term is absent when q = 0. The crossings of A_q (A'_q) are
-    those of the canonical reduced word s_1...s_q (s_q...s_1), the only
-    reduced word of its permutation, so A_q is the same matrix with or
-    without the YBE. H' peels the first strand where shuffle_coproduct
-    peels the last, so the two give a shuffle different reduced words. Each
-    block keeps its order, so a shuffle moves no three strands into reverse
-    order: it is fully commutative (Billey-Jockusch-Stanley), and any two
-    of its reduced words differ by commutations s_i s_j = s_j s_i,
-    |i - j| > 1, which hold for every braiding by the interchange law. So H
-    and H' equal the formula even where the YBE fails (a space whose
-    allow_unverified overrides the gate). Each H, H', A_q and
-    A'_q is written column by column (_pulled, _crossed), with no tensor
-    product, sum or identity block materialised, and cached on the space,
-    keyed by the action's value, so a character replaced under the same
-    name gets boundaries of its own; _around adds the block a side does not
-    touch.
+    The crossings of A_q (A'_q) are those of the canonical reduced word
+    s_1...s_q (s_q...s_1), the only reduced word of its permutation, so A_q
+    is the same matrix with or without the YBE. H' peels the first strand
+    where shuffle_coproduct peels the last, so the two give a shuffle
+    different reduced words. Each block keeps its order, so a shuffle moves
+    no three strands into reverse order: it is fully commutative
+    (Billey-Jockusch-Stanley), and any two of its reduced words differ by
+    commutations s_i s_j = s_j s_i, |i - j| > 1, which hold for every
+    braiding by the interchange law. So H and H' equal the formula even
+    where the YBE fails (a space whose allow_unverified overrides the
+    gate). Each H, H', A_q and A'_q is written column by column (_pulled by
+    _step, _crossed) and cached on the space, keyed by the action's value,
+    so a character replaced under the same name gets boundaries of its own;
+    _around adds the block a side does not touch.
     """
     if side not in ("left", "right"):
         raise ExactError("side must be 'left' or 'right'")
@@ -131,137 +111,19 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
 def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int,
             n: int) -> SparseLinearMap:
     """H(k,n) of _pull (side 'left'), or H'(k,n) with its sign (side
-    'right'), from the cache on the space or by the recursion, written
-    column by column. Column J d + t of H(k,n) is column J of H(k,n-1) with
-    row r moved to r d + t, plus the sum over r of H(k-1,n-1)[r, J] times
-    column r d + t of A_q (_fed). On the right, with m columns and m' rows
-    in the smaller boundaries, column t m + J of H'(k,n) is (-1)^k times
-    column J of H'(k,n-1) with row r moved to t m' + r, plus (-1)^(n-1)
-    times the sum over r of H'(k-1,n-1)[r, J] times column t m' + r of
-    A'_q. At k = 1 the sum is column J d + t (t m + J) of A_q itself. The
-    columns and their entries come in the order that tensor, compose and
-    add_map would give them."""
+    'right'), from the cache on the space or by one _step of the recursion:
+    stay H(k,n-1), crossing A_q, inner H(k-1,n-1), the identity at k = 1."""
     key = (rho, side, k, n)
     got = space._boundary_cache.get(key)
-    if got is not None:
-        return got
-    d, ring = space.dim, space.ring
-    if k == 0:
-        got = SparseLinearMap.identity(rho.rows * d ** n, ring)
-    else:
-        p = ring.characteristic
-        cross = _crossed(space, rho, side, n - k)
-        out: dict[int, dict] = {}
-        if k < n:  # the end strand stays at the end
-            stay = _pulled(space, rho, side, k, n - 1)
-            if side == "left":
-                for J, col in stay._cols.items():
-                    for t in range(d):
-                        out[J * d + t] = {r * d + t: v for r, v in col.items()}
-            else:
-                m, rows, s = stay.cols, stay.rows, (-1) ** k
-                for t in range(d):
-                    for J, col in stay._cols.items():
-                        out[t * m + J] = {t * rows + r: s * v % p if p else s * v
-                                          for r, v in col.items()}
-        sign = 1 if side == "left" else (-1) ** (n - 1)
-        if k == 1:  # H(0,n-1) is the identity
-            for j, col in cross._cols.items():
-                if not _axpy(out.setdefault(j, {}), col.items(), sign, p):
-                    del out[j]
-        else:  # the end strand crosses n - k strands and the action eats it
-            inner = _pulled(space, rho, side, k - 1, n - 1)
-            for j, acc in _fed(d, cross, inner, side, sign, p):
-                have = out.get(j)
-                if have is None:
-                    out[j] = acc
-                elif not _axpy(have, acc.items(), 1, p):
-                    del out[j]
-        got = SparseLinearMap(cross.rows, rho.rows * d ** n, ring, out)
-    space._boundary_cache[key] = got
-    return got
-
-
-def _fed(d: int, cross: SparseLinearMap, inner: SparseLinearMap, side: str, sign: int,
-         p: int) -> Iterator[tuple[int, dict]]:
-    """The nonzero columns of sign A_q o (inner (x) Id_1) (side 'left') or
-    of sign A'_q o (Id_1 (x) inner) (side 'right'), as (index, column) in
-    the order compose gives them, each summed by _axpy without building the
-    tensor product."""
-    get = cross._cols.get
-    if side == "left":
-        for J, col in inner._cols.items():
-            shifted = [(r * d, sign * v) for r, v in col.items()]
-            for t in range(d):
-                acc: dict = {}
-                for rd, v in shifted:
-                    src = get(rd + t)
-                    if src is not None:
-                        _axpy(acc, src.items(), v, p)
-                if acc:
-                    yield J * d + t, acc
-    else:
-        m, rows = inner.cols, inner.rows
-        for t in range(d):
-            for J, col in inner._cols.items():
-                acc = {}
-                for r, v in col.items():
-                    src = get(t * rows + r)
-                    if src is not None:
-                        _axpy(acc, src.items(), sign * v, p)
-                if acc:
-                    yield t * m + J, acc
-
-
-def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str,
-             q: int) -> SparseLinearMap:
-    """A_q of _pull (side 'left') or A'_q (side 'right'): one strand crosses
-    q strands through the negated braiding and the action eats it. Each
-    comes from the one below by a single crossing,
-
-        A_0 = rho,   A_q = (A_(q-1) (x) Id_1) o (Id_(lead d^(q-1)) (x) -sigma),
-        A'_0 = rho', A'_q = (Id_1 (x) A'_(q-1)) o (-sigma (x) Id_(d^(q-1) trail)),
-
-    written column by column. With rest = lead d^(q-1) (d^(q-1) trail on
-    the right), column J d^2 + a b of A_q is the sum over the entries
-    sigma[c e, a b] of -sigma[c e, a b] times column J d + c of A_(q-1)
-    with row r moved to r d + e, and column a b rest + J of A'_q the sum of
-    -sigma[c e, a b] times column e rest + J of A'_(q-1) with row r moved
-    to c rest + r (a b and c e read as two digits base d). Each is cached
-    on the space beside the boundaries."""
-    if q == 0:
-        return rho
-    key = (rho, side, "crossed", q)
-    got = space._boundary_cache.get(key)
     if got is None:
-        below = _crossed(space, rho, side, q - 1)._cols
-        d, ring = space.dim, space.ring
-        p, rest = ring.characteristic, rho.rows * d ** (q - 1)
-        # each column a b of sigma as its entries (c, e, sigma[c e, a b])
-        feeds = [(ab, [(*divmod(ce, d), s) for ce, s in col.items()])
-                 for ab, col in space.braiding._cols.items()]
-        out: dict[int, dict] = {}
-        if side == "left":
-            for J in range(rest):
-                for ab, feed in feeds:
-                    acc: dict = {}
-                    for c, e, s in feed:
-                        src = below.get(J * d + c)
-                        if src is not None:
-                            _axpy(acc, ((r * d + e, v) for r, v in src.items()), -s, p)
-                    if acc:
-                        out[J * d * d + ab] = acc
+        if k == 0:
+            got = SparseLinearMap.identity(rho.rows * space.dim ** n, space.ring)
         else:
-            for ab, feed in feeds:
-                for J in range(rest):
-                    acc = {}
-                    for c, e, s in feed:
-                        src = below.get(e * rest + J)
-                        if src is not None:
-                            _axpy(acc, ((c * rest + r, v) for r, v in src.items()), -s, p)
-                    if acc:
-                        out[ab * rest + J] = acc
-        got = SparseLinearMap(rho.rows * d ** q, rest * d * d, ring, out)
+            cross = _crossed(space, rho, side, n - k)
+            stay = _pulled(space, rho, side, k, n - 1) if k < n else None
+            inner = _pulled(space, rho, side, k - 1, n - 1) if k > 1 else None
+            got = _step(space.dim, stay, cross, inner, side, (-1) ** k,
+                        1 if side == "left" else (-1) ** (n - 1))
         space._boundary_cache[key] = got
     return got
 
@@ -627,17 +489,15 @@ def bimodule_diff(space: PreBraidedSpace, B: Bimodule,
 
 def left_codiff(space: PreBraidedSpace, cochar: str, n: int) -> SparseLinearMap:
     """Insert the cocharacter in front and shuffle it in, V^(x)n -> V^(x)(n+1):
-    the transposed left differential of e^T on the transposed twin. The YBE
-    gate is this space's, whose pass the twin copies (transposed)."""
+    the transposed left differential of e^T on the transposed twin, whose
+    YBE gate reads this space's flag."""
     e = space.require_cocharacter(cochar)
-    space.require_ybe()
     return _pull(space.transposed(), e.transpose(), 1, n + 1, "left").transpose()
 
 
 def right_codiff(space: PreBraidedSpace, cochar: str, n: int) -> SparseLinearMap:
     """Mirror: insert at the end, shuffle, sign (-1)^n."""
     e = space.require_cocharacter(cochar)
-    space.require_ybe()
     return _pull(space.transposed(), e.transpose(), 1, n + 1, "right").transpose()
 
 
@@ -671,7 +531,6 @@ def bicomodule_codiff(space: PreBraidedSpace, B: Bicomodule,
     differentials of the transposed coactions on the transposed twin, whose
     two block flips trade places under transposition."""
     _require_module(space, B)
-    space.require_ybe()
     left, right = bimodule_diff(space.transposed(), _transposed_bimodule(B), n + 1)
     return left.transpose(), right.transpose()
 

@@ -3,9 +3,9 @@
 Everything here works on plain lists of Fractions/ints and never calls into
 the code paths it is checking. The exceptions are the references at the
 end. The co-side references use sparse maps and the quantum shuffle
-product, a formula the codifferentials and bicomodule checks do not call.
-The shuffle product is the transposed coshuffle of the transposed twin, a
-recursion of its own that the boundaries (`complexes._pull`) do not share.
+product as the literal sum of its shuffles' braid lifts, a path the
+codifferentials and bicomodule checks do not take: they, and the library's
+`shuffle_product`, come from the boundaries' crossing recursion.
 The boundary reference takes the recursion of `complexes._pull` literally,
 as tensor products, compositions and sums of sparse maps, none of which
 the column-by-column kernel calls.
@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from braidhom import PreBraidedSpace, SparseLinearMap, ZZ, shuffle_product, tensor
+from braidhom import PreBraidedSpace, SparseLinearMap, ZZ, braid_lift, shuffle_set, tensor
 
 
 def dense_of(m: SparseLinearMap) -> list[list[Fraction]]:
@@ -170,6 +170,16 @@ def _swap(ring, a, b):
         a * b, a * b, [(y * a + x, x * b + y, 1) for x in range(a) for y in range(b)], ring)
 
 
+def lifted_shuffle(space, p, q):
+    """sh_(p,q) of the negated braiding: the sum of the (p,q)-shuffles'
+    lifts."""
+    n, total = p + q, None
+    for s in shuffle_set(p, q):
+        lift = braid_lift(space, s, n, -1)
+        total = lift if total is None else total.add_map(lift)
+    return total
+
+
 def pushed(space, coaction, n, side, *, lead=1, trail=1):
     """The degree +1 map of a coaction on lead (x) V^(x)n (x) trail: the
     coaction puts a new strand at one end (lead -> lead (x) V on the left,
@@ -177,9 +187,9 @@ def pushed(space, coaction, n, side, *, lead=1, trail=1):
     negated braiding shuffles it in. The right family carries (-1)^n."""
     rest = space.dim ** n
     if side == "left":
-        sh = shuffle_product(space, 1, n, sign=-1)
+        sh = lifted_shuffle(space, 1, n)
         return _around(lead, sh, trail).compose(_around(1, coaction, rest * trail))
-    sh = shuffle_product(space, n, 1, sign=-1)
+    sh = lifted_shuffle(space, n, 1)
     out = _around(lead, sh, trail).compose(_around(lead * rest, coaction, 1))
     return out.neg() if n % 2 == 1 else out
 

@@ -33,6 +33,7 @@ from braidhom import (
     tensor,
     trivial_shelf,
 )
+from braidhom import braiding
 from braidhom.braiding import block_swap_permutation, make_flip, moving_permutation
 from braidhom.exactlin import ring_from_name
 from braidhom.scenario import build_space, parse as parse_scenario
@@ -312,6 +313,21 @@ def test_shuffle_recursion_matches_lift_sums_without_ybe():
     # the sums even where the lift depends on the word
     assert not check_ybe(non_ybe_space()).ok
     assert_recursion_matches_sums(non_ybe_space, 5)
+
+
+def test_twin_records_its_ybe_pass_on_the_space(monkeypatch):
+    """The transposed twin reads and writes the space's YBE flag, so a Hopf
+    check on a never-checked space runs check_ybe once, and the
+    associativity check, which runs on the twin, leaves the space flagged."""
+    calls = []
+    real = braiding.check_ybe
+    monkeypatch.setattr(braiding, "check_ybe", lambda space: calls.append(space) or real(space))
+    assert braiding.check_hopf_compatibility(shelf_braiding(dihedral_shelf(3), ZZ), 3).ok
+    assert len(calls) == 1
+    space = shelf_braiding(dihedral_shelf(3), ZZ)
+    assert braiding.check_shuffle_associativity(space, 3).ok
+    assert space.ybe_checked and space.transposed().ybe_checked
+    assert len(calls) == 2
 
 
 def reference_hopf_failures(space, max_total, inverse):

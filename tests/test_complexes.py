@@ -590,7 +590,7 @@ def crossed_oracle(space, rho, side, q):
     """A_q = (rho (x) Id_q) o (Id_lead (x) L_q) on the left, with L_q the
     negated lift pulling strand q+1 of q+1 to the left; on the right A'_q =
     (Id_q (x) rho') o (R_q (x) Id_trail), with R_q pulling strand 1 of q+1
-    to the right."""
+    to the right. The lead (trail) block is rho.cols // d."""
     ring, left = space.ring, side == "left"
 
     def ident(m):
@@ -598,9 +598,15 @@ def crossed_oracle(space, rho, side, q):
 
     lift = braid_lift(space, moving_permutation(q + 1 if left else 1, q + 1, to_left=left),
                       q + 1, -1)
+    block = ident(rho.cols // space.dim)
     if left:
-        return tensor(rho, ident(space.dim ** q)).compose(tensor(ident(rho.rows), lift))
-    return tensor(ident(space.dim ** q), rho).compose(tensor(lift, ident(rho.rows)))
+        return tensor(rho, ident(space.dim ** q)).compose(tensor(block, lift))
+    return tensor(ident(space.dim ** q), rho).compose(tensor(lift, block))
+
+
+def identity_actions(space):
+    """Id_(d^p), p = 1..3: the actions whose crossings build the coshuffle."""
+    return [space.identity_power(p) for p in range(1, 4)]
 
 
 def assert_crossed_matches_lift(space, rho, max_q=4):
@@ -622,6 +628,8 @@ def test_crossed_matches_lift_on_scenario_characters(name, ring_name):
                                      ring_from_name(ring_name)))
     for char in space.characters:
         assert_crossed_matches_lift(space, space.character(char))
+    for rho in identity_actions(space):
+        assert_crossed_matches_lift(space, rho)
 
 
 def test_crossed_matches_lift_for_module_lead_and_trail(r3):
@@ -642,7 +650,7 @@ def test_crossed_matches_lift_without_ybe():
     space.add_character("c", [1, -2])
     action = SparseLinearMap.from_entries(
         2, 4, [(i, j, rng.randint(-1, 1)) for i in range(2) for j in range(4)], ZZ)
-    for rho in (space.character("c"), action):
+    for rho in [space.character("c"), action] + identity_actions(space):
         assert_crossed_matches_lift(space, rho)
 
 
@@ -748,6 +756,24 @@ def test_boundaries_build_no_lift(r3):
     for n in range(1, 5):
         coeff_diff(r3, M, None, n)
     assert r3._lift_cache == {}
+
+
+def test_coshuffles_build_no_lift_or_generator():
+    """Every coshuffle comes from the boundaries' crossing recursion with the
+    identity as its action: no lift is built, and the only generator
+    matrices are the two the YBE check made. The coshuffles and their
+    identity crossings, keyed by size, sit in the boundary cache."""
+    r3 = verify_space(shelf_braiding(dihedral_shelf(3), ZZ))
+    assert set(r3._generator_cache) == {(3, 1), (3, 2)}
+    for sign in (1, -1):
+        for n in range(6):
+            for p in range(n + 1):
+                shuffle_coproduct(r3, p, n - p, sign)
+    assert r3._lift_cache == {}
+    assert set(r3._generator_cache) == {(3, 1), (3, 2)}
+    assert ("coshuffle", 2, 3, -1) in r3._boundary_cache
+    assert (("identity", 9), "left", "crossed", 3) in r3._boundary_cache
+    assert not any(isinstance(key[0], SparseLinearMap) for key in r3._boundary_cache)
 
 
 @pytest.mark.parametrize("lead_dim", [1, 3])
