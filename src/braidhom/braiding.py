@@ -335,13 +335,6 @@ class PreBraidedSpace:
         return self._twin
 
 
-def make_flip(d: int, ring: Ring) -> SparseLinearMap:
-    """The transposition matrix v (x) w -> w (x) v on a d-dimensional space."""
-    one = ring.one
-    return SparseLinearMap.from_entries(
-        d * d, d * d, [(b * d + a, a * d + b, one) for a in range(d) for b in range(d)], ring)
-
-
 def block_flip(ring: Ring, a: int, b: int) -> SparseLinearMap:
     """The permutation matrix X (x) Y -> Y (x) X for blocks of dims a, b."""
     one = ring.one

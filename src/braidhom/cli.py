@@ -15,7 +15,7 @@ from functools import reduce
 from pathlib import Path
 
 from ._fork import Child
-from .exactlin import ExactError, QQ, Ring, ZZ, is_invertible, ring_from_name, tensor
+from .exactlin import ExactError, Ring, ZZ, is_invertible, ring_from_name, tensor
 from .braiding import (
     UnverifiedError,
     _declared,
@@ -374,7 +374,7 @@ def _complex_from_args(space, args):
                          normalized=bool(args.normalized))
 
 
-def _complex_report(space, complex_) -> dict:
+def _complex_report(complex_) -> dict:
     degrees = {}
     for n in range(complex_.n_max + 1):
         entry = {"dim": complex_.dims[n]}
@@ -388,7 +388,7 @@ def _complex_report(space, complex_) -> dict:
             "square_zero_verified": True, "degrees": degrees}
 
 
-def _dump_matrices(space, complex_, outdir):
+def _dump_matrices(complex_, outdir):
     """One file per degree: header 'rows cols nnz', then 'row col value'
     lines with reduced fractions. A directory that cannot be written is an
     input error."""
@@ -412,9 +412,9 @@ def _dump_matrices(space, complex_, outdir):
 
 def _run_complex(space, args, report) -> bool:
     c = _complex_from_args(space, args)
-    report["complex"] = _complex_report(space, c)
+    report["complex"] = _complex_report(c)
     if getattr(args, "dump_matrices", None):
-        report["dumped"] = _dump_matrices(space, c, args.dump_matrices)
+        report["dumped"] = _dump_matrices(c, args.dump_matrices)
     return True
 
 
@@ -427,8 +427,8 @@ def _run_homology(space, args, report) -> bool:
         if space.ring is ZZ:
             hom = integral_homology(c)
         else:
-            hom = betti(c, space.ring if space.ring.is_field else QQ)
-    report["complex"] = _complex_report(space, c)
+            hom = betti(c)
+    report["complex"] = _complex_report(c)
     degrees = {}
     for n, h in sorted(hom.degrees.items()):
         entry = {"dim": h.space_dim, "free_rank": h.free_rank}

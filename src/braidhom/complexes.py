@@ -377,11 +377,11 @@ def _classical_module_check(space: PreBraidedSpace, M: BraidedModule) -> Optiona
     if M.side != "right" or payload is None:
         return None
     rho = M.action
+    if isinstance(payload, st.ShelfTable):
+        return _module_axiom(space, rho, M.dim, "right")
     idv = SparseLinearMap.identity(space.dim, space.ring)
     idm = SparseLinearMap.identity(M.dim, space.ring)
     two_step = rho.compose(tensor(rho, idv))
-    if isinstance(payload, st.ShelfTable):
-        return two_step == two_step.compose(tensor(idm, space.braiding))
     if isinstance(payload, st.AlgebraData) and payload.kind == "associative":
         return two_step == rho.compose(tensor(idm, payload.operation))
     if isinstance(payload, st.AlgebraData) and payload.kind == "leibniz":
@@ -783,7 +783,7 @@ def _graded_leibniz(space):
     data = payload if payload.unit_index is not None else st.adjoin_unit(payload)
     if data.grading is None:
         raise ExactError("graded complex needs a grading")
-    return st.graded_leibniz_braiding(data)
+    return st.leibniz_braiding(data, graded=True)
 
 
 def _extended_coalgebra(space):

@@ -196,6 +196,18 @@ class HomologyReport:
         return {n: h.free_rank for n, h in sorted(self.degrees.items())}
 
 
+def _report(c: ChainComplex, ring_name: str, ranks: dict[int, int],
+            torsion: Callable[[int], list[int]] = lambda n: []) -> HomologyReport:
+    """Per degree n of c: the free rank dim - rank(out) - rank(in) from
+    ranks, with boundaries beyond the stored range treated as zero, and
+    torsion(n)."""
+    degrees = {}
+    for n in range(c.n_max + 1):
+        free = c.dims[n] - ranks.get(n, 0) - ranks.get(n - c.step, 0)
+        degrees[n] = DegreeHomology(n, c.dims[n], free, torsion(n))
+    return HomologyReport(ring_name, c.builder, degrees)
+
+
 def betti(c: ChainComplex, coefficients: Optional[Ring] = None) -> HomologyReport:
     """Free ranks over a field: dim - rank(out) - rank(in) per degree, with
     boundaries beyond the stored range treated as zero.
@@ -210,13 +222,7 @@ def betti(c: ChainComplex, coefficients: Optional[Ring] = None) -> HomologyRepor
         coefficients = c.ring if c.ring.is_field else QQ
     if not coefficients.is_field:
         raise ExactError("betti numbers need field coefficients (use q or fp:<p>)")
-    ranks = _eliminate_chain(c.diffs, c.step, coefficients)
-    degrees = {}
-    for n in range(c.n_max + 1):
-        out_rank = ranks.get(n, 0)
-        in_rank = ranks.get(n - c.step, 0)
-        degrees[n] = DegreeHomology(n, c.dims[n], c.dims[n] - out_rank - in_rank)
-    return HomologyReport(coefficients.name, c.builder, degrees)
+    return _report(c, coefficients.name, _eliminate_chain(c.diffs, c.step, coefficients))
 
 
 def integral_homology(c: ChainComplex) -> HomologyReport:
@@ -231,14 +237,8 @@ def integral_homology(c: ChainComplex) -> HomologyReport:
     projected next boundary then has the same invariant factors, the 1s
     included."""
     factors = _eliminate_chain(c.diffs, c.step)
-    degrees = {}
-    for n in range(c.n_max + 1):
-        out_rank = len(factors.get(n, []))
-        incoming = factors.get(n - c.step, [])
-        torsion = sorted(f for f in incoming if f > 1)
-        degrees[n] = DegreeHomology(n, c.dims[n], c.dims[n] - out_rank - len(incoming),
-                                    torsion)
-    return HomologyReport("Z", c.builder, degrees)
+    return _report(c, "Z", {n: len(f) for n, f in factors.items()},
+                   lambda n: sorted(f for f in factors.get(n - c.step, []) if f > 1))
 
 
 @dataclass

@@ -72,7 +72,7 @@ def _norm_value(v, path, errors):
     try:
         if isinstance(v, str):
             f = Fraction(v)
-        elif isinstance(v, int) and not isinstance(v, bool):
+        elif _is_int(v):
             f = Fraction(v)
         else:
             raise ValueError
@@ -82,6 +82,11 @@ def _norm_value(v, path, errors):
     if f.denominator == 1:
         return int(f)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _is_int(x) -> bool:
+    """An integer of the JSON document; true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_triples(raw, path, arity, bounds, errors):
@@ -97,7 +102,7 @@ def _check_triples(raw, path, arity, bounds, errors):
         idx = item[:-1]
         ok = True
         for k, (i, bound) in enumerate(zip(idx, bounds)):
-            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < bound:
+            if not _is_int(i) or not 0 <= i < bound:
                 errors.append(f"{here}[{k}]: index {i!r} out of range 0..{bound - 1}")
                 ok = False
         val = _norm_value(item[-1], f"{here}[{arity - 1}]", errors)
@@ -129,7 +134,7 @@ def _validate_structure(s, errors) -> dict:
                 continue
             crow = []
             for b, x in enumerate(row):
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < m:
+                if not _is_int(x) or not 0 <= x < m:
                     errors.append(f"structure.table[{a}][{b}]: entry {x!r} out of range 0..{m - 1}")
                     crow.append(0)
                 else:
@@ -146,8 +151,11 @@ def _validate_structure(s, errors) -> dict:
         return out
     if kind == "koszul":
         grading = s.get("grading")
-        if not isinstance(grading, list) or not all(isinstance(g, int) for g in grading):
+        if not isinstance(grading, list) or not all(map(_is_int, grading)):
             errors.append("structure.grading: expected an integer array")
+            grading = [0]
+        elif not grading:
+            errors.append("structure.grading: expected at least one degree")
             grading = [0]
         out["grading"] = grading
         return out
@@ -178,7 +186,7 @@ def _validate_structure(s, errors) -> dict:
     out[key] = _check_triples(s.get(key, []), f"structure.{key}", 4, (d, d, d), errors)
     if "unit" in s:
         u = s["unit"]
-        if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < d:
+        if not _is_int(u) or not 0 <= u < d:
             errors.append(f"structure.unit: index {u!r} out of range 0..{d - 1}")
         else:
             out["unit"] = u
@@ -190,7 +198,7 @@ def _validate_structure(s, errors) -> dict:
     if "grading" in s:
         grading = s["grading"]
         if not isinstance(grading, list) or len(grading) != d or \
-                not all(isinstance(g, int) for g in grading):
+                not all(map(_is_int, grading)):
             errors.append("structure.grading: expected a length-d integer array")
         else:
             out["grading"] = grading

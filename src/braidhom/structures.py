@@ -5,6 +5,13 @@ based space, installing whatever companion data the structure provides for
 free (characters, comultiplications, units). The check_* functions are
 total: they return structured reports and never raise on a mere axiom
 failure, so a front end can present every violation.
+
+The super- and co-versions are built, not written out again. One Koszul
+flip (-1)^(deg v deg w) w (x) v underlies the flip (every degree even), the
+signed flip (every degree odd), the Koszul braiding and both Leibniz
+braidings, the graded one being leibniz_braiding(a, graded=True).
+coalgebra_extend is adjoin_unit on the transposed coproduct, transposed
+back.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exactlin import ExactError, Ring, SparseLinearMap, ZZ, _axpy
-from .braiding import PreBraidedSpace, make_flip
+from .braiding import PreBraidedSpace
 
 
 # ---------------------------------------------------------------------------
@@ -346,50 +353,45 @@ def adjoin_unit(a: AlgebraData) -> AlgebraData:
 
 def coalgebra_extend(a: AlgebraData) -> AlgebraData:
     """Adjoin a formal group-like counital element to a coalgebra:
-    Delta(v) = delta(v) + 1 (x) v + v (x) 1 and Delta(1) = 1 (x) 1."""
+    Delta(v) = delta(v) + 1 (x) v + v (x) 1 and Delta(1) = 1 (x) 1.
+
+    This is the co-version of adjoin_unit: the unit adjoined to the algebra
+    with product delta^T, transposed back."""
     if a.kind != "coalgebra":
         raise ExactError("coalgebra_extend expects coalgebra data")
     if a.counit is not None or a.unit_index is not None:
         raise ExactError("coalgebra already has a counit")
-    d = a.dim
-    nd = d + 1
-    u = d
-    ring = a.ring
-    entries = []
-    for r, c, v in a.operation.entries():
-        i, j = divmod(r, d)
-        entries.append((i * nd + j, c, v))
-    for v in range(d):
-        entries.append((u * nd + v, v, ring.one))
-        entries.append((v * nd + u, v, ring.one))
-    entries.append((u * nd + u, u, ring.one))
-    op = SparseLinearMap.from_entries(nd * nd, nd, entries, ring)
-    counit = SparseLinearMap.from_entries(1, nd, [(0, u, ring.one)], ring)
-    return AlgebraData("coalgebra", nd, ring, op, unit_index=u, counit=counit)
+    ext = adjoin_unit(AlgebraData("associative", a.dim, a.ring, a.operation.transpose()))
+    return AlgebraData("coalgebra", ext.dim, a.ring, ext.operation.transpose(),
+                       unit_index=ext.unit_index, counit=ext.counit)
 
 
 # ---------------------------------------------------------------------------
 # Braiding constructors
 # ---------------------------------------------------------------------------
 
+def _koszul_flip(grading, ring: Ring) -> SparseLinearMap:
+    """v (x) w -> (-1)^(deg v deg w) w (x) v on a basis graded by grading,
+    the one flip under every flip-like braiding."""
+    d = len(grading)
+    return SparseLinearMap.from_entries(
+        d * d, d * d, [(b * d + a, a * d + b, -1 if grading[a] * grading[b] % 2 else 1)
+                       for a in range(d) for b in range(d)], ring)
+
+
 def flip_braiding(d: int, ring: Ring = ZZ) -> PreBraidedSpace:
-    return PreBraidedSpace(d, ring, make_flip(d, ring))
+    """v (x) w -> w (x) v: the Koszul flip with every degree even."""
+    return PreBraidedSpace(d, ring, _koszul_flip([0] * d, ring))
 
 
 def signed_flip_braiding(d: int, ring: Ring = ZZ) -> PreBraidedSpace:
-    return PreBraidedSpace(d, ring, make_flip(d, ring).neg())
+    """v (x) w -> -w (x) v: the Koszul flip with every degree odd."""
+    return PreBraidedSpace(d, ring, _koszul_flip([1] * d, ring))
 
 
 def koszul_braiding(grading: list[int], ring: Ring = ZZ) -> PreBraidedSpace:
     """Graded flip with sign (-1)^(deg a * deg b)."""
-    d = len(grading)
-    one = ring.one
-    entries = []
-    for a in range(d):
-        for b in range(d):
-            v = one if (grading[a] * grading[b]) % 2 == 0 else -one
-            entries.append((b * d + a, a * d + b, v))
-    return PreBraidedSpace(d, ring, SparseLinearMap.from_entries(d * d, d * d, entries, ring))
+    return PreBraidedSpace(len(grading), ring, _koszul_flip(grading, ring))
 
 
 def q_flip_braiding(q, ring: Ring) -> PreBraidedSpace:
@@ -431,63 +433,40 @@ def assoc_braiding(a: AlgebraData) -> PreBraidedSpace:
     return space
 
 
-def leibniz_braiding(a: AlgebraData) -> PreBraidedSpace:
+def leibniz_braiding(a: AlgebraData, graded: bool = False) -> PreBraidedSpace:
     """v (x) w -> w (x) v + 1 (x) [v,w] for a bracket with central unit, with
-    the primitive comultiplication installed."""
+    the primitive comultiplication installed.
+
+    graded=True gives the super-version: the flip becomes the Koszul flip
+    (-1)^(deg v deg w) w (x) v of the structure's grading, in which the unit
+    must be even, and no comultiplication is installed. Either braiding is
+    the flip plus e_u (x) [ , ]."""
     if a.kind != "leibniz":
         raise ExactError("leibniz_braiding expects leibniz data")
     if a.unit_index is None:
         raise ExactError("leibniz_braiding needs a distinguished unit (adjoin one first)")
-    rep = check_leibniz(a)
-    if rep.unit_central is False:
+    if graded and a.grading is None:
+        raise ExactError("graded braiding needs a grading")
+    if graded and a.grading[a.unit_index] % 2 != 0:
+        raise ExactError("unit must have even degree")
+    if check_leibniz(a).unit_central is False:
         raise ExactError("distinguished element is not central for the bracket")
     d = a.dim
     u = a.unit_index
     ring = a.ring
-    entries = []
-    for i in range(d):
-        for j in range(d):
-            entries.append((j * d + i, i * d + j, ring.one))
-            for k, v in _mul_basis(a, i, j).items():
-                entries.append((u * d + k, i * d + j, v))
-    sigma = SparseLinearMap.from_entries(d * d, d * d, entries, ring)
-    delta_entries = [(u * d + u, u, ring.one)]
-    for v in range(d):
-        if v != u:
-            delta_entries.append((u * d + v, v, ring.one))
-            delta_entries.append((v * d + u, v, ring.one))
-    delta = SparseLinearMap.from_entries(d * d, d, delta_entries, ring)
+    unit = SparseLinearMap.from_entries(d, 1, [(u, 0, 1)], ring)
+    flip = _koszul_flip(a.grading if graded else [0] * d, ring)
+    sigma = flip.add_map(unit.tensor(a.operation))
+    delta = None
+    if not graded:
+        delta_entries = [(u * d + u, u, ring.one)]
+        for v in range(d):
+            if v != u:
+                delta_entries.append((u * d + v, v, ring.one))
+                delta_entries.append((v * d + u, v, ring.one))
+        delta = SparseLinearMap.from_entries(d * d, d, delta_entries, ring)
     space = PreBraidedSpace(d, ring, sigma, unit_index=u,
                             comultiplication=delta, payload=a)
-    if a.counit is not None:
-        space.add_character("counit", a.counit)
-    for name, cov in a.characters.items():
-        space.add_character(name, cov)
-    return space
-
-
-def graded_leibniz_braiding(a: AlgebraData) -> PreBraidedSpace:
-    """Koszul-signed variant: v (x) w -> (-1)^(deg v deg w) w (x) v
-    + 1 (x) [v,w]. Degrees come from the structure's grading; the unit must
-    sit in degree zero."""
-    if a.kind != "leibniz":
-        raise ExactError("graded_leibniz_braiding expects leibniz data")
-    if a.unit_index is None or a.grading is None:
-        raise ExactError("graded braiding needs a unit and a grading")
-    if a.grading[a.unit_index] % 2 != 0:
-        raise ExactError("unit must have even degree")
-    d = a.dim
-    u = a.unit_index
-    ring = a.ring
-    entries = []
-    for i in range(d):
-        for j in range(d):
-            s = 1 if (a.grading[i] * a.grading[j]) % 2 == 0 else -1
-            entries.append((j * d + i, i * d + j, s))
-            for k, v in _mul_basis(a, i, j).items():
-                entries.append((u * d + k, i * d + j, v))
-    sigma = SparseLinearMap.from_entries(d * d, d * d, entries, ring)
-    space = PreBraidedSpace(d, ring, sigma, unit_index=u, payload=a)
     if a.counit is not None:
         space.add_character("counit", a.counit)
     for name, cov in a.characters.items():

@@ -34,7 +34,7 @@ from braidhom import (
     trivial_shelf,
 )
 from braidhom import braiding
-from braidhom.braiding import block_swap_permutation, make_flip, moving_permutation
+from braidhom.braiding import block_flip, block_swap_permutation, moving_permutation
 from braidhom.exactlin import ring_from_name
 from braidhom.scenario import build_space, parse as parse_scenario
 from braidhom.structures import ShelfTable, cyclic_shelf
@@ -169,7 +169,7 @@ def test_lift_identity_and_generator():
     assert braid_lift(space, Permutation.identity(2), 2) == space.identity_power(2)
     got = braid_lift(space, Permutation.transposition(2, 1), 2)
     # 4x4 permutation matrix swapping (0,1) <-> (1,0)
-    assert got == make_flip(2, ZZ)
+    assert got == block_flip(ZZ, 2, 2)
 
 
 def test_lift_requires_ybe_flag():
@@ -178,7 +178,7 @@ def test_lift_requires_ybe_flag():
     the space's allow_unverified opens the gate, which runs no check."""
     space = flip_braiding(2, ZZ)
     assert not space.ybe_checked
-    assert braid_lift(space, Permutation.transposition(2, 1), 2) == make_flip(2, ZZ)
+    assert braid_lift(space, Permutation.transposition(2, 1), 2) == block_flip(ZZ, 2, 2)
     assert space.ybe_checked
     bad = non_ybe_space()
     with pytest.raises(UnverifiedError, match="^braiding fails the Yang-Baxter equation$"):

@@ -1222,6 +1222,12 @@ def test_dump_matrices_into_unwritable_directory_exits_2(tmp_path, capsys):
      "computations[0].scenario: not a flag of the homology command"),
     ({"computations": [{"command": "homology"}, {"command": "verify", "suite": "nope"}]},
      "computations[1].suite: 'nope' is not a value of --suite"),
+    ({"structure": {"kind": "koszul", "grading": []}},
+     "structure.grading: expected at least one degree"),
+    ({"structure": {"kind": "koszul", "grading": [True, 0]}},
+     "structure.grading: expected an integer array"),
+    ({"structure": {"kind": "leibniz", "dim": 2, "grading": [0, False]}},
+     "structure.grading: expected a length-d integer array"),
 ])
 def test_malformed_scenario_block_exits_2(tmp_path, capsys, block, detail):
     """A block of the wrong type, or a computations key or value its

@@ -1168,8 +1168,7 @@ def test_named_graded_leibniz_super_example():
 
 
 def check_graded(ext):
-    from braidhom import graded_leibniz_braiding
-    return graded_leibniz_braiding(ext)
+    return leibniz_braiding(ext, graded=True)
 
 
 def test_named_cobar_zero_coalgebra():

@@ -6,6 +6,7 @@ import pytest
 
 from braidhom import (
     ExactError,
+    PrimeField,
     QQ,
     SparseLinearMap,
     ZZ,
@@ -35,7 +36,7 @@ from braidhom import (
     trivial_shelf,
     twist_character,
 )
-from braidhom.braiding import make_flip
+from braidhom.braiding import block_flip
 from braidhom.structures import ShelfTable, cyclic_shelf, shelf_orbit_character
 
 from conftest import (
@@ -86,7 +87,7 @@ def test_check_shelf_non_sd_witness():
 
 def test_trivial_shelf_braiding_is_flip():
     space = shelf_braiding(trivial_shelf(3), ZZ)
-    assert space.braiding == make_flip(3, ZZ)
+    assert space.braiding == block_flip(ZZ, 3, 3)
 
 
 def test_dihedral_braiding_entry():
@@ -154,14 +155,14 @@ def test_twist_character_unit_value():
 
 def test_flip_and_signed_flip():
     d = 2
-    assert flip_braiding(d, ZZ).braiding == make_flip(d, ZZ)
-    assert signed_flip_braiding(d, ZZ).braiding == make_flip(d, ZZ).neg()
+    assert flip_braiding(d, ZZ).braiding == block_flip(ZZ, d, d)
+    assert signed_flip_braiding(d, ZZ).braiding == block_flip(ZZ, d, d).neg()
 
 
 def test_koszul_braiding_signs():
     space = koszul_braiding([1, 1], ZZ)
     # odd (x) odd picks up a sign; the matrix is minus the swap
-    assert space.braiding == make_flip(2, ZZ).neg()
+    assert space.braiding == block_flip(ZZ, 2, 2).neg()
     mixed = koszul_braiding([0, 1], ZZ)
     assert mixed.braiding.entry(0 * 2 + 1, 1 * 2 + 0) == 1   # e1 (x) e0 -> e0 (x) e1
     assert mixed.braiding.entry(1 * 2 + 1, 1 * 2 + 1) == -1  # e1 (x) e1 -> -e1 (x) e1
@@ -266,7 +267,7 @@ def test_check_leibniz_nonlie_square():
 def test_abelian_bracket_gives_flip():
     data = adjoin_unit(algebra_from_constants("leibniz", 2, [], ZZ))
     space = leibniz_braiding(data)
-    assert space.braiding == make_flip(3, ZZ)
+    assert space.braiding == block_flip(ZZ, 3, 3)
 
 
 def test_sl2_braiding_entry(sl2_unital):
@@ -387,3 +388,113 @@ def test_coassoc_braiding_needs_counit():
     from conftest import zero_coalgebra_data
     with pytest.raises(ExactError):
         coassoc_braiding(zero_coalgebra_data(ZZ))
+
+
+# -- the flip-like braidings, the Leibniz braidings and the coalgebra extension
+# against their defining formulas, entry by entry, over Z, Q and F_p ------------
+
+FORMULA_RINGS = (ZZ, QQ, PrimeField(3), PrimeField(5))
+
+
+def _scalars(ring, rng):
+    if ring is QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.randint(-4, 4)
+
+
+def _as_entries(ring, acc: dict) -> dict:
+    """(row, col) -> value with each value in the ring and the zeros dropped."""
+    out = {}
+    for key, v in acc.items():
+        v = ring.coerce(v)
+        if v:
+            out[key] = v
+    return out
+
+
+def _entries(m: SparseLinearMap) -> dict:
+    return {(r, c): v for r, c, v in m.entries()}
+
+
+def _signed_swap(grading) -> dict:
+    """e_a (x) e_b -> (-1)^(g_a g_b) e_b (x) e_a, as (row, col) -> value."""
+    d = len(grading)
+    return {(b * d + a, a * d + b): (-1) ** abs(grading[a] * grading[b])
+            for a in range(d) for b in range(d)}
+
+
+@pytest.mark.parametrize("ring", FORMULA_RINGS, ids=str)
+def test_flips_match_their_formula(ring):
+    rng = random.Random(11)
+    for d in range(1, 5):
+        assert _entries(flip_braiding(d, ring).braiding) == _as_entries(ring, _signed_swap([0] * d))
+        assert _entries(signed_flip_braiding(d, ring).braiding) == \
+            _as_entries(ring, _signed_swap([1] * d))
+        for _ in range(5):
+            grading = [rng.randint(-3, 3) for _ in range(d)]
+            assert _entries(koszul_braiding(grading, ring).braiding) == \
+                _as_entries(ring, _signed_swap(grading))
+
+
+@pytest.mark.parametrize("ring", FORMULA_RINGS, ids=str)
+def test_leibniz_braidings_match_their_formula(ring):
+    """sigma(e_i (x) e_j) = (-1)^(g_i g_j) e_j (x) e_i + e_u (x) [e_i, e_j],
+    with g = 0 for the ungraded braiding; only the ungraded one carries the
+    primitive comultiplication Delta(u) = u (x) u, Delta(v) = u (x) v + v (x) u."""
+    rng = random.Random(5)
+    for _ in range(25):
+        d = rng.randint(1, 3)
+        triples = [(rng.randrange(d), rng.randrange(d), rng.randrange(d), _scalars(ring, rng))
+                   for _ in range(rng.randint(0, 5))]
+        grading = [rng.randint(-2, 3) for _ in range(d)]
+        ext = adjoin_unit(algebra_from_constants("leibniz", d, triples, ring, grading=grading))
+        n, u = d + 1, d
+        bracket = {}
+        for i, j, k, v in triples:
+            bracket[(u * n + k, i * n + j)] = bracket.get((u * n + k, i * n + j), 0) + v
+        for graded, degrees in ((False, [0] * n), (True, grading + [0])):
+            want = _signed_swap(degrees)
+            for key, v in bracket.items():
+                want[key] = want.get(key, 0) + v
+            space = leibniz_braiding(ext, graded=graded)
+            assert _entries(space.braiding) == _as_entries(ring, want), (triples, graded)
+            if graded:
+                assert space.comultiplication is None
+            else:
+                delta = {(u * n + v, v): 1 for v in range(n)}
+                delta.update({(v * n + u, v): 1 for v in range(d)})
+                assert _entries(space.comultiplication) == _as_entries(ring, delta)
+
+
+@pytest.mark.parametrize("ring", FORMULA_RINGS, ids=str)
+def test_coalgebra_extension_matches_its_formula(ring):
+    """Delta(u) = u (x) u and Delta(v) = delta(v) + u (x) v + v (x) u."""
+    rng = random.Random(3)
+    for _ in range(25):
+        d = rng.randint(1, 3)
+        triples = [(rng.randrange(d), rng.randrange(d), rng.randrange(d), _scalars(ring, rng))
+                   for _ in range(rng.randint(0, 5))]
+        ext = coalgebra_extend(algebra_from_constants("coalgebra", d, triples, ring))
+        n, u = d + 1, d
+        want = {(u * n + u, u): 1}
+        for v in range(d):
+            want[(u * n + v, v)] = want.get((u * n + v, v), 0) + 1
+            want[(v * n + u, v)] = want.get((v * n + u, v), 0) + 1
+        for i, j, k, v in triples:
+            want[(i * n + j, k)] = want.get((i * n + j, k), 0) + v
+        assert (ext.kind, ext.dim, ext.unit_index, ext.grading) == ("coalgebra", n, u, None)
+        assert _entries(ext.operation) == _as_entries(ring, want), triples
+        assert _entries(ext.counit) == {(0, u): 1}
+
+
+def test_graded_leibniz_refuses_odd_or_non_central_unit():
+    # [e_0, e_1] = e_0, so the unit e_1 is not central
+    data = algebra_from_constants("leibniz", 2, [(0, 1, 0, 1)], ZZ, unit_index=1,
+                                  grading=[1, 1])
+    with pytest.raises(ExactError, match="unit must have even degree"):
+        leibniz_braiding(data, graded=True)
+    data.grading = [1, 0]
+    with pytest.raises(ExactError, match="not central"):
+        leibniz_braiding(data, graded=True)
+    with pytest.raises(ExactError, match="needs a grading"):
+        leibniz_braiding(adjoin_unit(sl2_data(ZZ)), graded=True)
