@@ -371,31 +371,28 @@ def _module_axiom(space: PreBraidedSpace, action: SparseLinearMap, dim: int,
 
 
 def _classical_module_check(space: PreBraidedSpace, M: BraidedModule) -> Optional[bool]:
-    """For structural payloads, compare against the classical module axiom
-    (meaningful for normalized actions)."""
+    """The classical module axiom of a unital associative or Leibniz payload,
+    for a normalized right action; None for any other payload or side. (A
+    shelf space has no unit, and its classical axiom is the braided one.)"""
     payload = space.payload
-    if M.side != "right" or payload is None:
+    if M.side != "right" or not isinstance(payload, st.AlgebraData) \
+            or payload.kind not in ("associative", "leibniz"):
         return None
     rho = M.action
-    if isinstance(payload, st.ShelfTable):
-        return _module_axiom(space, rho, M.dim, "right")
     idv = SparseLinearMap.identity(space.dim, space.ring)
     idm = SparseLinearMap.identity(M.dim, space.ring)
     two_step = rho.compose(tensor(rho, idv))
-    if isinstance(payload, st.AlgebraData) and payload.kind == "associative":
-        return two_step == rho.compose(tensor(idm, payload.operation))
-    if isinstance(payload, st.AlgebraData) and payload.kind == "leibniz":
-        flip = block_flip(space.ring, space.dim, space.dim)
-        rhs = two_step.compose(tensor(idm, flip)).add_map(
-            rho.compose(tensor(idm, payload.operation)))
-        return two_step == rhs
-    return None
+    one_step = rho.compose(tensor(idm, payload.operation))
+    if payload.kind == "associative":
+        return two_step == one_step
+    flip = block_flip(space.ring, space.dim, space.dim)
+    return two_step == two_step.compose(tensor(idm, flip)).add_map(one_step)
 
 
 def check_braided_module(space: PreBraidedSpace, M: BraidedModule) -> ModuleReport:
     """Entrywise verification of the braided module axiom on M(x)V(x)V (or
-    its left mirror), with the classical axiom cross-checked for structural
-    braidings and normalized actions."""
+    its left mirror), with the classical axiom cross-checked for normalized
+    right actions over unital associative and Leibniz payloads."""
     braided_ok = _module_axiom(space, M.action, M.dim, M.side)
     normalized = None
     if space.unit_index is not None:

@@ -39,6 +39,7 @@ _STRUCTURE_KINDS = ("shelf", "associative", "leibniz", "coalgebra", "braiding",
 class Scenario:
     ring_name: str
     structure: dict
+    dim: int                                            # of the space V the structure braids
     characters: dict = field(default_factory=dict)      # name -> list of value strings
     cocharacters: dict = field(default_factory=dict)
     comultiplication: Optional[list] = None             # [row, col, value] triples
@@ -49,22 +50,6 @@ class Scenario:
     @property
     def ring(self) -> Ring:
         return ring_from_name(self.ring_name)
-
-    def dimension(self) -> int:
-        s = self.structure
-        kind = s["kind"]
-        if kind == "shelf":
-            return len(s["table"])
-        if kind == "koszul":
-            return len(s["grading"])
-        if kind == "q_flip":
-            return 1
-        base = int(s["dim"])
-        if kind in ("associative", "leibniz") and s.get("adjoin_unit"):
-            return base + 1
-        if kind == "coalgebra" and "counit" not in s:
-            return base + 1
-        return base
 
 
 def _norm_value(v, path, errors):
@@ -89,6 +74,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _positive_int(x, path, errors) -> Optional[int]:
+    """x if it is a positive integer of the JSON document, else None with a
+    located error."""
+    if _is_int(x) and x >= 1:
+        return x
+    errors.append(f"{path}: expected a positive integer")
+    return None
+
+
 def _check_triples(raw, path, arity, bounds, errors):
     out = []
     if not isinstance(raw, list):
@@ -111,20 +105,22 @@ def _check_triples(raw, path, arity, bounds, errors):
     return out
 
 
-def _validate_structure(s, errors) -> dict:
+def _validate_structure(s, errors) -> tuple[dict, int]:
+    """The normalized structure block and the dimension of the space it
+    braids (0 when the block is too broken to tell)."""
     if not isinstance(s, dict):
         errors.append("structure: expected an object")
-        return {}
+        return {}, 0
     kind = s.get("kind")
     if kind not in _STRUCTURE_KINDS:
         errors.append(f"structure.kind: unknown kind {kind!r}")
-        return {}
+        return {}, 0
     out = {"kind": kind}
     if kind == "shelf":
         table = s.get("table")
         if not isinstance(table, list) or not table:
             errors.append("structure.table: expected a nonempty nested array")
-            return out
+            return out, 0
         m = len(table)
         clean = []
         for a, row in enumerate(table):
@@ -141,14 +137,10 @@ def _validate_structure(s, errors) -> dict:
                     crow.append(x)
             clean.append(crow)
         out["table"] = clean
-        return out
+        return out, m
     if kind in ("flip", "signed_flip"):
-        d = s.get("dim")
-        if not isinstance(d, int) or d < 1:
-            errors.append("structure.dim: expected a positive integer")
-            d = 1
-        out["dim"] = d
-        return out
+        out["dim"] = _positive_int(s.get("dim"), "structure.dim", errors) or 1
+        return out, out["dim"]
     if kind == "koszul":
         grading = s.get("grading")
         if not isinstance(grading, list) or not all(map(_is_int, grading)):
@@ -158,19 +150,18 @@ def _validate_structure(s, errors) -> dict:
             errors.append("structure.grading: expected at least one degree")
             grading = [0]
         out["grading"] = grading
-        return out
+        return out, len(grading)
     if kind == "q_flip":
         out["q"] = _norm_value(s.get("q", 1), "structure.q", errors)
-        return out
-    d = s.get("dim")
-    if not isinstance(d, int) or d < 1:
-        errors.append("structure.dim: expected a positive integer")
-        return out
+        return out, 1
+    d = _positive_int(s.get("dim"), "structure.dim", errors)
+    if d is None:
+        return out, 0
     out["dim"] = d
     if kind == "braiding":
         out["entries"] = _check_triples(s.get("entries", []), "structure.entries",
                                         3, (d * d, d * d), errors)
-        return out
+        return out, d
     if kind == "coalgebra":
         out["coproducts"] = _check_triples(s.get("coproducts", []), "structure.coproducts",
                                            4, (d, d, d), errors)
@@ -181,7 +172,8 @@ def _validate_structure(s, errors) -> dict:
             else:
                 out["counit"] = [_norm_value(v, f"structure.counit[{j}]", errors)
                                  for j, v in enumerate(counit)]
-        return out
+        # a coalgebra without a counit is extended by a group-like element
+        return out, d if "counit" in out else d + 1
     key = "products" if kind == "associative" else "brackets"
     out[key] = _check_triples(s.get(key, []), f"structure.{key}", 4, (d, d, d), errors)
     if "unit" in s:
@@ -202,7 +194,7 @@ def _validate_structure(s, errors) -> dict:
             errors.append("structure.grading: expected a length-d integer array")
         else:
             out["grading"] = grading
-    return out
+    return out, d + 1 if out.get("adjoin_unit") else d
 
 
 _COMMANDS = ("check", "complex", "homology", "verify")
@@ -220,6 +212,19 @@ def _block(doc, key, kind, errors):
     return block
 
 
+def _covectors(doc, key, dim, errors) -> dict:
+    """The named length-dim coordinate arrays of doc[key] ("characters" or
+    "cocharacters"), normalized."""
+    out = {}
+    for name, coords in _block(doc, key, dict, errors).items():
+        if not isinstance(coords, list) or len(coords) != dim:
+            errors.append(f"{key}.{name}: expected a length-{dim} array")
+            continue
+        out[name] = [_norm_value(v, f"{key}.{name}[{j}]", errors)
+                     for j, v in enumerate(coords)]
+    return out
+
+
 def parse_dict(doc: dict) -> Scenario:
     errors: list[str] = []
     if not isinstance(doc, dict):
@@ -232,29 +237,11 @@ def parse_dict(doc: dict) -> Scenario:
         ring_name = "z"
     if "structure" not in doc:
         errors.append("structure: missing (exactly one structure block is required)")
-        structure = {}
+        structure, dim = {}, 0
     else:
-        structure = _validate_structure(doc["structure"], errors)
-    # dimension of the space the covectors/modules act on
-    sc = Scenario(ring_name, structure)
-    try:
-        dim = sc.dimension()
-    except Exception:
-        dim = 0
-    characters = {}
-    for name, coords in _block(doc, "characters", dict, errors).items():
-        if not isinstance(coords, list) or len(coords) != dim:
-            errors.append(f"characters.{name}: expected a length-{dim} array")
-            continue
-        characters[name] = [_norm_value(v, f"characters.{name}[{j}]", errors)
-                            for j, v in enumerate(coords)]
-    cocharacters = {}
-    for name, coords in _block(doc, "cocharacters", dict, errors).items():
-        if not isinstance(coords, list) or len(coords) != dim:
-            errors.append(f"cocharacters.{name}: expected a length-{dim} array")
-            continue
-        cocharacters[name] = [_norm_value(v, f"cocharacters.{name}[{j}]", errors)
-                              for j, v in enumerate(coords)]
+        structure, dim = _validate_structure(doc["structure"], errors)
+    characters = _covectors(doc, "characters", dim, errors)
+    cocharacters = _covectors(doc, "cocharacters", dim, errors)
     comul = None
     if "comultiplication" in doc:
         comul = _check_triples(doc["comultiplication"], "comultiplication",
@@ -265,10 +252,9 @@ def parse_dict(doc: dict) -> Scenario:
         if not isinstance(m, dict):
             errors.append(f"{path}: expected an object")
             continue
-        mdim = m.get("dim")
+        mdim = _positive_int(m.get("dim"), f"{path}.dim", errors)
         side = m.get("side", "right")
-        if not isinstance(mdim, int) or mdim < 1:
-            errors.append(f"{path}.dim: expected a positive integer")
+        if mdim is None:
             continue
         if side not in ("right", "left"):
             errors.append(f"{path}.side: expected 'right' or 'left'")
@@ -283,9 +269,8 @@ def parse_dict(doc: dict) -> Scenario:
         if not isinstance(m, dict):
             errors.append(f"{path}: expected an object")
             continue
-        mdim = m.get("dim")
-        if not isinstance(mdim, int) or mdim < 1:
-            errors.append(f"{path}.dim: expected a positive integer")
+        mdim = _positive_int(m.get("dim"), f"{path}.dim", errors)
+        if mdim is None:
             continue
         right = _check_triples(m.get("right_action", []), f"{path}.right_action",
                                3, (mdim, mdim * dim), errors)
@@ -301,13 +286,8 @@ def parse_dict(doc: dict) -> Scenario:
         computations.append(dict(comp))
     if errors:
         raise ScenarioError(errors)
-    sc.characters = characters
-    sc.cocharacters = cocharacters
-    sc.comultiplication = comul
-    sc.modules = modules
-    sc.bimodules = bimodules
-    sc.computations = computations
-    return sc
+    return Scenario(ring_name, structure, dim, characters, cocharacters, comul, modules,
+                    bimodules, computations)
 
 
 def parse(path) -> Scenario:

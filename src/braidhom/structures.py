@@ -16,6 +16,7 @@ back.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,30 +74,22 @@ class ShelfReport:
     idem_witness: Optional[int] = None
 
 
+def _first_failure(size: int, arity: int, fails) -> Optional[tuple]:
+    """The first tuple of range(size)^arity, in lexicographic order, on
+    which fails(*tuple) is true (or nonzero); None when there is none."""
+    return next((t for t in itertools.product(range(size), repeat=arity) if fails(*t)), None)
+
+
 def check_shelf(t: ShelfTable) -> ShelfReport:
+    """Self-distributivity, rack and idempotence. Each witness is the first
+    failing basis tuple in lexicographic order: the triple (a, b, c) for
+    (a <| b) <| c = (a <| c) <| (b <| c), the b for which a -> a <| b is
+    not a bijection, the a with a <| a != a."""
     m = t.size
-    sd_witness = None
-    for a in range(m):
-        for b in range(m):
-            ab = t.op(a, b)
-            for c in range(m):
-                if t.op(ab, c) != t.op(t.op(a, c), t.op(b, c)):
-                    sd_witness = (a, b, c)
-                    break
-            if sd_witness:
-                break
-        if sd_witness:
-            break
-    rack_witness = None
-    for b in range(m):
-        if len({t.op(a, b) for a in range(m)}) != m:
-            rack_witness = b
-            break
-    idem_witness = None
-    for a in range(m):
-        if t.op(a, a) != a:
-            idem_witness = a
-            break
+    op = t.op
+    sd_witness = _first_failure(m, 3, lambda a, b, c: op(op(a, b), c) != op(op(a, c), op(b, c)))
+    rack_witness = next((b for b in range(m) if len({op(a, b) for a in range(m)}) != m), None)
+    idem_witness = next((a for a in range(m) if op(a, a) != a), None)
     sd = sd_witness is None
     rack = sd and rack_witness is None
     idem = idem_witness is None
@@ -242,24 +235,14 @@ def _mul_vec(a: AlgebraData, vec: dict, j: int, on_left: bool) -> dict:
 
 
 def check_assoc(a: AlgebraData) -> AlgebraReport:
-    """Associativity on basis triples, plus unit laws when a unit is given."""
+    """Associativity on basis triples, plus unit laws when a unit is given.
+    The witness is the first failing basis triple in lexicographic order."""
     if a.kind != "associative":
         raise ExactError("check_assoc expects associative structure data")
     d = a.dim
-    witness = None
-    for i in range(d):
-        for j in range(d):
-            ij = _mul_basis(a, i, j)
-            for k in range(d):
-                lhs = _mul_vec(a, ij, k, on_left=False)
-                rhs = _mul_vec(a, _mul_basis(a, j, k), i, on_left=True)
-                if lhs != rhs:
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = _first_failure(d, 3, lambda i, j, k: (
+        _mul_vec(a, _mul_basis(a, i, j), k, on_left=False)
+        != _mul_vec(a, _mul_basis(a, j, k), i, on_left=True)))
     right_unital = left_unital = None
     if a.unit_index is not None:
         u = a.unit_index
@@ -271,25 +254,16 @@ def check_assoc(a: AlgebraData) -> AlgebraReport:
 
 def check_leibniz(a: AlgebraData) -> LeibnizReport:
     """[v,[w,u]] = [[v,w],u] - [[v,u],w] on basis triples; unit centrality
-    when a unit is given."""
+    when a unit is given. The witness is the first failing basis triple in
+    lexicographic order."""
     if a.kind != "leibniz":
         raise ExactError("check_leibniz expects leibniz structure data")
     d = a.dim
-    witness = None
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = _mul_vec(a, _mul_basis(a, j, k), i, on_left=True)
-                t1 = _mul_vec(a, _mul_basis(a, i, j), k, on_left=False)
-                t2 = _mul_vec(a, _mul_basis(a, i, k), j, on_left=False)
-                rhs = _axpy(t1, t2.items(), -1, a.ring.characteristic)
-                if lhs != rhs:
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = _first_failure(d, 3, lambda i, j, k: (
+        _mul_vec(a, _mul_basis(a, j, k), i, on_left=True)
+        != _axpy(_mul_vec(a, _mul_basis(a, i, j), k, on_left=False),
+                 _mul_vec(a, _mul_basis(a, i, k), j, on_left=False).items(),
+                 -1, a.ring.characteristic)))
     central = None
     if a.unit_index is not None:
         u = a.unit_index
@@ -297,31 +271,29 @@ def check_leibniz(a: AlgebraData) -> LeibnizReport:
     return LeibnizReport(witness is None, central, witness)
 
 
-def algebra_character_check(a: AlgebraData, covector: SparseLinearMap) -> CovectorReport:
-    """eps(vw) = eps(v)eps(w) on basis pairs and eps(1) = 1."""
+def _covector_check(a: AlgebraData, covector: SparseLinearMap, expected) -> CovectorReport:
+    """eps(e_i e_j) = expected(eps_i, eps_j) on basis pairs and eps(1) = 1.
+    The witness is the first failing basis pair in lexicographic order, or
+    ("unit",) when only the unit fails."""
     ring = a.ring
     eps = [covector.entry(0, j) for j in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            val = sum(v * eps[k] for k, v in _mul_basis(a, i, j).items())
-            if ring.coerce(val - eps[i] * eps[j]):
-                return CovectorReport(False, (i, j))
-    if a.unit_index is not None and eps[a.unit_index] != ring.one:
-        return CovectorReport(False, ("unit",))
-    return CovectorReport(True)
+    witness = _first_failure(a.dim, 2, lambda i, j: ring.coerce(
+        sum(v * eps[k] for k, v in _mul_basis(a, i, j).items()) - expected(eps[i], eps[j])))
+    if witness is None and a.unit_index is not None and eps[a.unit_index] != ring.one:
+        witness = ("unit",)
+    return CovectorReport(witness is None, witness)
+
+
+def algebra_character_check(a: AlgebraData, covector: SparseLinearMap) -> CovectorReport:
+    """eps(vw) = eps(v)eps(w) on basis pairs and eps(1) = 1. The witness is
+    the first failing basis pair in lexicographic order, then ("unit",)."""
+    return _covector_check(a, covector, lambda x, y: x * y)
 
 
 def lie_character_check(a: AlgebraData, covector: SparseLinearMap) -> CovectorReport:
-    """eps kills every bracket and sends the unit to 1."""
-    ring = a.ring
-    eps = [covector.entry(0, j) for j in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if ring.coerce(sum(v * eps[k] for k, v in _mul_basis(a, i, j).items())):
-                return CovectorReport(False, (i, j))
-    if a.unit_index is not None and eps[a.unit_index] != ring.one:
-        return CovectorReport(False, ("unit",))
-    return CovectorReport(True)
+    """eps kills every bracket and sends the unit to 1. The witness is the
+    first failing basis pair in lexicographic order, then ("unit",)."""
+    return _covector_check(a, covector, lambda x, y: 0)
 
 
 def adjoin_unit(a: AlgebraData) -> AlgebraData:

@@ -90,7 +90,9 @@ def vectors() -> list[list[str]]:
 def _documents() -> list[list[str]]:
     """The small documents under tests/corpus: one per structural braiding,
     a graded Leibniz bracket, a counit-free coalgebra, a braiding that fails
-    the YBE, a character that is not braided, failing modules and bimodules."""
+    the YBE, a character that is not braided, failing modules and bimodules,
+    and a shelf, an algebra and a bracket that each fail their classical
+    axiom, so that the report prints its first failing basis tuple."""
     doc = "tests/corpus/{}.json".format
     out: list[list[str]] = []
     for name, char in (("flip", "ones"), ("signed_flip", "ones"), ("koszul", "even"),
@@ -140,6 +142,10 @@ def _documents() -> list[list[str]]:
     out.append(["check", doc("modules"), "--json"])
     out.append(["check", doc("bad_character"), "--json"])
     out.append(["check", doc("bimodules"), "--json"])
+    for name in ("non_sd_shelf", "non_assoc", "non_leibniz"):
+        for ring in RINGS[1:]:
+            out.append(["check", doc(name), "--ring", ring, "--json"])
+        out.append(["check", doc(name)])
     for module in ("self", "bad"):
         for flags in ([], ["--normalized"], ["--allow-unverified"]):
             out.append(["homology", doc("modules"), "--module", module, *flags,
@@ -177,6 +183,7 @@ def _input_errors() -> list[list[str]]:
         ["check", "tests/corpus/koszul_empty.json"],
         ["verify", "tests/corpus/koszul_empty.json", "--suite", "hopf", "--json"],
         ["check", "tests/corpus/koszul_bool.json", "--json"],
+        ["check", "tests/corpus/bad_dims.json", "--json"],
         ["check", "tests/corpus/bad_kind.json", "--json"],
         ["check", "tests/corpus/missing.json"],
         ["check", r3, "--ring", "fp:4", "--json"],

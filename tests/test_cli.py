@@ -60,13 +60,13 @@ def write(tmp_path, doc, name="scenario.json"):
 def test_parse_r3(tmp_path):
     sc = parse(write(tmp_path, R3_DOC))
     assert sc.structure["kind"] == "shelf"
-    assert sc.dimension() == 3
+    assert sc.dim == 3
     assert sc.computations[0]["named"] == "rack"
 
 
 def test_parse_sl2_fixture(tmp_path):
     sc = parse(write(tmp_path, SL2_DOC))
-    assert sc.dimension() == 4  # unit adjoined
+    assert sc.dim == 4  # unit adjoined
     space = build_space(sc)
     assert space.dim == 4
     assert space.payload.kind == "leibniz"
@@ -119,7 +119,7 @@ def test_build_space_coalgebra_extension(tmp_path):
     doc = {"ring": "z", "structure": {"kind": "coalgebra", "dim": 1,
                                       "coproducts": [[0, 0, 0, 1]]}}
     sc = parse(write(tmp_path, doc))
-    assert sc.dimension() == 2
+    assert sc.dim == 2
     space = build_space(sc)
     assert space.unit_index == 1
     assert "unit" in space.cocharacters
@@ -1228,10 +1228,18 @@ def test_dump_matrices_into_unwritable_directory_exits_2(tmp_path, capsys):
      "structure.grading: expected an integer array"),
     ({"structure": {"kind": "leibniz", "dim": 2, "grading": [0, False]}},
      "structure.grading: expected a length-d integer array"),
+    ({"structure": {"kind": "flip", "dim": True}}, "structure.dim: expected a positive integer"),
+    ({"structure": {"kind": "associative", "dim": True}},
+     "structure.dim: expected a positive integer"),
+    ({"structure": {"kind": "braiding", "dim": True}},
+     "structure.dim: expected a positive integer"),
+    ({"modules": {"m": {"dim": True}}}, "modules.m.dim: expected a positive integer"),
+    ({"bimodules": {"b": {"dim": True}}}, "bimodules.b.dim: expected a positive integer"),
 ])
 def test_malformed_scenario_block_exits_2(tmp_path, capsys, block, detail):
-    """A block of the wrong type, or a computations key or value its
-    command's flag would not take, is a located scenario error."""
+    """A block of the wrong type, a dimension that is not a positive JSON
+    integer (true included), or a computations key or value its command's
+    flag would not take, is a located scenario error."""
     code = cli.main(["homology", write(tmp_path, dict(R3_DOC, **block)), "--json"])
     out, err = capsys.readouterr()
     assert code == 2

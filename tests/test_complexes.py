@@ -934,6 +934,24 @@ def test_regular_module_group_algebra(kz2):
     assert rep.ok and rep.normalized and rep.classical_ok
 
 
+def test_adjoint_module_of_sl2_meets_the_classical_leibniz_axiom(sl2_unital):
+    """sl2 acting on itself by m.x = [m, x], and the unit by the identity,
+    is a normalized right module: (m.x).y = (m.y).x + m.[x, y] is the
+    Leibniz identity. Doubling one action entry breaks it."""
+    d = sl2_unital.dim
+    entries = [(k, c, v) for k, c, v in sl2_unital.payload.operation.entries()
+               if c // d < 3 and c % d < 3]
+    entries += [(m, m * d + 3, 1) for m in range(3)]
+    good = BraidedModule(3, SparseLinearMap.from_entries(3, 3 * d, entries, ZZ), "right")
+    rep = check_braided_module(sl2_unital, good)
+    assert rep.normalized and rep.classical_ok is True
+    k, c, v = entries[0]
+    bad = BraidedModule(3, SparseLinearMap.from_entries(
+        3, 3 * d, [(k, c, 2 * v)] + entries[1:], ZZ), "right")
+    rep = check_braided_module(sl2_unital, bad)
+    assert rep.normalized and rep.classical_ok is False
+
+
 def test_rackset_module(r3):
     M = rackset_module(r3)
     assert check_braided_module(r3, M).ok

@@ -9,8 +9,13 @@ Each property is an identity of the paper's boundaries, checked through a
 path that does not share the code under test where one exists: face sums go
 through braid lifts of single strands, and the rack homology ranks are fixed
 by the orbit count (Etingof-Grana).
+
+The last properties draw arbitrary shelf tables and structure constants,
+most of which fail their axiom, and compare each reported witness with the
+first failing basis tuple found by a brute-force search written here.
 """
 
+import itertools
 import math
 
 from hypothesis import Phase, given, settings, strategies as hs
@@ -20,17 +25,23 @@ from braidhom import (
     QQ,
     ZZ,
     ShelfTable,
+    SparseLinearMap,
+    algebra_character_check,
     algebra_from_constants,
     assoc_braiding,
     betti,
+    check_assoc,
     check_braided_character,
     check_braided_module,
+    check_leibniz,
+    check_shelf,
     check_ybe,
     coeff_diff,
     combined_diff,
     hyper_boundary,
     integral_homology,
     left_diff,
+    lie_character_check,
     named_complex,
     right_diff,
     shelf_braiding,
@@ -252,3 +263,109 @@ def test_unital_algebra_hyper_composition_law(algebra, n, data):
                     hyper_boundary(space, char, k, n, side))
                 rhs = hyper_boundary(space, char, m + k, n, side).scale(signed_binomial(m, k))
                 assert lhs == rhs, (side, k, m)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses of the structure checks: each is the first failing basis tuple in
+# lexicographic order, found here by a dense brute-force search.
+# ---------------------------------------------------------------------------
+
+@hs.composite
+def shelf_tables(draw):
+    m = draw(hs.integers(1, 3))
+    return [[draw(hs.integers(0, m - 1)) for _ in range(m)] for _ in range(m)]
+
+
+def _first(tuples, fails):
+    return next((t for t in tuples if fails(*t)), None)
+
+
+@PROPERTY
+@given(shelf_tables())
+def test_shelf_witnesses_are_first_failures(table):
+    m = len(table)
+
+    def op(a, b):
+        return table[a][b]
+
+    sd = _first(itertools.product(range(m), repeat=3),
+                lambda a, b, c: op(op(a, b), c) != op(op(a, c), op(b, c)))
+    rack = next((b for b in range(m)
+                 if sorted(op(a, b) for a in range(m)) != list(range(m))), None)
+    idem = next((a for a in range(m) if op(a, a) != a), None)
+    rep = check_shelf(ShelfTable(tuple(map(tuple, table))))
+    assert (rep.sd_witness, rep.rack_witness, rep.idem_witness) == (sd, rack, idem)
+    assert rep.self_distributive is (sd is None)
+    assert rep.rack is (sd is None and rack is None)
+
+
+@hs.composite
+def constants(draw):
+    """A ring (Z or F_3), a dimension d <= 3, structure constants c[i][j][k]
+    (the coefficient of e_k in e_i e_j) in {-1, 0, 1}, a covector with
+    entries in {-1, 0, 1} and an optional unit index. At most four constants
+    are nonzero, so the first failure is often far from (0, 0, 0)."""
+    ring = draw(hs.sampled_from([ZZ, PrimeField(3)]))
+    d = draw(hs.integers(1, 3))
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for _ in range(draw(hs.integers(0, 4))):
+        i, j, k = (draw(hs.integers(0, d - 1)) for _ in range(3))
+        c[i][j][k] = draw(hs.sampled_from([-1, 1]))
+    eps = [draw(hs.integers(-1, 1)) for _ in range(d)]
+    unit = draw(hs.one_of(hs.none(), hs.integers(0, d - 1)))
+    return ring, d, c, eps, unit
+
+
+def _data(kind, ring, d, c, unit):
+    triples = [(i, j, k, c[i][j][k]) for i, j, k in itertools.product(range(d), repeat=3)]
+    return algebra_from_constants(kind, d, triples, ring, unit_index=unit)
+
+
+def _nonzero(ring, values) -> bool:
+    p = ring.characteristic
+    return any(v % p if p else v for v in values)
+
+
+@PROPERTY
+@given(constants())
+def test_algebra_witnesses_are_first_failures(data):
+    """check_assoc and check_leibniz name the first triple (i, j, k) on
+    which (e_i e_j) e_k = e_i (e_j e_k), or the Leibniz identity
+    [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] - [[e_i, e_k], e_j], fails."""
+    ring, d, c, _, unit = data
+    r = range(d)
+
+    def prod(x, y):
+        """The product of two coefficient vectors, by the constants."""
+        return [sum(x[i] * y[j] * c[i][j][k] for i in r for j in r) for k in r]
+
+    e = [[int(i == k) for k in r] for i in r]
+    triples = list(itertools.product(r, repeat=3))
+    assoc = _first(triples, lambda i, j, k: _nonzero(ring, [
+        u - v for u, v in zip(prod(prod(e[i], e[j]), e[k]), prod(e[i], prod(e[j], e[k])))]))
+    leibniz = _first(triples, lambda i, j, k: _nonzero(ring, [
+        u - v + w for u, v, w in zip(prod(e[i], prod(e[j], e[k])),
+                                     prod(prod(e[i], e[j]), e[k]),
+                                     prod(prod(e[i], e[k]), e[j]))]))
+    assert check_assoc(_data("associative", ring, d, c, unit)).witness == assoc
+    assert check_leibniz(_data("leibniz", ring, d, c, unit)).witness == leibniz
+
+
+@PROPERTY
+@given(constants())
+def test_covector_witnesses_are_first_failures(data):
+    """Both covector checks name the first pair (i, j) on which
+    eps(e_i e_j) differs from eps_i eps_j (an algebra) or from 0 (a
+    bracket), and then a unit not sent to 1."""
+    ring, d, c, eps, unit = data
+    r = range(d)
+    covector = SparseLinearMap.from_entries(1, d, [(0, j, eps[j]) for j in r], ring)
+    unit_fails = unit is not None and _nonzero(ring, [eps[unit] - 1])
+    for kind, check, expected in (
+            ("associative", algebra_character_check, lambda i, j: eps[i] * eps[j]),
+            ("leibniz", lie_character_check, lambda i, j: 0)):
+        pair = _first(itertools.product(r, repeat=2), lambda i, j: _nonzero(
+            ring, [sum(c[i][j][k] * eps[k] for k in r) - expected(i, j)]))
+        witness = pair if pair is not None else ("unit",) if unit_fails else None
+        rep = check(_data(kind, ring, d, c, unit), covector)
+        assert (rep.ok, rep.witness) == (witness is None, witness)
