@@ -169,6 +169,16 @@ def _documents() -> list[list[str]]:
                 "--ring", "z", "--max-degree", "3", "--json"])
     out.append(["homology", "scenarios/dihedral3.json", "--diff", "hyper:2", "--ring", "z",
                 "--max-degree", "3", "--json"])
+    # Restricted complexes a degree or two deeper: the sl2 Leibniz complex,
+    # and the d^2 failure of a bracket that is not Leibniz.
+    for ring in ("z", "q", "fp:3"):
+        out.append(["homology", "scenarios/sl2.json", "--named", "leibniz", "--ring", ring,
+                    "--max-degree", "5", "--json"])
+    out.append(["complex", "scenarios/sl2.json", "--named", "leibniz", "--max-degree", "5",
+                "--json"])
+    for ring in ("z", "q", "fp:3"):
+        out.append(["homology", doc("non_leibniz"), "--named", "leibniz", "--allow-unverified",
+                    "--ring", ring, "--max-degree", "4", "--json"])
     return out
 
 
