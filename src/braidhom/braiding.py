@@ -393,7 +393,7 @@ def braid_lift(space: PreBraidedSpace, s: Permutation, n: int, sign: int = 1) ->
 # ---------------------------------------------------------------------------
 
 def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
-             label=None) -> SparseLinearMap:
+             label=None, cols: Optional[set] = None) -> SparseLinearMap:
     """A_q (side 'left') or A'_q (side 'right') of complexes._pull: one
     strand crosses q strands through the negated braiding and the action
     rho: lead (x) V -> out (rho': V (x) trail -> out) eats it. The lead
@@ -403,22 +403,30 @@ def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
     sum over sigma[c e, a b] of -sigma[c e, a b] times column J d + c of
     A_(q-1) with row r moved to r d + e; column a b rest + J of A'_q sums
     column e rest + J of A'_(q-1) with row r moved to c m + r. Each is
-    cached beside the boundaries, under label or else the action's value."""
+    cached beside the boundaries, under label or else the action's value.
+    Given cols (side 'left'), A_q is written on those columns only, from the
+    columns J d + c of A_(q-1) they read, and nothing is cached."""
     if q == 0:
         return rho
     key = (rho if label is None else label, side, "crossed", q)
-    got = space._boundary_cache.get(key)
+    got = space._boundary_cache.get(key) if cols is None else None
     if got is None:
-        below = _crossed(space, rho, side, q - 1, label)._cols
         d, ring = space.dim, space.ring
         p, rest, m = ring.characteristic, rho.cols // d * d ** (q - 1), rho.rows * d ** (q - 1)
         # each column a b of sigma as its entries (c, e, sigma[c e, a b])
         feeds = [(ab, [(*divmod(ce, d), s) for ce, s in col.items()])
                  for ab, col in space.braiding._cols.items()]
+        reads = None
+        if cols is not None:
+            fed = dict(feeds)
+            reads = {j // (d * d) * d + c for j in cols for c, _, _ in fed.get(j % (d * d), ())}
+        below = _crossed(space, rho, side, q - 1, label, reads)._cols
         out: dict[int, dict] = {}
         if side == "left":
             for J in range(rest):
                 for ab, feed in feeds:
+                    if cols is not None and J * d * d + ab not in cols:
+                        continue
                     acc: dict = {}
                     for c, e, s in feed:
                         src = below.get(J * d + c)
@@ -437,7 +445,8 @@ def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
                     if acc:
                         out[ab * rest + J] = acc
         got = SparseLinearMap(m * d, rest * d * d, ring, out)
-        space._boundary_cache[key] = got
+        if cols is None:
+            space._boundary_cache[key] = got
     return got
 
 
@@ -474,7 +483,7 @@ def _fed(d: int, cross: SparseLinearMap, inner: SparseLinearMap, side: str, sign
 
 def _step(d: int, stay: Optional[SparseLinearMap], cross: SparseLinearMap,
           inner: Optional[SparseLinearMap], side: str, stay_sign: int,
-          sign: int) -> SparseLinearMap:
+          sign: int, cols: Optional[set] = None) -> SparseLinearMap:
     """One step of the one-strand recursion: stay (x) Id_1 + sign cross o
     (inner (x) Id_1) on the left, stay_sign Id_1 (x) stay + sign cross o
     (Id_1 (x) inner) on the right; a stay of None is absent, an inner of
@@ -482,14 +491,16 @@ def _step(d: int, stay: Optional[SparseLinearMap], cross: SparseLinearMap,
     moved to r d + t, plus the sum over r of inner[r, J] times column
     r d + t of cross; on the right, with m columns and m' rows in stay and
     inner, column t m + J is the mirror, with t m' + r. The columns and
-    their entries come in the order tensor, compose and add_map give."""
+    their entries come in the order tensor, compose and add_map give.
+    Given cols (side 'left', no inner), only those columns are written."""
     p = cross.ring.characteristic
     out: dict[int, dict] = {}
     if stay is not None:
         if side == "left":
             for J, col in stay._cols.items():
                 for t in range(d):
-                    out[J * d + t] = {r * d + t: v for r, v in col.items()}
+                    if cols is None or J * d + t in cols:
+                        out[J * d + t] = {r * d + t: v for r, v in col.items()}
         else:
             m, rows = stay.cols, stay.rows
             for t in range(d):
@@ -498,6 +509,8 @@ def _step(d: int, stay: Optional[SparseLinearMap], cross: SparseLinearMap,
                                       for r, v in col.items()}
     if inner is None:
         for j, col in cross._cols.items():
+            if cols is not None and j not in cols:
+                continue
             if not _axpy(out.setdefault(j, {}), col.items(), sign, p):
                 del out[j]
     else:

@@ -53,7 +53,7 @@ def _around(lead: int, m: SparseLinearMap, trail: int) -> SparseLinearMap:
 
 
 def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side: str, *,
-          lead: int = 1, trail: int = 1) -> SparseLinearMap:
+          lead: int = 1, trail: int = 1, cols: Optional[set] = None) -> SparseLinearMap:
     """The degree -k boundary on lead (x) V^(x)n (x) trail. On the left it is
 
         (rho_k (x) Id_(n-k) (x) Id_trail) o (Id_lead (x) Delta_(k,n-k) (x) Id_trail),
@@ -100,31 +100,42 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
     _step, _crossed) and cached on the space, keyed by the action's value,
     so a character replaced under the same name gets boundaries of its own;
     _around adds the block a side does not touch.
+
+    cols, a set of column indices, asks for those columns only (a restricted
+    complex keeps its span's columns; a quotient asks for every column). On
+    the left with k = 1, the one case it is honoured, the recursion writes
+    those columns and the crossing columns they read, leaves every other
+    column zero and caches none of them; any other k or side builds in full.
     """
     if side not in ("left", "right"):
         raise ExactError("side must be 'left' or 'right'")
     space.require_ybe()
-    h = _pulled(space, action, side, k, n)
+    h = _pulled(space, action, side, k, n, cols if side == "left" and k == 1 else None)
     return _around(1, h, trail) if side == "left" else _around(lead, h, 1)
 
 
 def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int,
-            n: int) -> SparseLinearMap:
+            n: int, cols: Optional[set] = None) -> SparseLinearMap:
     """H(k,n) of _pull (side 'left'), or H'(k,n) with its sign (side
     'right'), from the cache on the space or by one _step of the recursion:
-    stay H(k,n-1), crossing A_q, inner H(k-1,n-1), the identity at k = 1."""
+    stay H(k,n-1), crossing A_q, inner H(k-1,n-1), the identity at k = 1.
+    Given cols (left, k = 1), H(1,n) is written on those columns from the
+    columns J of H(1,n-1) whose J d + t they hold, and is not cached."""
     key = (rho, side, k, n)
-    got = space._boundary_cache.get(key)
+    got = space._boundary_cache.get(key) if cols is None else None
     if got is None:
+        d = space.dim
         if k == 0:
-            got = SparseLinearMap.identity(rho.rows * space.dim ** n, space.ring)
+            got = SparseLinearMap.identity(rho.rows * d ** n, space.ring)
         else:
-            cross = _crossed(space, rho, side, n - k)
-            stay = _pulled(space, rho, side, k, n - 1) if k < n else None
+            cross = _crossed(space, rho, side, n - k, cols=cols)
+            stay = (_pulled(space, rho, side, k, n - 1, None if cols is None
+                            else {j // d for j in cols}) if k < n else None)
             inner = _pulled(space, rho, side, k - 1, n - 1) if k > 1 else None
-            got = _step(space.dim, stay, cross, inner, side, (-1) ** k,
-                        1 if side == "left" else (-1) ** (n - 1))
-        space._boundary_cache[key] = got
+            got = _step(d, stay, cross, inner, side, (-1) ** k,
+                        1 if side == "left" else (-1) ** (n - 1), cols)
+        if cols is None:
+            space._boundary_cache[key] = got
     return got
 
 
@@ -718,7 +729,13 @@ def _assemble(space, lead, step, n_max, diff_fn, builder, *, span=None,
     (space, n) -> basis-index predicate), only the kept half is built:
     the restriction to the span (keep="sub") or the quotient by it
     (keep="quotient"). normalized adds the degenerate span to a complex that
-    has none of its own."""
+    has none of its own.
+
+    A restriction asks diff_fn(n, cols) for its span's columns only, so the
+    ambient complex holds those columns and build_chain_complex checks d^2
+    on them: once subquotient has found the span stable, that is the kept
+    complex's d^2. A quotient's stability check reads every column, so it
+    builds every boundary in full."""
     if normalized:
         if span is not None:
             raise ExactError(f"the {builder} complex already projects onto a span "
@@ -732,11 +749,16 @@ def _assemble(space, lead, step, n_max, diff_fn, builder, *, span=None,
         keep, builder = "quotient", builder + ":normalized"
     dims = [lead * space.dim ** n for n in range(n_max + 1)]
     homology.ensure_cap(dims, cap)
-    diffs = {n: diff_fn(n) for n in range(n_max + 1) if 0 <= n + step <= n_max}
+    preds = {n: span(space, n) for n in range(n_max + 1)} if span is not None else {}
+    built = diff_fn
+    if keep == "sub" and preds:
+        kept = {n: {j for j in range(dims[n]) if preds[n](j)} for n in preds}
+        preds = {n: kept[n].__contains__ for n in kept}
+        built = lambda n: diff_fn(n, kept[n])
+    diffs = {n: built(n) for n in range(n_max + 1) if 0 <= n + step <= n_max}
     c = build_chain_complex(space.ring, dims, diffs, step, builder)
     if span is None:
         return c
-    preds = {n: span(space, n) for n in range(n_max + 1)}
     kept = subquotient(c, lambda n, flat: preds[n](flat), keep)
     kept.builder = builder
     return kept
@@ -881,7 +903,13 @@ def _sides(kind, *read):
 # module (perfbench's tracer) sees every call.
 
 def _left(space, chars, params):
-    return 1, lambda n: left_diff(space, chars[0], n)
+    """Asked for a set of columns (a restricted complex), it builds only
+    those (_pull)."""
+    def diff(n, cols=None):
+        if cols is None:
+            return left_diff(space, chars[0], n)
+        return _pull(space, space.require_character(chars[0]), 1, n, "left", cols=cols)
+    return 1, diff
 
 
 def _right(space, chars, params):
@@ -917,7 +945,8 @@ def _bimodule(space, chars, params):
 
 def _bicomodule(space, chars, params):
     bic = coalgebra_self_bicomodule(space)
-    return bic.dim, lambda n: _difference(bicomodule_codiff(space, bic, n))
+    # a codifferential is a transposed boundary, so it is built in full
+    return bic.dim, lambda n, cols=None: _difference(bicomodule_codiff(space, bic, n))
 
 
 def _difference(pair):

@@ -4,8 +4,8 @@ acyclicity certification.
 Square-zero verification is mandatory at assembly and always runs: it is
 cheap relative to any rank computation and converts silent mathematical
 errors upstream into located failures. It runs in the calling process,
-except in ``braidhom homology``: there a forked child checks the full
-complex while the command projects and eliminates, and the report waits
+except in ``braidhom homology``: there a forked child checks the complex
+as built while the command projects and eliminates, and the report waits
 for the child's verdict. Where no child can start, or it gives no pass, the
 command runs the check itself (see _SquareZeroInChild).
 """

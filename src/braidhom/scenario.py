@@ -139,8 +139,8 @@ def _validate_structure(s, errors) -> tuple[dict, int]:
         out["table"] = clean
         return out, m
     if kind in ("flip", "signed_flip"):
-        out["dim"] = _positive_int(s.get("dim"), "structure.dim", errors) or 1
-        return out, out["dim"]
+        out["dim"] = _positive_int(s.get("dim"), "structure.dim", errors)
+        return out, out["dim"] or 0
     if kind == "koszul":
         grading = s.get("grading")
         if not isinstance(grading, list) or not all(map(_is_int, grading)):
@@ -168,12 +168,12 @@ def _validate_structure(s, errors) -> tuple[dict, int]:
         if "counit" in s:
             counit = s["counit"]
             if not isinstance(counit, list) or len(counit) != d:
-                errors.append("structure.counit: expected a length-d array")
+                errors.append(f"structure.counit: expected a length-{d} array")
             else:
                 out["counit"] = [_norm_value(v, f"structure.counit[{j}]", errors)
                                  for j, v in enumerate(counit)]
         # a coalgebra without a counit is extended by a group-like element
-        return out, d if "counit" in out else d + 1
+        return out, d if "counit" in s else d + 1
     key = "products" if kind == "associative" else "brackets"
     out[key] = _check_triples(s.get(key, []), f"structure.{key}", 4, (d, d, d), errors)
     if "unit" in s:
@@ -182,7 +182,10 @@ def _validate_structure(s, errors) -> tuple[dict, int]:
             errors.append(f"structure.unit: index {u!r} out of range 0..{d - 1}")
         else:
             out["unit"] = u
-    if s.get("adjoin_unit"):
+    adjoin = s.get("adjoin_unit", False)
+    if not isinstance(adjoin, bool):
+        errors.append("structure.adjoin_unit: expected a boolean")
+    elif adjoin:
         if "unit" in out:
             errors.append("structure.adjoin_unit: structure already has a unit")
         else:
@@ -214,11 +217,13 @@ def _block(doc, key, kind, errors):
 
 def _covectors(doc, key, dim, errors) -> dict:
     """The named length-dim coordinate arrays of doc[key] ("characters" or
-    "cocharacters"), normalized."""
+    "cocharacters"), normalized; any length passes where the structure is
+    too broken to tell its dimension (dim 0)."""
     out = {}
     for name, coords in _block(doc, key, dict, errors).items():
-        if not isinstance(coords, list) or len(coords) != dim:
-            errors.append(f"{key}.{name}: expected a length-{dim} array")
+        if not isinstance(coords, list) or dim and len(coords) != dim:
+            shape = f"a length-{dim} array" if dim else "an array"
+            errors.append(f"{key}.{name}: expected {shape}")
             continue
         out[name] = [_norm_value(v, f"{key}.{name}[{j}]", errors)
                      for j, v in enumerate(coords)]

@@ -195,6 +195,8 @@ def _input_errors() -> list[list[str]]:
         ["check", "tests/corpus/koszul_bool.json", "--json"],
         ["check", "tests/corpus/bad_dims.json", "--json"],
         ["check", "tests/corpus/bad_kind.json", "--json"],
+        ["check", "tests/corpus/bad_adjoin_unit.json", "--json"],
+        ["check", "tests/corpus/bad_counit.json", "--json"],
         ["check", "tests/corpus/missing.json"],
         ["check", r3, "--ring", "fp:4", "--json"],
         ["homology", r3, "--named", "nope", "--json"],

@@ -179,6 +179,35 @@ def test_check_reports_braiding_invertible(name, ring, capsys):
     assert rep["braiding_invertible"] is BRAIDING_INVERTIBLE[name]
 
 
+# The paper's characterization of the structural pre-braidings: the shelf,
+# associative and Leibniz braidings satisfy the YBE exactly when the table is
+# self-distributive, associative or Leibniz. The shipped scenarios satisfy
+# both; the three corpus documents fail both, so check exits 1 on them.
+CORPUS = Path(__file__).parent / "corpus"
+CLASSICAL_AXIOM = {
+    SCENARIOS / "dihedral3.json": True,
+    SCENARIOS / "dual_numbers.json": True,
+    SCENARIOS / "group_algebra_z2.json": True,
+    SCENARIOS / "sl2.json": True,
+    CORPUS / "non_sd_shelf.json": False,
+    CORPUS / "non_assoc.json": False,
+    CORPUS / "non_leibniz.json": False,
+}
+
+
+@pytest.mark.parametrize("ring", ["z", "q", "fp:3"])
+@pytest.mark.parametrize("path", CLASSICAL_AXIOM, ids=lambda p: p.name)
+def test_check_reports_ybe_exactly_when_the_classical_axiom_holds(path, ring, capsys):
+    code = cli.main(["check", str(path), "--ring", ring, "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    (classical,) = [rep[block][key] for block, key in (
+        ("shelf", "self_distributive"), ("associative", "associative"),
+        ("leibniz", "leibniz")) if block in rep]
+    assert classical is CLASSICAL_AXIOM[path]
+    assert rep["ybe"]["ok"] is classical
+    assert code == (0 if classical else 1)
+
+
 def test_homology_command_uses_scenario_defaults(tmp_path, capsys):
     code = cli.main(["homology", write(tmp_path, R3_DOC), "--json"])
     assert code == 0
@@ -1235,11 +1264,26 @@ def test_dump_matrices_into_unwritable_directory_exits_2(tmp_path, capsys):
      "structure.dim: expected a positive integer"),
     ({"modules": {"m": {"dim": True}}}, "modules.m.dim: expected a positive integer"),
     ({"bimodules": {"b": {"dim": True}}}, "bimodules.b.dim: expected a positive integer"),
+    ({"structure": {"kind": "leibniz", "dim": 1, "brackets": [], "adjoin_unit": "no"}},
+     "structure.adjoin_unit: expected a boolean"),
+    ({"structure": {"kind": "associative", "dim": 1, "products": [], "adjoin_unit": 1}},
+     "structure.adjoin_unit: expected a boolean"),
+    ({"structure": {"kind": "leibniz", "dim": 1, "brackets": [], "adjoin_unit": None}},
+     "structure.adjoin_unit: expected a boolean"),
+    ({"structure": {"kind": "coalgebra", "dim": 2, "coproducts": [], "counit": [1]},
+      "characters": {"c": [1, 0]}}, "structure.counit: expected a length-2 array"),
+    ({"structure": {"kind": "flip", "dim": True}, "characters": {"c": [1]}},
+     "structure.dim: expected a positive integer"),
+    ({"structure": {"kind": "signed_flip", "dim": 0}, "characters": {"c": [1, 0]}},
+     "structure.dim: expected a positive integer"),
 ])
 def test_malformed_scenario_block_exits_2(tmp_path, capsys, block, detail):
     """A block of the wrong type, a dimension that is not a positive JSON
-    integer (true included), or a computations key or value its command's
-    flag would not take, is a located scenario error."""
+    integer (true included), an adjoin_unit that is not a JSON boolean, or a
+    computations key or value its command's flag would not take, is a
+    located scenario error. A refused counit keeps the declared dimension,
+    and a refused dim is no dimension at all, so the characters are not
+    measured against a dimension the document never gave."""
     code = cli.main(["homology", write(tmp_path, dict(R3_DOC, **block)), "--json"])
     out, err = capsys.readouterr()
     assert code == 2

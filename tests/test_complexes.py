@@ -1156,6 +1156,36 @@ def test_named_leibniz_sl2():
         assert c.diffs[n] == leibniz_restricted_oracle(ext, n)
 
 
+def test_leibniz_complex_writes_only_its_span(monkeypatch):
+    """The Leibniz complex keeps the 3^n unit-free tensors of the 4^n of the
+    unitalized sl2. Its boundaries are written on those columns and on the
+    crossing columns they read, so no map the recursion writes for degree 5
+    has more than 3^5 nonzero columns (the full build writes 956), and
+    nothing of them is cached: the cache on the space holds only full maps."""
+    from braidhom import braiding
+    written = []
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            out = build(*args, **kwargs)
+            written.append(len(out._cols))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(braiding, "_crossed", counted(braiding._crossed))
+    monkeypatch.setattr(complexes, "_crossed", braiding._crossed)
+    monkeypatch.setattr(complexes, "_step", counted(complexes._step))
+    space = verify_space(leibniz_braiding(adjoin_unit(sl2_data(QQ))))
+    c = named_complex(space, "leibniz", 5)
+    assert c.dims == [3 ** n for n in range(6)]
+    assert 0 < max(written) <= 3 ** 5
+    assert not space._boundary_cache
+    # the full left complex on the same space writes the ambient columns
+    written.clear()
+    named_complex(space, "left", 5, {"left_char": "counit"})
+    assert max(written) > 3 ** 5
+
+
 def test_named_leibniz_nonlie():
     ext = adjoin_unit(nonlie_leibniz_data(ZZ))
     space = verify_space(leibniz_braiding(ext))

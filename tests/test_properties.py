@@ -10,6 +10,10 @@ path that does not share the code under test where one exists: face sums go
 through braid lifts of single strands, and the rack homology ranks are fixed
 by the orbit count (Etingof-Grana).
 
+Leibniz brackets drawn from a small family check the restricted Leibniz
+complexes, built on the unit-free columns only, against the classical
+boundary and the full build.
+
 The last properties draw arbitrary shelf tables and structure constants,
 most of which fail their axiom, and compare each reported witness with the
 first failing basis tuple found by a brute-force search written here.
@@ -26,6 +30,7 @@ from braidhom import (
     ZZ,
     ShelfTable,
     SparseLinearMap,
+    adjoin_unit,
     algebra_character_check,
     algebra_from_constants,
     assoc_braiding,
@@ -41,13 +46,17 @@ from braidhom import (
     hyper_boundary,
     integral_homology,
     left_diff,
+    leibniz_braiding,
     lie_character_check,
     named_complex,
     right_diff,
     shelf_braiding,
     signed_binomial,
 )
-from braidhom.complexes import character_module, face_sum, rackset_module
+from braidhom.complexes import character_module, face_sum, rackset_module, unit_factor_span
+from braidhom.homology import subquotient
+
+from test_complexes import leibniz_restricted_oracle
 
 # No shrink phase: a failing property reports the first example that fails,
 # so a fault in a boundary costs seconds rather than a quarter of an hour of
@@ -263,6 +272,66 @@ def test_unital_algebra_hyper_composition_law(algebra, n, data):
                     hyper_boundary(space, char, k, n, side))
                 rhs = hyper_boundary(space, char, m + k, n, side).scale(signed_binomial(m, k))
                 assert lhs == rhs, (side, k, m)
+
+
+# Leibniz brackets: sl2, the non-Lie [x,x] = y, abelian ones, and every
+# bracket on k^2 with constants in {-1, 0, 1} that satisfies the Leibniz
+# identity over Z (so over every ring). Their restricted complexes are built
+# on the unit-free span alone; each must equal the classical boundary and the
+# full left complex of the unitalization, restricted to that span.
+
+SL2 = [(0, 1, 2, 1), (1, 0, 2, -1), (2, 0, 0, 2), (0, 2, 0, -2), (2, 1, 1, -2), (1, 2, 1, 2)]
+PLANE_LEIBNIZ = [
+    triples for triples in (
+        [(*ijk, v) for ijk, v in zip(itertools.product(range(2), repeat=3), values) if v]
+        for values in itertools.product((-1, 0, 1), repeat=8))
+    if check_leibniz(algebra_from_constants("leibniz", 2, triples, ZZ)).witness is None]
+
+
+@hs.composite
+def leibniz_brackets(draw):
+    """A ring (Z, Q, F2, F3 or F5), a dimension and Leibniz structure
+    constants (i, j, k, value)."""
+    ring = draw(hs.sampled_from([ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(5)]))
+    family = draw(hs.sampled_from(["sl2", "non-lie", "abelian", "constants"]))
+    if family == "sl2":
+        return ring, 3, SL2
+    if family == "non-lie":
+        return ring, 2, [(0, 0, 1, 1)]
+    if family == "abelian":
+        return ring, draw(hs.integers(1, 3)), []
+    return ring, 2, draw(hs.sampled_from(PLANE_LEIBNIZ))
+
+
+def _unit_free_part(c, unit):
+    """The restriction of the full complex c to the unit-free tensors."""
+    d = unit + 1
+    bearing = {n: unit_factor_span(d, n, unit) for n in range(c.n_max + 1)}
+    return subquotient(c, lambda n, flat: not bearing[n](flat), "sub")
+
+
+@PROPERTY
+@given(leibniz_brackets(), hs.data())
+def test_restricted_leibniz_complexes_equal_the_full_build(bracket, data):
+    """The leibniz and graded-leibniz complexes, whose boundaries are built
+    on the unit-free columns only, equal the classical Leibniz boundary and
+    the unit-free part of the full left complex of the unitalization."""
+    ring, d, triples = bracket
+    gradings = [g for g in itertools.product((0, 1), repeat=d)
+                if check_ybe(leibniz_braiding(adjoin_unit(algebra_from_constants(
+                    "leibniz", d, triples, ring, grading=g)), graded=True)).ok]
+    grading = data.draw(hs.sampled_from(gradings))
+    ext = adjoin_unit(algebra_from_constants("leibniz", d, triples, ring, grading=grading))
+    for name, graded in (("leibniz", False), ("graded-leibniz", True)):
+        restricted = named_complex(leibniz_braiding(ext), name, 4)
+        full = named_complex(leibniz_braiding(ext, graded=graded), "left", 4,
+                             {"left_char": "counit"})
+        kept = _unit_free_part(full, ext.unit_index)
+        assert restricted.dims == kept.dims == [d ** n for n in range(5)]
+        for n in range(1, 5):
+            oracle = leibniz_restricted_oracle(ext, n, ext.grading if graded else None)
+            assert restricted.diffs[n] == oracle, (name, n)
+            assert kept.diffs[n] == oracle, (name, n)
 
 
 # ---------------------------------------------------------------------------
