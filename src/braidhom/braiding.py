@@ -424,9 +424,8 @@ def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
         out: dict[int, dict] = {}
         if side == "left":
             for J in range(rest):
-                for ab, feed in feeds:
-                    if cols is not None and J * d * d + ab not in cols:
-                        continue
+                for ab, feed in (feeds if cols is None else
+                                 [(ab, feed) for ab, feed in feeds if J * d * d + ab in cols]):
                     acc: dict = {}
                     for c, e, s in feed:
                         src = below.get(J * d + c)
@@ -498,9 +497,8 @@ def _step(d: int, stay: Optional[SparseLinearMap], cross: SparseLinearMap,
     if stay is not None:
         if side == "left":
             for J, col in stay._cols.items():
-                for t in range(d):
-                    if cols is None or J * d + t in cols:
-                        out[J * d + t] = {r * d + t: v for r, v in col.items()}
+                for t in range(d) if cols is None else [t for t in range(d) if J * d + t in cols]:
+                    out[J * d + t] = {r * d + t: v for r, v in col.items()}
         else:
             m, rows = stay.cols, stay.rows
             for t in range(d):
@@ -508,9 +506,8 @@ def _step(d: int, stay: Optional[SparseLinearMap], cross: SparseLinearMap,
                     out[t * m + J] = {t * rows + r: stay_sign * v % p if p else stay_sign * v
                                       for r, v in col.items()}
     if inner is None:
-        for j, col in cross._cols.items():
-            if cols is not None and j not in cols:
-                continue
+        crossed = cross._cols.items()
+        for j, col in crossed if cols is None else [(j, col) for j, col in crossed if j in cols]:
             if not _axpy(out.setdefault(j, {}), col.items(), sign, p):
                 del out[j]
     else:

@@ -750,12 +750,12 @@ def _assemble(space, lead, step, n_max, diff_fn, builder, *, span=None,
     dims = [lead * space.dim ** n for n in range(n_max + 1)]
     homology.ensure_cap(dims, cap)
     preds = {n: span(space, n) for n in range(n_max + 1)} if span is not None else {}
-    built = diff_fn
+    cols = {}
     if keep == "sub" and preds:
-        kept = {n: {j for j in range(dims[n]) if preds[n](j)} for n in preds}
-        preds = {n: kept[n].__contains__ for n in kept}
-        built = lambda n: diff_fn(n, kept[n])
-    diffs = {n: built(n) for n in range(n_max + 1) if 0 <= n + step <= n_max}
+        cols = {n: {j for j in range(dims[n]) if pred(j)} for n, pred in preds.items()}
+        preds = {n: inside.__contains__ for n, inside in cols.items()}
+    diffs = {n: diff_fn(n, cols[n]) if cols else diff_fn(n)
+             for n in range(n_max + 1) if 0 <= n + step <= n_max}
     c = build_chain_complex(space.ring, dims, diffs, step, builder)
     if span is None:
         return c
