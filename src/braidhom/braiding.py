@@ -77,13 +77,6 @@ class Permutation:
         """self o other (other applied first)."""
         return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
 
-    def is_identity(self) -> bool:
-        return all(im == i for i, im in enumerate(self.images, start=1))
-
-    def inversions(self) -> int:
-        imgs = self.images
-        return sum(1 for i in range(self.n) for j in range(i + 1, self.n) if imgs[i] > imgs[j])
-
 
 def reduced_word(s: Permutation) -> list[int]:
     """Canonical reduced word for s, chronological (first generator acts first).
@@ -393,7 +386,8 @@ def braid_lift(space: PreBraidedSpace, s: Permutation, n: int, sign: int = 1) ->
 # ---------------------------------------------------------------------------
 
 def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
-             label=None, cols: Optional[set] = None) -> SparseLinearMap:
+             label=None, cols: Optional[list] = None,
+             store: Optional[dict] = None) -> SparseLinearMap:
     """A_q (side 'left') or A'_q (side 'right') of complexes._pull: one
     strand crosses q strands through the negated braiding and the action
     rho: lead (x) V -> out (rho': V (x) trail -> out) eats it. The lead
@@ -404,28 +398,30 @@ def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
     A_(q-1) with row r moved to r d + e; column a b rest + J of A'_q sums
     column e rest + J of A'_(q-1) with row r moved to c m + r. Each is
     cached beside the boundaries, under label or else the action's value.
-    Given cols (side 'left'), A_q is written on those columns only, from the
-    columns J d + c of A_(q-1) they read, and nothing is cached."""
+
+    Given cols (side 'left'), a list of column indices, and store, a dict
+    that lives for one build, A_q holds those columns only, in that order.
+    Each column is written once per store (_crossed_columns), and nothing is
+    cached on the space."""
+    if cols is not None:
+        got = _crossed_columns(space, rho, q, cols, store)
+        return SparseLinearMap(rho.rows * space.dim ** q, rho.cols * space.dim ** q,
+                               space.ring, {j: got[j] for j in cols if got.get(j)})
     if q == 0:
         return rho
     key = (rho if label is None else label, side, "crossed", q)
-    got = space._boundary_cache.get(key) if cols is None else None
+    got = space._boundary_cache.get(key)
     if got is None:
         d, ring = space.dim, space.ring
         p, rest, m = ring.characteristic, rho.cols // d * d ** (q - 1), rho.rows * d ** (q - 1)
         # each column a b of sigma as its entries (c, e, sigma[c e, a b])
         feeds = [(ab, [(*divmod(ce, d), s) for ce, s in col.items()])
                  for ab, col in space.braiding._cols.items()]
-        reads = None
-        if cols is not None:
-            fed = dict(feeds)
-            reads = {j // (d * d) * d + c for j in cols for c, _, _ in fed.get(j % (d * d), ())}
-        below = _crossed(space, rho, side, q - 1, label, reads)._cols
+        below = _crossed(space, rho, side, q - 1, label)._cols
         out: dict[int, dict] = {}
         if side == "left":
             for J in range(rest):
-                for ab, feed in (feeds if cols is None else
-                                 [(ab, feed) for ab, feed in feeds if J * d * d + ab in cols]):
+                for ab, feed in feeds:
                     acc: dict = {}
                     for c, e, s in feed:
                         src = below.get(J * d + c)
@@ -444,9 +440,37 @@ def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
                     if acc:
                         out[ab * rest + J] = acc
         got = SparseLinearMap(m * d, rest * d * d, ring, out)
-        if cols is None:
-            space._boundary_cache[key] = got
+        space._boundary_cache[key] = got
     return got
+
+
+def _crossed_columns(space: PreBraidedSpace, rho: SparseLinearMap, q: int, cols,
+                     store: dict) -> dict:
+    """The columns of A_q (side 'left') that store holds, once it holds
+    those in cols: the ones it lacks are written from the columns J d + c
+    of A_(q-1) they read, which are found or written the same way. A column
+    that is zero is held as an empty dict."""
+    if q == 0:
+        return rho._cols
+    have = store.setdefault(("crossed", q), {})
+    new = [j for j in cols if j not in have]
+    if new:
+        d, p = space.dim, space.ring.characteristic
+        dd = d * d
+        # each column a b of sigma as its entries (c, e, sigma[c e, a b])
+        fed = {ab: [(*divmod(ce, d), s) for ce, s in col.items()]
+               for ab, col in space.braiding._cols.items()}
+        reads = dict.fromkeys(j // dd * d + c for j in new for c, _, _ in fed.get(j % dd, ()))
+        below = _crossed_columns(space, rho, q - 1, reads, store)
+        for j in new:
+            J, ab = divmod(j, dd)
+            acc: dict = {}
+            for c, e, s in fed.get(ab, ()):
+                src = below.get(J * d + c)
+                if src:
+                    _axpy(acc, ((r * d + e, v) for r, v in src.items()), -s, p)
+            have[j] = acc
+    return have
 
 
 def _fed(d: int, cross: SparseLinearMap, inner: SparseLinearMap, side: str, sign: int,
@@ -491,7 +515,8 @@ def _step(d: int, stay: Optional[SparseLinearMap], cross: SparseLinearMap,
     r d + t of cross; on the right, with m columns and m' rows in stay and
     inner, column t m + J is the mirror, with t m' + r. The columns and
     their entries come in the order tensor, compose and add_map give.
-    Given cols (side 'left', no inner), only those columns are written."""
+    Given cols (side 'left', no inner, a cross that holds those columns
+    only), the stay term is written on those columns only."""
     p = cross.ring.characteristic
     out: dict[int, dict] = {}
     if stay is not None:
@@ -506,8 +531,7 @@ def _step(d: int, stay: Optional[SparseLinearMap], cross: SparseLinearMap,
                     out[t * m + J] = {t * rows + r: stay_sign * v % p if p else stay_sign * v
                                       for r, v in col.items()}
     if inner is None:
-        crossed = cross._cols.items()
-        for j, col in crossed if cols is None else [(j, col) for j, col in crossed if j in cols]:
+        for j, col in cross._cols.items():
             if not _axpy(out.setdefault(j, {}), col.items(), sign, p):
                 del out[j]
     else:

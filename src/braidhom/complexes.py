@@ -53,7 +53,8 @@ def _around(lead: int, m: SparseLinearMap, trail: int) -> SparseLinearMap:
 
 
 def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side: str, *,
-          lead: int = 1, trail: int = 1, cols: Optional[set] = None) -> SparseLinearMap:
+          lead: int = 1, trail: int = 1, cols: Optional[list] = None,
+          store: Optional[dict] = None) -> SparseLinearMap:
     """The degree -k boundary on lead (x) V^(x)n (x) trail. On the left it is
 
         (rho_k (x) Id_(n-k) (x) Id_trail) o (Id_lead (x) Delta_(k,n-k) (x) Id_trail),
@@ -101,41 +102,59 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
     so a character replaced under the same name gets boundaries of its own;
     _around adds the block a side does not touch.
 
-    cols, a set of column indices, asks for those columns only (a restricted
-    complex keeps its span's columns; a quotient asks for every column). On
-    the left with k = 1, the one case it is honoured, the recursion writes
-    those columns and the crossing columns they read, leaves every other
-    column zero and caches none of them; any other k or side builds in full.
+    cols, a list of column indices, asks for those columns only (a
+    restricted complex keeps its span's columns), and store, a dict that
+    lives for one build, keeps what is written for them, so that a later
+    degree reads it rather than writing it again. On the left with k = 1,
+    the one case they are honoured, the recursion writes the columns asked
+    for and the crossing columns they read, leaves every other column zero
+    and caches nothing on the space; any other k or side builds in full.
     """
     if side not in ("left", "right"):
         raise ExactError("side must be 'left' or 'right'")
     space.require_ybe()
-    h = _pulled(space, action, side, k, n, cols if side == "left" and k == 1 else None)
+    if side == "left" and k == 1 and cols is not None:
+        h = _pulled(space, action, side, k, n, cols, store)
+    else:
+        h = _pulled(space, action, side, k, n)
     return _around(1, h, trail) if side == "left" else _around(lead, h, 1)
 
 
 def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int,
-            n: int, cols: Optional[set] = None) -> SparseLinearMap:
+            n: int, cols: Optional[list] = None, store: Optional[dict] = None) -> SparseLinearMap:
     """H(k,n) of _pull (side 'left'), or H'(k,n) with its sign (side
     'right'), from the cache on the space or by one _step of the recursion:
     stay H(k,n-1), crossing A_q, inner H(k-1,n-1), the identity at k = 1.
-    Given cols (left, k = 1), H(1,n) is written on those columns from the
-    columns J of H(1,n-1) whose J d + t they hold, and is not cached."""
+
+    Given cols and store (left, k = 1), H(1,n) holds those columns only,
+    written by one _step from the columns J of H(1,n-1) whose J d + t they
+    hold and the same columns of A_(n-1) (_crossed), and kept in the store
+    under the columns asked for. A product span, such as the unit-free
+    tensors, asks H(1,n-1) for exactly the columns the degree below was
+    built on, so each H(1,n) is written once per store."""
+    if cols is not None:
+        key = ("pulled", n, tuple(cols))
+        got = store.get(key)
+        if got is None:
+            d = space.dim
+            cross = _crossed(space, rho, side, n - 1, cols=cols, store=store)
+            stay = (_pulled(space, rho, side, 1, n - 1, list(dict.fromkeys(j // d for j in cols)),
+                            store) if n > 1 else None)
+            got = store[key] = _step(d, stay, cross, None, side, -1, 1, set(cols))
+        return got
     key = (rho, side, k, n)
-    got = space._boundary_cache.get(key) if cols is None else None
+    got = space._boundary_cache.get(key)
     if got is None:
         d = space.dim
         if k == 0:
             got = SparseLinearMap.identity(rho.rows * d ** n, space.ring)
         else:
-            cross = _crossed(space, rho, side, n - k, cols=cols)
-            stay = (_pulled(space, rho, side, k, n - 1, None if cols is None
-                            else {j // d for j in cols}) if k < n else None)
+            cross = _crossed(space, rho, side, n - k)
+            stay = _pulled(space, rho, side, k, n - 1) if k < n else None
             inner = _pulled(space, rho, side, k - 1, n - 1) if k > 1 else None
             got = _step(d, stay, cross, inner, side, (-1) ** k,
-                        1 if side == "left" else (-1) ** (n - 1), cols)
-        if cols is None:
-            space._boundary_cache[key] = got
+                        1 if side == "left" else (-1) ** (n - 1))
+        space._boundary_cache[key] = got
     return got
 
 
@@ -361,12 +380,6 @@ def trivial_module(space: PreBraidedSpace, side: str = "right") -> BraidedModule
     return BraidedModule(1, action, side, name="trivial", verified=True)
 
 
-def character_module(space: PreBraidedSpace, char: str, side: str = "right") -> BraidedModule:
-    """The ground ring acted on through a braided character."""
-    eps = space.character(char)
-    return BraidedModule(1, eps, side, name=f"char:{char}")
-
-
 def _module_axiom(space: PreBraidedSpace, action: SparseLinearMap, dim: int,
                   side: str) -> bool:
     """The braided module axiom rho o (rho (x) Id) = rho o (rho (x) Id) o
@@ -444,18 +457,6 @@ def regular_bimodule(space: PreBraidedSpace) -> Bimodule:
         raise ExactError("regular bimodule needs an associative payload")
     mu = payload.operation
     return Bimodule(space.dim, mu, mu, name="regular")
-
-
-def rackset_module(space: PreBraidedSpace) -> BraidedModule:
-    """A shelf acting on itself by its own operation."""
-    t = space.payload
-    if not isinstance(t, st.ShelfTable):
-        raise ExactError("rack-set module needs a shelf payload")
-    m = t.size
-    one = space.ring.one
-    entries = [(t.op(a, b), a * m + b, one) for a in range(m) for b in range(m)]
-    action = SparseLinearMap.from_entries(m, m * m, entries, space.ring)
-    return BraidedModule(m, action, "right", name="self")
 
 
 def coeff_diff(space: PreBraidedSpace, M: Optional[BraidedModule],
@@ -674,94 +675,76 @@ def check_simplicial(space: PreBraidedSpace, left_char: str, right_char: str,
 
 
 # ---------------------------------------------------------------------------
-# Spans for quotient / restricted complexes
+# The basis tensors a restricted or quotient complex keeps
 # ---------------------------------------------------------------------------
 
-def repeated_neighbor_span(d: int, n: int) -> Callable[[int], bool]:
-    """Basis tensors with some equal adjacent pair of digits (the image of
-    the diagonal degeneracies); a leading coefficient block is ignored. The
-    n tensor slots are the low base-d digits of the flat index, read off by
-    divmod; the lead block above them is never reached."""
-    def pred(flat: int) -> bool:
-        flat, prev = divmod(flat, d)
-        for _ in range(n - 1):
-            flat, digit = divmod(flat, d)
-            if digit == prev:
-                return True
-            prev = digit
-        return False
-    return pred
+def _unit_free(space, lead, n):
+    """The indices of lead (x) V^(x)n, ascending, whose n tensor slots (the
+    low base-d digits; the lead block is above them) all differ from the
+    unit: the span a restriction to the unit-free tensors keeps, and the
+    complement a quotient by the unit-bearing ones keeps."""
+    d = space.dim
+    digits = [t for t in range(d) if t != space.unit_index]
+    kept = list(range(lead))
+    for _ in range(n):
+        kept = [x * d + t for x in kept for t in digits]
+    return kept
 
 
-def unit_factor_span(d: int, n: int, unit_index: int) -> Callable[[int], bool]:
-    """Basis tensors with the unit index in some tensor slot; a leading
-    coefficient block is ignored (see repeated_neighbor_span)."""
-    def pred(flat: int) -> bool:
-        for _ in range(n):
-            flat, digit = divmod(flat, d)
-            if digit == unit_index:
-                return True
-        return False
-    return pred
+def _nondegenerate(space, lead, n):
+    """The indices of lead (x) V^(x)n, ascending, with no two equal
+    neighbouring slots: the complement a quotient by the degenerate tensors
+    (the image of the diagonal degeneracies) keeps."""
+    d = space.dim
+    kept = list(range(lead))
+    for i in range(n):
+        kept = [x * d + t for x in kept for t in range(d) if i == 0 or t != x % d]
+    return kept
 
 
 # ---------------------------------------------------------------------------
 # One assembly path for every complex
 # ---------------------------------------------------------------------------
 
-def _degenerate(space, n):
-    return repeated_neighbor_span(space.dim, n)
-
-
-def _unit_bearing(space, n):
-    return unit_factor_span(space.dim, n, space.unit_index)
-
-
-def _unit_free(space, n):
-    bearing = unit_factor_span(space.dim, n, space.unit_index)
-    return lambda flat: not bearing(flat)
-
-
-def _assemble(space, lead, step, n_max, diff_fn, builder, *, span=None,
+def _assemble(space, lead, step, n_max, diff_fn, builder, *, kept=None,
               keep="quotient", normalized=False, cap=None) -> ChainComplex:
     """The complex on (lead block) (x) V^(x)n for n = 0..n_max whose boundary
-    out of degree n is diff_fn(n), of degree step. With a span (a function
-    (space, n) -> basis-index predicate), only the kept half is built:
-    the restriction to the span (keep="sub") or the quotient by it
-    (keep="quotient"). normalized adds the degenerate span to a complex that
-    has none of its own.
+    out of degree n is diff_fn(n), of degree step. With kept, a function
+    (space, lead, n) -> the ascending basis indices kept in degree n, only
+    the kept half is built: the restriction to those indices (keep="sub")
+    or the quotient by the span of the others (keep="quotient"). normalized
+    divides a complex that keeps no span of its own by the degenerate span.
 
-    A restriction asks diff_fn(n, cols) for its span's columns only, so the
-    ambient complex holds those columns and build_chain_complex checks d^2
-    on them: once subquotient has found the span stable, that is the kept
-    complex's d^2. A quotient's stability check reads every column, so it
-    builds every boundary in full."""
+    The kept indices are enumerated, never tested one basis index at a
+    time, and subquotient projects onto them. A restriction asks
+    diff_fn(n, indices) for its span's columns only, so the ambient complex
+    holds those columns and build_chain_complex checks d^2 on them: once
+    subquotient has found the span stable, that is the kept complex's d^2.
+    A quotient's stability check reads every column, so it builds every
+    boundary in full."""
     if normalized:
-        if span is not None:
+        if kept is not None:
             raise ExactError(f"the {builder} complex already projects onto a span "
                              "of its own; --normalized does not apply")
         if isinstance(space.payload, st.ShelfTable):
-            span = _degenerate
+            kept = _nondegenerate
         elif isinstance(space.payload, st.AlgebraData) and space.unit_index is not None:
-            span = _unit_bearing
+            kept = _unit_free
         else:
             raise ExactError("--normalized needs a shelf payload or a distinguished unit")
         keep, builder = "quotient", builder + ":normalized"
     dims = [lead * space.dim ** n for n in range(n_max + 1)]
     homology.ensure_cap(dims, cap)
-    preds = {n: span(space, n) for n in range(n_max + 1)} if span is not None else {}
-    cols = {}
-    if keep == "sub" and preds:
-        cols = {n: {j for j in range(dims[n]) if pred(j)} for n, pred in preds.items()}
-        preds = {n: inside.__contains__ for n, inside in cols.items()}
-    diffs = {n: diff_fn(n, cols[n]) if cols else diff_fn(n)
+    indices = {n: kept(space, lead, n) for n in range(n_max + 1)} if kept is not None else {}
+    restricted = keep == "sub" and indices
+    diffs = {n: diff_fn(n, indices[n]) if restricted else diff_fn(n)
              for n in range(n_max + 1) if 0 <= n + step <= n_max}
     c = build_chain_complex(space.ring, dims, diffs, step, builder)
-    if span is None:
+    if not indices:
         return c
-    kept = subquotient(c, lambda n, flat: preds[n](flat), keep)
-    kept.builder = builder
-    return kept
+    out = subquotient(c, indices, keep)
+    out.builder = builder
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -903,12 +886,16 @@ def _sides(kind, *read):
 # module (perfbench's tracer) sees every call.
 
 def _left(space, chars, params):
-    """Asked for a set of columns (a restricted complex), it builds only
-    those (_pull)."""
+    """Asked for a list of columns (a restricted complex), it builds only
+    those (_pull). The columns it writes are kept in one store for every
+    degree it is asked for, which is one build, so each is written once."""
+    store: dict = {}
+
     def diff(n, cols=None):
         if cols is None:
             return left_diff(space, chars[0], n)
-        return _pull(space, space.require_character(chars[0]), 1, n, "left", cols=cols)
+        return _pull(space, space.require_character(chars[0]), 1, n, "left", cols=cols,
+                     store=store)
     return 1, diff
 
 
@@ -972,48 +959,50 @@ class _Named:
     shelf), the space it lives on, the characters (cocharacters for cochain
     complexes) its boundary reads, its boundary, its builder name (a format
     string of the characters and the parameters, or a function of the
-    parameters), the parameters it reads, the span it is restricted to
-    (keep="sub") or divided by (keep="quotient"), and the degree of its
-    boundary (times the order, for the hyper kinds)."""
+    parameters), the parameters it reads, the basis tensors it keeps (see
+    _assemble): the span it is restricted to (keep="sub"), or the
+    complement of the span it is divided by (keep="quotient"), and the
+    degree of its boundary (times the order, for the hyper kinds)."""
     payload: Optional[str]
     carrier: Callable
     chars: Callable
     diff: Callable
     label: str | Callable
     reads: tuple = ()
-    span: Optional[Callable] = None
+    kept: Optional[Callable] = None
     keep: str = "quotient"
     step: int = -1
 
 
 # Quotients by the unit (bar, group, hochschild, cobar) and by repeated
-# neighbours (quandle) kill the degenerate tensors. Leibniz and Cartier keep
-# the unit-free tensors instead: there the unit-bearing ones are not a
-# subcomplex, while the unit-free ones are.
+# neighbours (quandle) kill the degenerate tensors and keep the others.
+# Leibniz and Cartier keep the same unit-free tensors as a restriction
+# instead: there the unit-bearing ones are not a subcomplex, while the
+# unit-free ones are.
 _NAMED = {
     "koszul": _Named(None, _itself, _sole_character, _left, "koszul[{0}]", ("left_char",)),
     "shelf": _Named("shelf", _itself, _fixed("ones"), _left, "shelf"),
     "rack": _Named("shelf", _itself, _fixed("ones"), _combined, "rack"),
     "quandle": _Named("spindle", _itself, _fixed("ones"), _combined, "quandle",
-                      span=_degenerate),
+                      kept=_nondegenerate),
     "twisted-rack": _Named("shelf", _itself, _twist_character, _combined,
                            "twisted-rack[{twist}]", ("twist",)),
     "partial-derivative": _Named("shelf", _itself, _dirac_character, _left,
                                  "partial-derivative[{element}]", ("element",)),
     "bar": _Named("associative", _unitalized, _fixed("counit"), _combined, "bar",
-                  span=_unit_bearing),
+                  kept=_unit_free),
     "group": _Named("associative", _unitalized, _group_characters, _combined,
-                    "group[{0},{1}]", ("left_char", "right_char"), _unit_bearing),
+                    "group[{0},{1}]", ("left_char", "right_char"), _unit_free),
     "hochschild": _Named("associative", _unitalized, _fixed(), _bimodule, "hochschild",
-                         ("bimodule",), _unit_bearing),
+                         ("bimodule",), _unit_free),
     "leibniz": _Named("leibniz", _unitalized, _counit_character, _left, "leibniz",
                       ("left_char",), _unit_free, "sub"),
     "graded-leibniz": _Named("leibniz", _graded_leibniz, _counit_character, _left,
                              "graded-leibniz", ("left_char",), _unit_free, "sub"),
     "cobar": _Named("coalgebra", _extended_coalgebra, _fixed("unit"), _left_co, "cobar",
-                    span=_unit_bearing, step=1),
+                    kept=_unit_free, step=1),
     "cartier": _Named("coalgebra", _extended_coalgebra, _fixed("unit"), _bicomodule,
-                      "cartier", span=_unit_free, keep="sub", step=1),
+                      "cartier", kept=_unit_free, keep="sub", step=1),
 }
 
 # The classical complexes; the generic kinds below are chosen by the CLI's
@@ -1079,5 +1068,5 @@ def named_complex(space: PreBraidedSpace, name: str, n_max: int, params: Optiona
     lead, diff_fn = row.diff(carrier, chars, params)
     label = (row.label.format(*chars, **params) if isinstance(row.label, str)
              else row.label(params))
-    return _assemble(carrier, lead, row.step * order, n_max, diff_fn, label, span=row.span,
+    return _assemble(carrier, lead, row.step * order, n_max, diff_fn, label, kept=row.kept,
                      keep=row.keep, normalized=normalized, cap=basis_cap)

@@ -192,9 +192,6 @@ class HomologyReport:
     builder: str
     degrees: dict[int, DegreeHomology]
 
-    def free_ranks(self) -> dict[int, int]:
-        return {n: h.free_rank for n, h in sorted(self.degrees.items())}
-
 
 def _report(c: ChainComplex, ring_name: str, ranks: dict[int, int],
             torsion: Callable[[int], list[int]] = lambda n: []) -> HomologyReport:
@@ -275,37 +272,59 @@ def certify_acyclic(c: ChainComplex, homotopy: dict[int, SparseLinearMap]) -> Ac
     return AcyclicityReport(certified, all(certified.values()))
 
 
-def subquotient(c: ChainComplex, predicate: Callable[[int, int], bool],
+def subquotient(c: ChainComplex, span: Callable[[int, int], bool] | dict[int, list[int]],
                 keep: str) -> ChainComplex:
-    """One half of the split along a basis-index predicate (True = inside the
-    span): the restricted complex on the span (keep="sub") or the quotient
-    complex on its complement (keep="quotient"), with induced boundaries.
+    """One half of the split along a span of basis tensors: the restricted
+    complex on the span (keep="sub") or the quotient complex on its
+    complement (keep="quotient"), with induced boundaries. span is a
+    predicate (degree, basis index) -> bool, True inside the span, or a dict
+    from each degree to the ascending basis indices kept: the span itself
+    for "sub", its complement for "quotient".
 
     Either way the span must be boundary-stable; an escaping basis tensor is
-    an error naming it. Only the kept half is built and square-zero checked."""
+    an error naming the first one, by column index and then in its column's
+    entry order. One pass over each boundary's columns checks stability and
+    reindexes the kept ones: for a restriction the span's columns, for a
+    quotient every nonzero column, in ascending order.
+
+    c is square-zero (build_chain_complex checks it), and the kept half then
+    is too, so it is not checked again. On a stable span the restricted
+    d^2 of a span column is the ambient d^2 of that column. For the
+    quotient, with P forgetting the span's coordinates, d e_j = P d e_j + s
+    with s in the span, so P d P d e_j = P d d e_j - P d s = 0."""
     if keep not in ("sub", "quotient"):
         raise ExactError(f"keep must be 'sub' or 'quotient', not {keep!r}")
-    span_idx: dict[int, list[int]] = {}
-    in_span: dict[int, set[int]] = {}
-    kept_idx: dict[int, list[int]] = {}
-    for n in range(c.n_max + 1):
-        sel = [j for j in range(c.dims[n]) if predicate(n, j)]
-        span_idx[n] = sel
-        in_span[n] = set(sel)
-        if keep == "sub":
-            kept_idx[n] = sel
-        else:
-            kept_idx[n] = [j for j in range(c.dims[n]) if j not in in_span[n]]
+    sub = keep == "sub"
+    kept = span if not callable(span) else {
+        n: [j for j in range(c.dims[n]) if bool(span(n, j)) == sub] for n in range(c.n_max + 1)}
     diffs = {}
     for n, m in c.diffs.items():
-        target = n + c.step
-        tgt_span = in_span[target]
+        rows = {r: i for i, r in enumerate(kept[n + c.step])}
         cols = m._cols
-        for j in span_idx[n]:
-            for r in cols.get(j, ()):
-                if r not in tgt_span:
-                    raise SpanStabilityError(n, j, r)
-        diffs[n] = m.submatrix(kept_idx[target], kept_idx[n])
-    suffix = ":sub" if keep == "sub" else ":quot"
-    return build_chain_complex(c.ring, [len(kept_idx[n]) for n in range(c.n_max + 1)],
-                               diffs, c.step, c.builder + suffix)
+        out: dict[int, dict] = {}
+        if sub:
+            for i, j in enumerate(kept[n]):
+                col = cols.get(j)
+                if col:
+                    out[i] = new = {}
+                    for r, v in col.items():
+                        at = rows.get(r)
+                        if at is None:
+                            raise SpanStabilityError(n, j, r)
+                        new[at] = v
+        else:
+            at_col = {j: i for i, j in enumerate(kept[n])}
+            for j in sorted(cols):
+                i = at_col.get(j)
+                if i is None:
+                    for r in cols[j]:
+                        if r in rows:
+                            raise SpanStabilityError(n, j, r)
+                else:
+                    new = {rows[r]: v for r, v in cols[j].items() if r in rows}
+                    if new:
+                        out[i] = new
+        diffs[n] = SparseLinearMap(len(rows), len(kept[n]), c.ring, out)
+    suffix = ":sub" if sub else ":quot"
+    return ChainComplex(c.ring, [len(kept[n]) for n in range(c.n_max + 1)], diffs, c.step,
+                        c.builder + suffix)

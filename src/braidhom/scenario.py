@@ -84,6 +84,9 @@ def _positive_int(x, path, errors) -> Optional[int]:
 
 
 def _check_triples(raw, path, arity, bounds, errors):
+    """The [index..., value] items of raw, each index below its bound. A
+    bound of 0 is a dimension too broken to tell (see _covectors), and
+    there any index passes."""
     out = []
     if not isinstance(raw, list):
         errors.append(f"{path}: expected an array")
@@ -96,7 +99,7 @@ def _check_triples(raw, path, arity, bounds, errors):
         idx = item[:-1]
         ok = True
         for k, (i, bound) in enumerate(zip(idx, bounds)):
-            if not _is_int(i) or not 0 <= i < bound:
+            if bound and (not _is_int(i) or not 0 <= i < bound):
                 errors.append(f"{here}[{k}]: index {i!r} out of range 0..{bound - 1}")
                 ok = False
         val = _norm_value(item[-1], f"{here}[{arity - 1}]", errors)
@@ -302,28 +305,6 @@ def parse(path) -> Scenario:
     except json.JSONDecodeError as e:
         raise ScenarioError([f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"])
     return parse_dict(doc)
-
-
-def to_dict(sc: Scenario) -> dict:
-    """Canonical JSON document; parse(to_dict(sc)) == sc."""
-    out = {"ring": sc.ring_name, "structure": sc.structure}
-    if sc.characters:
-        out["characters"] = sc.characters
-    if sc.cocharacters:
-        out["cocharacters"] = sc.cocharacters
-    if sc.comultiplication is not None:
-        out["comultiplication"] = sc.comultiplication
-    if sc.modules:
-        out["modules"] = sc.modules
-    if sc.bimodules:
-        out["bimodules"] = sc.bimodules
-    if sc.computations:
-        out["computations"] = sc.computations
-    return out
-
-
-def serialize(sc: Scenario) -> str:
-    return json.dumps(to_dict(sc), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,6 @@ def trivial_shelf(m: int) -> ShelfTable:
     return ShelfTable(tuple(tuple(a for _ in range(m)) for a in range(m)))
 
 
-def cyclic_shelf(m: int) -> ShelfTable:
-    """a <| b = a + 1 mod m; a rack without idempotents for m > 1."""
-    return ShelfTable(tuple(tuple((a + 1) % m for _ in range(m)) for a in range(m)))
-
-
 @dataclass
 class ShelfReport:
     self_distributive: bool
@@ -134,17 +129,6 @@ def twist_character(value, size: int, ring: Ring) -> SparseLinearMap:
     if not ring.is_unit(v):
         raise ExactError(f"twist value {value!r} is not a unit in {ring.name}")
     return SparseLinearMap.from_entries(1, size, [(0, j, v) for j in range(size)], ring)
-
-
-def shelf_orbit_character(t: ShelfTable, values, ring: Ring = ZZ) -> SparseLinearMap:
-    """Linearize a map constant on <|-orbits (a shelf morphism to the trivial
-    shelf). Raises if values is not orbit-constant."""
-    for a in range(t.size):
-        for b in range(t.size):
-            if values[t.op(a, b)] != values[a]:
-                raise ExactError(f"values not constant along {a} <| {b}")
-    return SparseLinearMap.from_entries(
-        1, t.size, [(0, j, values[j]) for j in range(t.size)], ring)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,7 @@ def _input_errors() -> list[list[str]]:
         ["check", "tests/corpus/bad_kind.json", "--json"],
         ["check", "tests/corpus/bad_adjoin_unit.json", "--json"],
         ["check", "tests/corpus/bad_counit.json", "--json"],
+        ["check", "tests/corpus/bad_dim_triples.json", "--json"],
         ["check", "tests/corpus/missing.json"],
         ["check", r3, "--ring", "fp:4", "--json"],
         ["homology", r3, "--named", "nope", "--json"],

@@ -8,17 +8,23 @@ codifferentials and bicomodule checks do not take: they, and the library's
 `shuffle_product`, come from the boundaries' crossing recursion.
 The boundary reference takes the recursion of `complexes._pull` literally,
 as tensor products, compositions and sums of sparse maps, none of which
-the column-by-column kernel calls.
+the column-by-column kernel calls. After them come the constructors and
+readings only the tests use (a cyclic shelf, orbit characters, character
+and rack-set modules, scenario serialization, permutation and report
+readings) and the span predicates the enumerated spans are checked against.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from braidhom import PreBraidedSpace, SparseLinearMap, ZZ, braid_lift, shuffle_set, tensor
+from braidhom import (BraidedModule, ExactError, HomologyReport, Permutation, PreBraidedSpace,
+                      Ring, ShelfTable, SparseLinearMap, ZZ, braid_lift, shuffle_set, tensor)
+from braidhom.scenario import Scenario
 
 
 def dense_of(m: SparseLinearMap) -> list[list[Fraction]]:
@@ -279,3 +285,109 @@ def crossed_by_tensors(space, rho, side, q, cache=None):
             got = tensor(one, below).compose(_around(1, space.braiding.neg(), rest))
         cache[key] = got
     return got
+
+
+# ---------------------------------------------------------------------------
+# Constructors and readings that only the tests use
+# ---------------------------------------------------------------------------
+
+def cyclic_shelf(m: int) -> ShelfTable:
+    """a <| b = a + 1 mod m; a rack without idempotents for m > 1."""
+    return ShelfTable(tuple(tuple((a + 1) % m for _ in range(m)) for a in range(m)))
+
+
+def shelf_orbit_character(t: ShelfTable, values, ring: Ring = ZZ) -> SparseLinearMap:
+    """Linearize a map constant on <|-orbits (a shelf morphism to the trivial
+    shelf). Raises if values is not orbit-constant."""
+    for a in range(t.size):
+        for b in range(t.size):
+            if values[t.op(a, b)] != values[a]:
+                raise ExactError(f"values not constant along {a} <| {b}")
+    return SparseLinearMap.from_entries(
+        1, t.size, [(0, j, values[j]) for j in range(t.size)], ring)
+
+
+def character_module(space: PreBraidedSpace, char: str, side: str = "right") -> BraidedModule:
+    """The ground ring acted on through a braided character."""
+    eps = space.character(char)
+    return BraidedModule(1, eps, side, name=f"char:{char}")
+
+
+def rackset_module(space: PreBraidedSpace) -> BraidedModule:
+    """A shelf acting on itself by its own operation."""
+    t = space.payload
+    if not isinstance(t, ShelfTable):
+        raise ExactError("rack-set module needs a shelf payload")
+    m = t.size
+    one = space.ring.one
+    entries = [(t.op(a, b), a * m + b, one) for a in range(m) for b in range(m)]
+    action = SparseLinearMap.from_entries(m, m * m, entries, space.ring)
+    return BraidedModule(m, action, "right", name="self")
+
+
+def to_dict(sc: Scenario) -> dict:
+    """Canonical JSON document; parse(to_dict(sc)) == sc."""
+    out = {"ring": sc.ring_name, "structure": sc.structure}
+    if sc.characters:
+        out["characters"] = sc.characters
+    if sc.cocharacters:
+        out["cocharacters"] = sc.cocharacters
+    if sc.comultiplication is not None:
+        out["comultiplication"] = sc.comultiplication
+    if sc.modules:
+        out["modules"] = sc.modules
+    if sc.bimodules:
+        out["bimodules"] = sc.bimodules
+    if sc.computations:
+        out["computations"] = sc.computations
+    return out
+
+
+def serialize(sc: Scenario) -> str:
+    return json.dumps(to_dict(sc), indent=2, sort_keys=True)
+
+
+def is_identity(s: Permutation) -> bool:
+    return all(im == i for i, im in enumerate(s.images, start=1))
+
+
+def inversions(s: Permutation) -> int:
+    imgs = s.images
+    return sum(1 for i in range(s.n) for j in range(i + 1, s.n) if imgs[i] > imgs[j])
+
+
+def free_ranks(report: HomologyReport) -> dict[int, int]:
+    return {n: h.free_rank for n, h in sorted(report.degrees.items())}
+
+
+# ---------------------------------------------------------------------------
+# Spans as basis-index predicates, the definitions the library's enumerated
+# spans are tested against
+# ---------------------------------------------------------------------------
+
+def repeated_neighbor_span(d: int, n: int):
+    """Basis tensors with some equal adjacent pair of digits (the image of
+    the diagonal degeneracies); a leading coefficient block is ignored. The
+    n tensor slots are the low base-d digits of the flat index, read off by
+    divmod; the lead block above them is never reached."""
+    def pred(flat: int) -> bool:
+        flat, prev = divmod(flat, d)
+        for _ in range(n - 1):
+            flat, digit = divmod(flat, d)
+            if digit == prev:
+                return True
+            prev = digit
+        return False
+    return pred
+
+
+def unit_factor_span(d: int, n: int, unit_index: int):
+    """Basis tensors with the unit index in some tensor slot; a leading
+    coefficient block is ignored (see repeated_neighbor_span)."""
+    def pred(flat: int) -> bool:
+        for _ in range(n):
+            flat, digit = divmod(flat, d)
+            if digit == unit_index:
+                return True
+        return False
+    return pred

@@ -13,7 +13,9 @@ import pytest
 from braidhom import cli, scenario
 from braidhom.complexes import COMPLEX_PARAMS, NAMED_COMPLEXES
 from braidhom.exactlin import ExactError
-from braidhom.scenario import ScenarioError, build_space, parse, parse_dict, serialize, to_dict
+from braidhom.scenario import ScenarioError, build_space, parse, parse_dict
+
+from helpers import serialize, to_dict
 
 
 R3_DOC = {
@@ -206,6 +208,30 @@ def test_check_reports_ybe_exactly_when_the_classical_axiom_holds(path, ring, ca
     assert classical is CLASSICAL_AXIOM[path]
     assert rep["ybe"]["ok"] is classical
     assert code == (0 if classical else 1)
+
+
+# Faces are built from braid lifts and boundaries by the one-crossing
+# recursion, so the simplicial suite checks one against the other.
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_boundaries_equal_face_sums(name, capsys):
+    code = cli.main(["verify", str(SCENARIOS / name), "--suite", "simplicial",
+                     "--max-degree", "4", "--json"])
+    report = json.loads(capsys.readouterr().out)["simplicial"]
+    assert code == 0
+    assert report["face_sums_match_differentials"] is True, report
+
+
+# The duality suite compares the cobar codifferential of the dual coalgebra
+# with the transposed bar boundary of the algebra. Its shuffle side is the
+# literal sum of the shuffles' braid lifts, which shares no code with the
+# boundary recursion.
+@pytest.mark.parametrize("name", ["dual_numbers.json", "group_algebra_z2.json"])
+def test_codifferentials_are_transposed_boundaries(name, capsys):
+    code = cli.main(["verify", str(SCENARIOS / name), "--suite", "duality", "--json"])
+    report = json.loads(capsys.readouterr().out)["duality"]
+    assert code == 0
+    assert report["braiding_transposed"] is True, report
+    assert report["codifferentials_are_transposes"] is True, report
 
 
 def test_homology_command_uses_scenario_defaults(tmp_path, capsys):
@@ -572,6 +598,27 @@ def no_leftovers():
     assert _open_fds() == fds
 
 
+# A child made by os.fork and a descriptor made by os.pipe raise no
+# ResourceWarning, so development mode cannot see them leak. These are the
+# command lines of the CI steps that fork (the hyper suite, a failing
+# square-zero check, R3 rack homology), and a restricted complex (sl2
+# Leibniz), where the child checks the complex built on the span while the
+# parent restricts it. After each one no child is left to reap and the open
+# descriptors are those from before (no_leftovers).
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "dihedral3.json", "--suite", "hyper", "--max-degree", "7", "--json"], 0),
+    (["homology", "dihedral3.json", "--diff", "hyper:2", "--ring", "z", "--max-degree", "5"], 1),
+    (["homology", "dihedral3.json", "--named", "rack", "--max-degree", "7", "--ring", "z",
+      "--json"], 0),
+    (["homology", "sl2.json", "--named", "leibniz", "--ring", "q", "--max-degree", "5",
+      "--json"], 0),
+], ids=["hyper", "square-zero-failure", "rack", "leibniz"])
+def test_two_process_runs_leave_nothing_behind(capsys, no_leftovers, argv, code):
+    command, name, *flags = argv
+    assert cli.main([command, str(SCENARIOS / name), *flags]) == code
+    capsys.readouterr()
+
+
 @pytest.fixture
 def hyper_run(capsys, no_leftovers):
     """run(degree) -> (exit code, stdout) of the hyper suite on R3."""
@@ -772,12 +819,27 @@ def test_homology_without_fork_gives_the_same_bytes(monkeypatch, homology_run, r
     assert {code for code, _, _ in forked} == {0, 1}
 
 
-@pytest.mark.parametrize("named, here", [("rack", 0), ("quandle", 1)])
+@pytest.mark.parametrize("named, here", [("rack", 0), ("quandle", 0)])
 def test_homology_checks_the_full_complex_in_a_child(monkeypatch, homology_run, named, here):
-    """The child checks the full complex; this process checks only the
-    quotient a quandle complex projects onto."""
+    """The child checks the full complex, and this process checks nothing:
+    the quotient a quandle complex projects onto is square-zero because the
+    full complex is (subquotient)."""
     calls = _counted_check(monkeypatch)
     code, out, _ = homology_run("dihedral3.json", "--named", named, "--ring", "z")
+    assert code == 0 and json.loads(out)["complex"]["square_zero_verified"] is True
+    assert len(calls) == here
+
+
+@pytest.mark.parametrize("fork, here", [(True, 0), (False, 1)], ids=["fork", "no-fork"])
+def test_homology_checks_a_restricted_complex_once(monkeypatch, homology_run, fork, here):
+    """The sl2 Leibniz complex is built on its span and checked once, as
+    built: in the child, or in this process where no child can start. The
+    restriction to the span is not checked again."""
+    if not fork:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    calls = _counted_check(monkeypatch)
+    code, out, _ = homology_run("sl2.json", "--named", "leibniz", "--ring", "q",
+                                "--max-degree", "5")
     assert code == 0 and json.loads(out)["complex"]["square_zero_verified"] is True
     assert len(calls) == here
 
@@ -1276,14 +1338,19 @@ def test_dump_matrices_into_unwritable_directory_exits_2(tmp_path, capsys):
      "structure.dim: expected a positive integer"),
     ({"structure": {"kind": "signed_flip", "dim": 0}, "characters": {"c": [1, 0]}},
      "structure.dim: expected a positive integer"),
+    ({"structure": {"kind": "leibniz", "dim": True},
+      "modules": {"m": {"dim": 1, "action": [[0, 0, 1]]}},
+      "bimodules": {"b": {"dim": 1, "right_action": [[0, 0, 1]], "left_action": [[0, 0, 1]]}},
+      "comultiplication": [[0, 0, 1]]}, "structure.dim: expected a positive integer"),
 ])
 def test_malformed_scenario_block_exits_2(tmp_path, capsys, block, detail):
     """A block of the wrong type, a dimension that is not a positive JSON
     integer (true included), an adjoin_unit that is not a JSON boolean, or a
     computations key or value its command's flag would not take, is a
     located scenario error. A refused counit keeps the declared dimension,
-    and a refused dim is no dimension at all, so the characters are not
-    measured against a dimension the document never gave."""
+    and a refused dim is no dimension at all, so the characters and the
+    comultiplication, module and bimodule triples are not measured against
+    a dimension the document never gave."""
     code = cli.main(["homology", write(tmp_path, dict(R3_DOC, **block)), "--json"])
     out, err = capsys.readouterr()
     assert code == 2

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -67,16 +68,11 @@ from braidhom.complexes import (
     coalgebra_self_bicomodule,
     bicomodule_codiff,
     face_sum,
-    rackset_module,
     regular_bimodule,
     trivial_module,
-    character_module,
-    repeated_neighbor_span,
-    unit_factor_span,
 )
 from braidhom.exactlin import digits_of, flat_index, ring_from_name
 from braidhom.scenario import build_space, parse as parse_scenario
-from braidhom.structures import cyclic_shelf
 
 from conftest import (
     dual_numbers_data,
@@ -88,11 +84,16 @@ from conftest import (
 )
 from helpers import (
     bicomodule_axioms,
+    character_module,
     crossed_by_tensors,
+    cyclic_shelf,
     non_ybe_space,
     pulled_by_tensors,
     pushed,
     pushed_bicomodule,
+    rackset_module,
+    repeated_neighbor_span,
+    unit_factor_span,
 )
 
 
@@ -789,6 +790,26 @@ def test_span_predicates_match_digit_definition(lead_dim):
                 assert [pred(flat) for pred in bearing] == [u in digs for u in range(d)]
 
 
+def test_enumerated_spans_match_their_predicates():
+    """The kept indices of lead (x) V^(x)n that _assemble enumerates are the
+    complement of unit_factor_span (the unit-free tensors, for every unit
+    index) and of repeated_neighbor_span (no equal neighbours), ascending,
+    with the lead block passed through."""
+    for d in range(1, 5):
+        for n in range(6):
+            repeated = repeated_neighbor_span(d, n)
+            for lead in (1, 2, 3):
+                every = range(lead * d ** n)
+                space = SimpleNamespace(dim=d, unit_index=None)
+                assert complexes._nondegenerate(space, lead, n) == \
+                    [j for j in every if not repeated(j)]
+                for u in range(d):
+                    bearing = unit_factor_span(d, n, u)
+                    free = complexes._unit_free(SimpleNamespace(dim=d, unit_index=u), lead, n)
+                    assert free == [j for j in every if not bearing(j)]
+                    assert sorted(set(every) - set(free)) == [j for j in every if bearing(j)]
+
+
 def test_replaced_character_builds_a_new_boundary(r3):
     """Boundaries are cached by the action's value, so a character replaced
     under the same name gets boundaries of its own."""
@@ -1184,6 +1205,41 @@ def test_leibniz_complex_writes_only_its_span(monkeypatch):
     written.clear()
     named_complex(space, "left", 5, {"left_char": "counit"})
     assert max(written) > 3 ** 5
+
+
+def test_leibniz_complex_writes_each_column_once(monkeypatch):
+    """One build of the sl2 Leibniz complex to degree 6 writes each column
+    of each map of the recursion at most once: every boundary H(1,n) is
+    one _step, which lower degrees' boundaries feed as they are, and every
+    crossing column A_q enters the build's store once, whichever degrees
+    read it. Afterwards the space holds what it held before."""
+    from braidhom import braiding
+    writes = []
+
+    def step(d, stay, cross, inner, side, stay_sign, sign, cols=None):
+        out = braiding._step(d, stay, cross, inner, side, stay_sign, sign, cols)
+        writes.extend(("pulled", out.cols, j) for j in out._cols)
+        return out
+
+    crossed_columns = braiding._crossed_columns
+
+    def crossed(space, rho, q, cols, store):
+        before = set(store.get(("crossed", q), ()))
+        have = crossed_columns(space, rho, q, cols, store)
+        writes.extend(("crossed", q, j) for j in have if q and j not in before)
+        return have
+
+    monkeypatch.setattr(complexes, "_step", step)
+    monkeypatch.setattr(braiding, "_crossed_columns", crossed)
+    space = verify_space(leibniz_braiding(adjoin_unit(sl2_data(QQ))))
+    held = {name: dict(value) if isinstance(value, dict) else value
+            for name, value in vars(space).items()}
+    c = named_complex(space, "leibniz", 6)
+    assert c.dims == [3 ** n for n in range(7)]
+    assert writes and len(writes) == len(set(writes))
+    assert {q for kind, q, _ in writes if kind == "crossed"} == set(range(1, 6))
+    assert vars(space) == held
+    assert not space._boundary_cache
 
 
 def test_named_leibniz_nonlie():

@@ -36,13 +36,13 @@ from braidhom import (
     trivial_shelf,
 )
 from braidhom import exactlin
-from braidhom.complexes import (COMPLEX_PARAMS, NAMED_COMPLEXES, repeated_neighbor_span,
-                                unit_factor_span)
+from braidhom.complexes import COMPLEX_PARAMS, NAMED_COMPLEXES
 from braidhom.homology import build_chain_complex
 from braidhom.exactlin import digits_of
 from braidhom.scenario import build_space, parse as parse_scenario
 
-from helpers import dense_of, dense_rank, from_dense, snf_by_minor_gcds
+from helpers import (dense_of, dense_rank, from_dense, repeated_neighbor_span, snf_by_minor_gcds,
+                     unit_factor_span)
 from conftest import verify_space
 
 

@@ -53,9 +53,10 @@ from braidhom import (
     shelf_braiding,
     signed_binomial,
 )
-from braidhom.complexes import character_module, face_sum, rackset_module, unit_factor_span
+from braidhom.complexes import face_sum
 from braidhom.homology import subquotient
 
+from helpers import character_module, rackset_module, unit_factor_span
 from test_complexes import leibniz_restricted_oracle
 
 # No shrink phase: a failing property reports the first example that fails,

@@ -37,7 +37,7 @@ from braidhom import (
     twist_character,
 )
 from braidhom.braiding import block_flip
-from braidhom.structures import ShelfTable, cyclic_shelf, shelf_orbit_character
+from braidhom.structures import ShelfTable
 
 from conftest import (
     dual_numbers_data,
@@ -46,6 +46,7 @@ from conftest import (
     sl2_data,
     verify_space,
 )
+from helpers import cyclic_shelf, shelf_orbit_character
 
 
 # -- shelf checks -------------------------------------------------------------
