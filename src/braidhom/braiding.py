@@ -386,8 +386,7 @@ def braid_lift(space: PreBraidedSpace, s: Permutation, n: int, sign: int = 1) ->
 # ---------------------------------------------------------------------------
 
 def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
-             label=None, cols: Optional[list] = None,
-             store: Optional[dict] = None) -> SparseLinearMap:
+             label=None, cols: Optional[list] = None) -> SparseLinearMap:
     """A_q (side 'left') or A'_q (side 'right') of complexes._pull: one
     strand crosses q strands through the negated braiding and the action
     rho: lead (x) V -> out (rho': V (x) trail -> out) eats it. The lead
@@ -397,14 +396,14 @@ def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
     sum over sigma[c e, a b] of -sigma[c e, a b] times column J d + c of
     A_(q-1) with row r moved to r d + e; column a b rest + J of A'_q sums
     column e rest + J of A'_(q-1) with row r moved to c m + r. Each is
-    cached beside the boundaries, under label or else the action's value.
+    cached beside the boundaries, under label or else the action's value:
+    on the space, or in the store of the build that asks (complexes._pull).
 
-    Given cols (side 'left'), a list of column indices, and store, a dict
-    that lives for one build, A_q holds those columns only, in that order.
-    Each column is written once per store (_crossed_columns), and nothing is
-    cached on the space."""
+    Given cols (side 'left'), a list of column indices, A_q holds those
+    columns only, in that order, and each column is written once per cache
+    (_crossed_columns)."""
     if cols is not None:
-        got = _crossed_columns(space, rho, q, cols, store)
+        got = _crossed_columns(space, rho, q, cols)
         return SparseLinearMap(rho.rows * space.dim ** q, rho.cols * space.dim ** q,
                                space.ring, {j: got[j] for j in cols if got.get(j)})
     if q == 0:
@@ -444,15 +443,14 @@ def _crossed(space: PreBraidedSpace, rho: SparseLinearMap, side: str, q: int,
     return got
 
 
-def _crossed_columns(space: PreBraidedSpace, rho: SparseLinearMap, q: int, cols,
-                     store: dict) -> dict:
-    """The columns of A_q (side 'left') that store holds, once it holds
+def _crossed_columns(space: PreBraidedSpace, rho: SparseLinearMap, q: int, cols) -> dict:
+    """The columns of A_q (side 'left') that the cache holds, once it holds
     those in cols: the ones it lacks are written from the columns J d + c
     of A_(q-1) they read, which are found or written the same way. A column
     that is zero is held as an empty dict."""
     if q == 0:
         return rho._cols
-    have = store.setdefault(("crossed", q), {})
+    have = space._boundary_cache.setdefault((rho, "left", "columns", q), {})
     new = [j for j in cols if j not in have]
     if new:
         d, p = space.dim, space.ring.characteristic
@@ -461,7 +459,7 @@ def _crossed_columns(space: PreBraidedSpace, rho: SparseLinearMap, q: int, cols,
         fed = {ab: [(*divmod(ce, d), s) for ce, s in col.items()]
                for ab, col in space.braiding._cols.items()}
         reads = dict.fromkeys(j // dd * d + c for j in new for c, _, _ in fed.get(j % dd, ()))
-        below = _crossed_columns(space, rho, q - 1, reads, store)
+        below = _crossed_columns(space, rho, q - 1, reads)
         for j in new:
             J, ab = divmod(j, dd)
             acc: dict = {}

@@ -445,8 +445,9 @@ def _run_homology(space, args, report) -> bool:
 
 def _default_chars(space, args, suite=None):
     """The suite's left and right characters: the flags, else ones, counit
-    or the first declared character. A suite named here cannot run without
-    one, so a space that declares none is an input error."""
+    or the first declared character; the right one defaults to the left. A
+    suite named here cannot run without one, so a space that declares none
+    is an input error, and so is a name it does not declare."""
     lc = getattr(args, "left_char", None)
     rc = getattr(args, "right_char", None)
     if lc is None:
@@ -460,7 +461,20 @@ def _default_chars(space, args, suite=None):
             raise ExactError(f"the {suite} suite needs a character; declared characters: none")
     if rc is None:
         rc = lc
+    for name in (lc, rc):
+        if name is not None:
+            space.character(name)
     return lc, rc
+
+
+def _refuse_unread(args, suite, *read):
+    """A character flag the suite does not read is refused, as
+    _complex_from_args refuses a complex's; a value filled in from the
+    scenario's defaults is not."""
+    for attr in ("left_char", "right_char"):
+        if attr not in read and getattr(args, attr) is not None \
+                and attr not in args.from_scenario:
+            raise ExactError(f"the {suite} suite does not read --{attr.replace('_', '-')}")
 
 
 def _suite_degree(space, args, default: int) -> int:
@@ -525,17 +539,17 @@ def _suite_hyper(space, args, report) -> bool:
     or fails, this process checks the right side itself, so an error raised
     there surfaces here with its usual exit code and message."""
     n_max = _suite_degree(space, args, 6)
-    lc, _ = _default_chars(space, args, "hyper")
+    lc, rc = _default_chars(space, args, "hyper")
 
     def right_side():
-        ok, checked = _hyper_side(space, lc, n_max, "right")
+        ok, checked = _hyper_side(space, rc, n_max, "right")
         return f"{int(ok)} {checked}".encode()
 
     with Child(right_side) as child:
         left = _hyper_side(space, lc, n_max, "left")
         right = _side_result(child.result())
     if right is None:
-        right = _hyper_side(space, lc, n_max, "right")
+        right = _hyper_side(space, rc, n_max, "right")
     ok = left[0] and right[0]
     report["hyper"] = {"ok": ok, "identities_checked": left[1] + right[1],
                        "max_degree": n_max}
@@ -543,6 +557,7 @@ def _suite_hyper(space, args, report) -> bool:
 
 
 def _suite_hopf(space, args, report) -> bool:
+    _refuse_unread(args, "hopf")
     n_max = _suite_degree(space, args, 4)
     entry = {}
     entry["associativity"] = bool(check_shuffle_associativity(space, n_max))
@@ -572,6 +587,7 @@ def _suite_homotopy(space, args, report) -> bool:
             h = {n: rack_contraction(space, 0, n) for n in range(n_max)}
             results["left_complex_inverse_translation"] = bool(certify_acyclic(c, h))
     elif isinstance(payload, st.AlgebraData) and space.unit_index is not None:
+        _refuse_unread(args, "homotopy", "left_char")
         lc, _ = _default_chars(space, args, "homotopy")
         w = [1 if j == space.unit_index else 0 for j in range(space.dim)]
         c = named_complex(space, "left", n_max, {"left_char": lc}, basis_cap=args.basis_cap)
@@ -600,6 +616,7 @@ def _suite_homotopy(space, args, report) -> bool:
 
 
 def _suite_duality(space, args, report) -> bool:
+    _refuse_unread(args, "duality", "left_char")
     n_max = _suite_degree(space, args, 4)
     payload = space.payload
     if not (isinstance(payload, st.AlgebraData) and payload.kind == "associative"):

@@ -53,8 +53,7 @@ def _around(lead: int, m: SparseLinearMap, trail: int) -> SparseLinearMap:
 
 
 def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side: str, *,
-          lead: int = 1, trail: int = 1, cols: Optional[list] = None,
-          store: Optional[dict] = None) -> SparseLinearMap:
+          lead: int = 1, trail: int = 1, cols: Optional[list] = None) -> SparseLinearMap:
     """The degree -k boundary on lead (x) V^(x)n (x) trail. On the left it is
 
         (rho_k (x) Id_(n-k) (x) Id_trail) o (Id_lead (x) Delta_(k,n-k) (x) Id_trail),
@@ -98,64 +97,90 @@ def _pull(space: PreBraidedSpace, action: SparseLinearMap, k: int, n: int, side:
     braiding by the interchange law. So H and H' equal the formula even
     where the YBE fails (a space whose allow_unverified overrides the
     gate). Each H, H', A_q and A'_q is written column by column (_pulled by
-    _step, _crossed) and cached on the space, keyed by the action's value,
-    so a character replaced under the same name gets boundaries of its own;
-    _around adds the block a side does not touch.
+    _step, _crossed) and cached, keyed by the action's value, so a character
+    replaced under the same name gets boundaries of its own; _around adds
+    the block a side does not touch. A direct call caches them on the
+    space, where later calls reuse them. A named complex's build caches
+    them in a store of its own (_Build), which drops each piece as soon as
+    no later degree of the build reads it, so none outlives the build.
 
     cols, a list of column indices, asks for those columns only (a
-    restricted complex keeps its span's columns), and store, a dict that
-    lives for one build, keeps what is written for them, so that a later
-    degree reads it rather than writing it again. On the left with k = 1,
+    restricted complex keeps its span's columns). On the left with k = 1,
     the one case they are honoured, the recursion writes the columns asked
-    for and the crossing columns they read, leaves every other column zero
-    and caches nothing on the space; any other k or side builds in full.
+    for and the crossing columns they read and leaves every other column
+    zero; any other k or side builds in full.
     """
     if side not in ("left", "right"):
         raise ExactError("side must be 'left' or 'right'")
     space.require_ybe()
-    if side == "left" and k == 1 and cols is not None:
-        h = _pulled(space, action, side, k, n, cols, store)
-    else:
-        h = _pulled(space, action, side, k, n)
+    h = _pulled(space, action, side, k, n, cols if side == "left" and k == 1 else None)
+    if isinstance(space, _Build):
+        space.drop(side, k, n)
     return _around(1, h, trail) if side == "left" else _around(lead, h, 1)
 
 
 def _pulled(space: PreBraidedSpace, rho: SparseLinearMap, side: str, k: int,
-            n: int, cols: Optional[list] = None, store: Optional[dict] = None) -> SparseLinearMap:
+            n: int, cols: Optional[list] = None) -> SparseLinearMap:
     """H(k,n) of _pull (side 'left'), or H'(k,n) with its sign (side
-    'right'), from the cache on the space or by one _step of the recursion:
-    stay H(k,n-1), crossing A_q, inner H(k-1,n-1), the identity at k = 1.
+    'right'), from the cache (_pull says whose) or by one _step of the
+    recursion: stay H(k,n-1), crossing A_q, inner H(k-1,n-1), the identity
+    at k = 1.
 
-    Given cols and store (left, k = 1), H(1,n) holds those columns only,
-    written by one _step from the columns J of H(1,n-1) whose J d + t they
-    hold and the same columns of A_(n-1) (_crossed), and kept in the store
-    under the columns asked for. A product span, such as the unit-free
-    tensors, asks H(1,n-1) for exactly the columns the degree below was
-    built on, so each H(1,n) is written once per store."""
-    if cols is not None:
-        key = ("pulled", n, tuple(cols))
-        got = store.get(key)
-        if got is None:
-            d = space.dim
-            cross = _crossed(space, rho, side, n - 1, cols=cols, store=store)
-            stay = (_pulled(space, rho, side, 1, n - 1, list(dict.fromkeys(j // d for j in cols)),
-                            store) if n > 1 else None)
-            got = store[key] = _step(d, stay, cross, None, side, -1, 1, set(cols))
-        return got
-    key = (rho, side, k, n)
+    Given cols (left, k = 1), H(1,n) holds those columns only, written by
+    one _step from the columns J of H(1,n-1) whose J d + t they hold and the
+    same columns of A_(n-1) (_crossed), and cached under the columns asked
+    for. A product span, such as the unit-free tensors, asks H(1,n-1) for
+    exactly the columns the degree below was built on, so each H(1,n) is
+    written once per cache."""
+    key = (rho, side, k if cols is None else tuple(cols), n)
     got = space._boundary_cache.get(key)
     if got is None:
         d = space.dim
         if k == 0:
             got = SparseLinearMap.identity(rho.rows * d ** n, space.ring)
         else:
-            cross = _crossed(space, rho, side, n - k)
-            stay = _pulled(space, rho, side, k, n - 1) if k < n else None
+            below = None if cols is None else list(dict.fromkeys(j // d for j in cols))
+            cross = _crossed(space, rho, side, n - k, cols=cols)
+            stay = _pulled(space, rho, side, k, n - 1, below) if k < n else None
             inner = _pulled(space, rho, side, k - 1, n - 1) if k > 1 else None
             got = _step(d, stay, cross, inner, side, (-1) ** k,
-                        1 if side == "left" else (-1) ** (n - 1))
+                        1 if side == "left" else (-1) ** (n - 1),
+                        None if cols is None else set(cols))
         space._boundary_cache[key] = got
     return got
+
+
+class _Build:
+    """A space as one build of a named complex sees it: every attribute is
+    the space's but the cache that _pulled and _crossed write to, which is
+    the build's own store, shared with the build's view of the transposed
+    twin. The build writes its boundaries degree by degree up to top, and
+    _pull calls drop after each, so no piece outlives the build and most
+    are freed as soon as no later degree reads them."""
+
+    def __init__(self, space: PreBraidedSpace, top: int, store: Optional[dict] = None):
+        self._space, self.top = space, top
+        self._boundary_cache = {} if store is None else store
+
+    def __getattr__(self, name):
+        return getattr(self._space, name)
+
+    def transposed(self) -> "_Build":
+        return _Build(self._space.transposed(), self.top, self._boundary_cache)
+
+    def drop(self, side: str, k: int, n: int) -> None:
+        """The side's boundary of order k out of degree n is written: drop
+        the side's pieces that no later degree reads, or all of them at the
+        top degree. Degree n + 1 reads H(j,m) for m >= n + 1 - k and the
+        crossings A_q for q >= n - k. A restricted build's crossing columns
+        (cols) are kept to the top: each degree also writes columns of
+        lower crossings that its span did not ask for, and the columns are
+        few (on sl2 Leibniz to degree 6, dropping them a degree at a time
+        lowered the traced peak by 1%)."""
+        store = self._boundary_cache
+        for key in [key for key in store if key[1] == side and (n >= self.top or (
+                key[2] != "columns" and key[3] + (key[2] == "crossed") < n + 1 - k))]:
+            del store[key]
 
 
 # ---------------------------------------------------------------------------
@@ -887,15 +912,11 @@ def _sides(kind, *read):
 
 def _left(space, chars, params):
     """Asked for a list of columns (a restricted complex), it builds only
-    those (_pull). The columns it writes are kept in one store for every
-    degree it is asked for, which is one build, so each is written once."""
-    store: dict = {}
-
+    those (_pull), into the build's store like every other piece."""
     def diff(n, cols=None):
         if cols is None:
             return left_diff(space, chars[0], n)
-        return _pull(space, space.require_character(chars[0]), 1, n, "left", cols=cols,
-                     store=store)
+        return _pull(space, space.require_character(chars[0]), 1, n, "left", cols=cols)
     return 1, diff
 
 
@@ -1065,7 +1086,7 @@ def named_complex(space: PreBraidedSpace, name: str, n_max: int, params: Optiona
     gate = carrier.require_cocharacter if row.step > 0 else carrier.require_character
     for char in chars:
         gate(char)
-    lead, diff_fn = row.diff(carrier, chars, params)
+    lead, diff_fn = row.diff(_Build(carrier, n_max), chars, params)
     label = (row.label.format(*chars, **params) if isinstance(row.label, str)
              else row.label(params))
     return _assemble(carrier, lead, row.step * order, n_max, diff_fn, label, kept=row.kept,

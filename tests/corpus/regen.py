@@ -161,6 +161,9 @@ def _documents() -> list[list[str]]:
                         *flags, "--max-degree", "2", "--json"])
         out.append(["verify", doc("bad_character"), "--suite", "hyper", "--left-char", "bad",
                     *flags, "--max-degree", "3", "--json"])
+    # the hyper suite's right side reads --right-char
+    out.append(["verify", doc("bad_character"), "--suite", "hyper", "--left-char", "ones",
+                "--right-char", "bad", "--allow-unverified", "--max-degree", "3", "--json"])
     out.append(["homology", "scenarios/dihedral3.json", "--named", "quandle", "--normalized",
                 "--max-degree", "3", "--json"])
     out.append(["homology", "scenarios/dihedral3.json", "--diff", "combined", "--normalized",
@@ -219,6 +222,16 @@ def _input_errors() -> list[list[str]]:
         ["verify", "scenarios/sl2.json", "--suite", "hyper", "--json", "--max-degree", "-2"],
         ["homology", "scenarios/sl2.json", "--named", "cobar", "--json"],
         ["homology", "scenarios/dual_numbers.json", "--named", "group", "--left-char", "nope",
+         "--json"],
+        # a suite refuses a character flag it does not read, and an undeclared name
+        ["verify", r3, "--suite", "hopf", "--left-char", "ones", "--json"],
+        ["verify", r3, "--suite", "hopf", "--right-char", "ones", "--json"],
+        ["verify", "scenarios/dual_numbers.json", "--suite", "duality", "--right-char", "counit",
+         "--json"],
+        ["verify", "scenarios/dual_numbers.json", "--suite", "homotopy", "--right-char",
+         "counit", "--json"],
+        ["verify", r3, "--suite", "hyper", "--right-char", "nope", "--json"],
+        ["verify", "tests/corpus/flip.json", "--suite", "homotopy", "--left-char", "nope",
          "--json"],
     ]
 

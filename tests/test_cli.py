@@ -234,6 +234,39 @@ def test_codifferentials_are_transposed_boundaries(name, capsys):
     assert report["codifferentials_are_transposes"] is True, report
 
 
+# Below the top degree, R3 rack homology has free rank 1, since R3 has one
+# orbit (Etingof-Grana), and over Z every torsion factor is 3 (Nosaka). The
+# top degree reports dim ker of the top boundary, so it is left out.
+@pytest.mark.parametrize("ring", ["z", "q", "fp:7"])
+def test_r3_rack_homology_below_the_top_degree(ring, capsys):
+    code = cli.main(["homology", str(SCENARIOS / "dihedral3.json"), "--named", "rack",
+                     "--max-degree", "7", "--ring", ring, "--json"])
+    degrees = json.loads(capsys.readouterr().out)["homology"]["degrees"]
+    assert code == 0
+    assert sorted(degrees, key=int) == [str(n) for n in range(8)]
+    for n in range(7):
+        entry = degrees[str(n)]
+        assert entry["free_rank"] == 1, (n, entry)
+        assert ring != "z" or set(entry["torsion"]) <= {3}, (n, entry)
+
+
+# The shuffle product and its associativity are transposes of the coshuffle
+# on the transposed twin; this runs every Hopf check, over the scenario's own
+# ring and over F_3.
+@pytest.mark.parametrize("ring", [[], ["--ring", "fp:3"]], ids=["own-ring", "fp3"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_hopf_identities_on_every_scenario(name, ring, capsys):
+    code = cli.main(["verify", str(SCENARIOS / name), "--suite", "hopf", "--max-degree", "4",
+                     *ring, "--json"])
+    report = json.loads(capsys.readouterr().out)["hopf"]
+    assert code == 0
+    keys = ["associativity", "coassociativity", "compatibility", "antipode"]
+    if report["involutive"]:
+        keys.append("commutativity")
+    for key in keys:
+        assert report[key] is True, (key, report)
+
+
 def test_homology_command_uses_scenario_defaults(tmp_path, capsys):
     code = cli.main(["homology", write(tmp_path, R3_DOC), "--json"])
     assert code == 0
@@ -1006,6 +1039,40 @@ def test_suites_without_characters(tmp_path, capsys, suite):
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"] == (
         f"the {suite} suite needs a character; declared characters: none")
+
+
+@pytest.mark.parametrize("path, flags, message", [
+    (SCENARIOS / "dihedral3.json", ["--suite", "hopf", "--left-char", "ones"],
+     "the hopf suite does not read --left-char"),
+    (SCENARIOS / "dihedral3.json", ["--suite", "hopf", "--right-char", "ones"],
+     "the hopf suite does not read --right-char"),
+    (SCENARIOS / "dual_numbers.json", ["--suite", "duality", "--right-char", "counit"],
+     "the duality suite does not read --right-char"),
+    (SCENARIOS / "dual_numbers.json", ["--suite", "homotopy", "--right-char", "counit"],
+     "the homotopy suite does not read --right-char"),
+    (SCENARIOS / "dihedral3.json", ["--suite", "hyper", "--right-char", "nosuch"],
+     "unknown character 'nosuch'; declared characters: ones"),
+    (CORPUS / "flip.json", ["--suite", "homotopy", "--left-char", "nosuch"],
+     "unknown character 'nosuch'; declared characters: first, ones"),
+])
+def test_suites_refuse_character_flags_they_do_not_read(capsys, path, flags, message):
+    """A suite refuses a character flag it does not read, and a name the
+    space does not declare, rather than running without it."""
+    code = cli.main(["verify", str(path), *flags, "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == message
+
+
+def test_hyper_suite_checks_the_right_side_with_the_right_character(capsys):
+    """bad_character.json declares the braided character ones and an
+    unbraided one, bad. The hyper identities hold for ones alone and fail
+    once the right side reads bad."""
+    base = ["verify", str(CORPUS / "bad_character.json"), "--suite", "hyper",
+            "--left-char", "ones", "--allow-unverified", "--max-degree", "3", "--json"]
+    assert cli.main(base) == 0
+    assert json.loads(capsys.readouterr().out)["hyper"]["ok"] is True
+    assert cli.main(base + ["--right-char", "bad"]) == 1
+    assert json.loads(capsys.readouterr().out)["hyper"]["ok"] is False
 
 
 def test_homotopy_suite_skips_flip_without_characters(tmp_path, capsys):

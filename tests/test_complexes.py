@@ -1223,9 +1223,9 @@ def test_leibniz_complex_writes_each_column_once(monkeypatch):
 
     crossed_columns = braiding._crossed_columns
 
-    def crossed(space, rho, q, cols, store):
-        before = set(store.get(("crossed", q), ()))
-        have = crossed_columns(space, rho, q, cols, store)
+    def crossed(space, rho, q, cols):
+        before = set(space._boundary_cache.get((rho, "left", "columns", q), ()))
+        have = crossed_columns(space, rho, q, cols)
         writes.extend(("crossed", q, j) for j in have if q and j not in before)
         return have
 
@@ -1240,6 +1240,53 @@ def test_leibniz_complex_writes_each_column_once(monkeypatch):
     assert {q for kind, q, _ in writes if kind == "crossed"} == set(range(1, 6))
     assert vars(space) == held
     assert not space._boundary_cache
+
+
+# d_2 d_2 = 2 d_4, so the order-2 complex squares to zero over F_2 only.
+@pytest.mark.parametrize("row, params, ring", [
+    ("rack", {}, ZZ), ("hyper-left", {"order": 2}, PrimeField(2)),
+    ("hyper-right", {"order": 3}, ZZ),
+])
+def test_named_complex_writes_each_piece_once(monkeypatch, row, params, ring):
+    """One build of a named complex of R5 to degree 5 writes each H, H', A_q
+    and A'_q once, into a store of its own: the store drops a piece only
+    once no later degree reads it, so dropping too early shows as a second
+    write of the same piece rather than as lost time, and the space holds
+    afterwards what it held before."""
+    writes = []
+
+    class Recorded(dict):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+    init = complexes._Build.__init__
+    monkeypatch.setattr(complexes._Build, "__init__", lambda self, space, top, store=None: init(
+        self, space, top, Recorded() if store is None else store))
+    space = verify_space(shelf_braiding(dihedral_shelf(5), ring))
+    held = {name: type(value)(value) if isinstance(value, (dict, set)) else value
+            for name, value in vars(space).items()}
+    named_complex(space, row, 5, params)
+    assert writes and len(writes) == len(set(writes))
+    assert vars(space) == held
+    assert not space._boundary_cache
+
+
+def test_rack_build_peak_memory():
+    """The store drops each piece once no later degree reads it, and each
+    side's pieces at the top degree as soon as that side is written. The
+    traced peak of building R5's rack complex to degree 5 is about 3.8 MB
+    with Python 3.11; keeping every piece to the end of the build, as the
+    space's cache did, peaks at about 6.4 MB."""
+    import tracemalloc
+    space = verify_space(shelf_braiding(dihedral_shelf(5), ZZ))
+    tracemalloc.start()
+    try:
+        named_complex(space, "rack", 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
 
 
 def test_named_leibniz_nonlie():
