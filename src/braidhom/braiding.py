@@ -13,9 +13,9 @@ identity. Lifts, and so faces, come from generator matrices instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from ._record import Record
 from .exactlin import (
     ExactError,
     Ring,
@@ -37,8 +37,7 @@ class UnverifiedError(RuntimeError):
 # read chronologically: the generator i1 acts first.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record, frozen=True):
     images: tuple[int, ...]
 
     def __post_init__(self):
@@ -133,8 +132,7 @@ def block_swap_permutation(n: int, k: int) -> Permutation:
 # Check reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class YbeReport:
+class YbeReport(Record):
     ok: bool
     violation: Optional[tuple] = None  # (row, col, lhs, rhs) on V^(x)3
 
@@ -142,8 +140,7 @@ class YbeReport:
         return self.ok
 
 
-@dataclass
-class CharacterReport:
+class CharacterReport(Record):
     name: str
     ok: bool
     violation: Optional[tuple] = None
@@ -152,8 +149,7 @@ class CharacterReport:
         return self.ok
 
 
-@dataclass
-class CompatReport:
+class CompatReport(Record):
     names: tuple[str, str]
     ok: bool
     violation: Optional[tuple] = None
@@ -162,8 +158,7 @@ class CompatReport:
         return self.ok
 
 
-@dataclass
-class CoalgebraReport:
+class CoalgebraReport(Record):
     coassociative: bool
     compat_left: bool      # D_2 o sigma = sigma_1 o sigma_2 o D_1
     compat_right: bool     # D_1 o sigma = sigma_2 o sigma_1 o D_2
@@ -677,10 +672,9 @@ def check_braided_coalgebra(space: PreBraidedSpace) -> CoalgebraReport:
 # graded, so checking degree by degree up to a cap loses nothing there.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HopfReport:
+class HopfReport(Record):
     ok: bool
-    failures: list = field(default_factory=list)
+    failures: list = []
 
     def __bool__(self):
         return self.ok

@@ -19,9 +19,9 @@ transposed twin (PreBraidedSpace.transposed, braiding sigma^T).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ._record import Record
 from .exactlin import ExactError, SparseLinearMap, digits_of, flat_index, tensor
 from .braiding import (
     PreBraidedSpace,
@@ -329,8 +329,7 @@ def rack_contraction(space: PreBraidedSpace, b: int, n: int) -> SparseLinearMap:
     return SparseLinearMap.from_entries(m ** (n + 1), m ** n, entries, space.ring)
 
 
-@dataclass
-class NaturalityReport:
+class NaturalityReport(Record):
     left: bool          # sigma(w (x) v) = v (x) w for all v
     right: bool         # sigma(v (x) w) = w (x) v for all v
     char_compat: dict   # per character: (Id (x) psi) o sigma o (. (x) w) = psi(.) w
@@ -362,8 +361,7 @@ def check_naturality(space: PreBraidedSpace, w) -> NaturalityReport:
 # Braided modules and differentials with coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BraidedModule:
+class BraidedModule(Record):
     """A space with a braided action. side='right' means rho: M (x) V -> M,
     side='left' means lam: V (x) M -> M. verified is None until
     check_braided_module runs, then its result."""
@@ -378,8 +376,7 @@ class BraidedModule:
             raise ExactError("module side must be 'right' or 'left'")
 
 
-@dataclass
-class Bimodule:
+class Bimodule(Record):
     """verified is None until check_bimodule runs, then its result."""
     dim: int
     right_action: SparseLinearMap   # M (x) V -> M
@@ -388,8 +385,7 @@ class Bimodule:
     verified: Optional[bool] = None
 
 
-@dataclass
-class ModuleReport:
+class ModuleReport(Record):
     ok: bool
     braided_ok: bool
     compat_ok: Optional[bool] = None      # bimodules only
@@ -535,8 +531,7 @@ def right_codiff(space: PreBraidedSpace, cochar: str, n: int) -> SparseLinearMap
     return _pull(space.transposed(), e.transpose(), 1, n + 1, "right").transpose()
 
 
-@dataclass
-class Bicomodule:
+class Bicomodule(Record):
     """Coactions rho: M -> M (x) V and lam: M -> V (x) M. verified is None
     until check_bicomodule runs, then its result."""
     dim: int
@@ -595,13 +590,12 @@ def coalgebra_self_bicomodule(space: PreBraidedSpace) -> Bicomodule:
 # Simplicial structure checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimplicialReport:
+class SimplicialReport(Record):
     left_level: str
     right_level: str
     pre_bisimplicial: bool
     bisimplicial_level: str
-    failures: list = field(default_factory=list)
+    failures: list = []
 
 
 _LEVELS = ["none", "presimplicial", "very weakly simplicial",
@@ -974,8 +968,7 @@ def _described(kind, read):
     return label
 
 
-@dataclass(frozen=True)
-class _Named:
+class _Named(Record, frozen=True):
     """A complex: the payload kind it needs ("spindle" is an idempotent
     shelf), the space it lives on, the characters (cocharacters for cochain
     complexes) its boundary reads, its boundary, its builder name (a format

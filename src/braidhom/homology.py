@@ -13,10 +13,10 @@ command runs the check itself (see _SquareZeroInChild).
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ._fork import Child
+from ._record import Record
 from .exactlin import (
     ExactError,
     QQ,
@@ -65,8 +65,7 @@ def ensure_cap(dims: list[int], cap: Optional[int] = None):
             "lower the maximum degree or raise the cap")
 
 
-@dataclass
-class ChainComplex:
+class ChainComplex(Record):
     """Degrees 0..n_max with one boundary per degree. step is the boundary
     degree: -1 for chain complexes, +1 for cochain ones, -k for higher
     boundary families."""
@@ -178,16 +177,14 @@ _in_child: ContextVar[Optional[_SquareZeroInChild]] = ContextVar("_in_child", de
 # Homology reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DegreeHomology:
+class DegreeHomology(Record):
     degree: int
     space_dim: int
     free_rank: int
-    torsion: list[int] = field(default_factory=list)
+    torsion: list[int] = []
 
 
-@dataclass
-class HomologyReport:
+class HomologyReport(Record):
     ring_name: str
     builder: str
     degrees: dict[int, DegreeHomology]
@@ -238,8 +235,7 @@ def integral_homology(c: ChainComplex) -> HomologyReport:
                    lambda n: sorted(f for f in factors.get(n - c.step, []) if f > 1))
 
 
-@dataclass
-class AcyclicityReport:
+class AcyclicityReport(Record):
     certified: dict[int, bool]
     ok: bool
 

@@ -3,18 +3,19 @@ requested computations.
 
 Rationals are encoded as "p/q" strings, sparse maps as [row, col, value]
 triples, shelf tables as nested arrays. Exactly one structure block per
-file. Parsing validates every index against the declared dimension and
-reports all violations with their field paths.
+file. Parsing validates every index against the declared dimension,
+refuses every key it does not read, and reports all violations with their
+field paths.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from ._record import Record
 from .exactlin import ExactError, Ring, SparseLinearMap, ring_from_name
 from .braiding import PreBraidedSpace
 from . import structures as st
@@ -31,21 +32,41 @@ class ScenarioError(ValueError):
         self.errors = list(errors)
 
 
-_STRUCTURE_KINDS = ("shelf", "associative", "leibniz", "coalgebra", "braiding",
-                    "flip", "signed_flip", "koszul", "q_flip")
+# The keys each block reads, by structure kind for the structure block. A
+# document with any other key is refused: a misspelt key would otherwise
+# leave its value unread and run a different computation.
+_TOP_KEYS = ("ring", "structure", "characters", "cocharacters", "comultiplication",
+             "modules", "bimodules", "computations")
+_STRUCTURE_KEYS = {
+    "shelf": ("kind", "table"),
+    "associative": ("kind", "dim", "products", "unit", "adjoin_unit", "grading"),
+    "leibniz": ("kind", "dim", "brackets", "unit", "adjoin_unit", "grading"),
+    "coalgebra": ("kind", "dim", "coproducts", "counit"),
+    "braiding": ("kind", "dim", "entries"),
+    "flip": ("kind", "dim"),
+    "signed_flip": ("kind", "dim"),
+    "koszul": ("kind", "grading"),
+    "q_flip": ("kind", "q"),
+}
+_MODULE_KEYS = ("dim", "side", "action")
+_BIMODULE_KEYS = ("dim", "right_action", "left_action")
 
 
-@dataclass
-class Scenario:
+def _unknown_keys(block: dict, keys, path, errors):
+    """Refuse every key of block outside keys; path is the block's prefix."""
+    errors.extend(f"{path}{key}: unknown key" for key in block if key not in keys)
+
+
+class Scenario(Record):
     ring_name: str
     structure: dict
-    dim: int                                            # of the space V the structure braids
-    characters: dict = field(default_factory=dict)      # name -> list of value strings
-    cocharacters: dict = field(default_factory=dict)
-    comultiplication: Optional[list] = None             # [row, col, value] triples
-    modules: dict = field(default_factory=dict)
-    bimodules: dict = field(default_factory=dict)
-    computations: list = field(default_factory=list)
+    dim: int                                  # of the space V the structure braids
+    characters: dict = {}                     # name -> list of value strings
+    cocharacters: dict = {}
+    comultiplication: Optional[list] = None   # [row, col, value] triples
+    modules: dict = {}
+    bimodules: dict = {}
+    computations: list = []
 
     @property
     def ring(self) -> Ring:
@@ -115,9 +136,10 @@ def _validate_structure(s, errors) -> tuple[dict, int]:
         errors.append("structure: expected an object")
         return {}, 0
     kind = s.get("kind")
-    if kind not in _STRUCTURE_KINDS:
+    if kind not in _STRUCTURE_KEYS:
         errors.append(f"structure.kind: unknown kind {kind!r}")
         return {}, 0
+    _unknown_keys(s, _STRUCTURE_KEYS[kind], "structure.", errors)
     out = {"kind": kind}
     if kind == "shelf":
         table = s.get("table")
@@ -237,6 +259,7 @@ def parse_dict(doc: dict) -> Scenario:
     errors: list[str] = []
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
+    _unknown_keys(doc, _TOP_KEYS, "", errors)
     ring_name = doc.get("ring", "z")
     try:
         ring_from_name(ring_name)
@@ -260,6 +283,7 @@ def parse_dict(doc: dict) -> Scenario:
         if not isinstance(m, dict):
             errors.append(f"{path}: expected an object")
             continue
+        _unknown_keys(m, _MODULE_KEYS, f"{path}.", errors)
         mdim = _positive_int(m.get("dim"), f"{path}.dim", errors)
         side = m.get("side", "right")
         if mdim is None:
@@ -277,6 +301,7 @@ def parse_dict(doc: dict) -> Scenario:
         if not isinstance(m, dict):
             errors.append(f"{path}: expected an object")
             continue
+        _unknown_keys(m, _BIMODULE_KEYS, f"{path}.", errors)
         mdim = _positive_int(m.get("dim"), f"{path}.dim", errors)
         if mdim is None:
             continue

@@ -17,9 +17,9 @@ back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import Record
 from .exactlin import ExactError, Ring, SparseLinearMap, ZZ, _axpy
 from .braiding import PreBraidedSpace
 
@@ -28,8 +28,7 @@ from .braiding import PreBraidedSpace
 # Shelves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShelfTable:
+class ShelfTable(Record, frozen=True):
     """A binary operation table on {0..m-1}; table[a][b] = a <| b."""
 
     table: tuple[tuple[int, ...], ...]
@@ -58,8 +57,7 @@ def trivial_shelf(m: int) -> ShelfTable:
     return ShelfTable(tuple(tuple(a for _ in range(m)) for a in range(m)))
 
 
-@dataclass
-class ShelfReport:
+class ShelfReport(Record):
     self_distributive: bool
     rack: bool
     quandle: bool
@@ -135,8 +133,7 @@ def twist_character(value, size: int, ring: Ring) -> SparseLinearMap:
 # Algebras, Leibniz algebras, coalgebras: structure-constant data
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AlgebraData:
+class AlgebraData(Record):
     """Structure constants for an associative algebra, a Leibniz bracket, or
     a coalgebra. The binary operation is a d x d^2 map for algebra kinds and
     a d^2 x d map for coalgebras. Units are distinguished basis positions."""
@@ -148,7 +145,7 @@ class AlgebraData:
     unit_index: Optional[int] = None
     counit: Optional[SparseLinearMap] = None
     grading: Optional[list[int]] = None
-    characters: dict = field(default_factory=dict)
+    characters: dict = {}
 
     def __post_init__(self):
         d = self.dim
@@ -181,23 +178,20 @@ def algebra_from_constants(kind: str, dim: int, triples, ring: Ring, *,
                        grading=list(grading) if grading is not None else None)
 
 
-@dataclass
-class AlgebraReport:
+class AlgebraReport(Record):
     associative: bool
     right_unital: Optional[bool]
     left_unital: Optional[bool]
     witness: Optional[tuple] = None
 
 
-@dataclass
-class LeibnizReport:
+class LeibnizReport(Record):
     leibniz: bool
     unit_central: Optional[bool]
     witness: Optional[tuple] = None
 
 
-@dataclass
-class CovectorReport:
+class CovectorReport(Record):
     ok: bool
     witness: Optional[tuple] = None
 

@@ -201,6 +201,9 @@ def _input_errors() -> list[list[str]]:
         ["check", "tests/corpus/bad_adjoin_unit.json", "--json"],
         ["check", "tests/corpus/bad_counit.json", "--json"],
         ["check", "tests/corpus/bad_dim_triples.json", "--json"],
+        # a misspelt key is refused, not left unread
+        ["check", "tests/corpus/misspelt_character.json", "--json"],
+        ["check", "tests/corpus/misspelt_adjoin_unit.json", "--json"],
         ["check", "tests/corpus/missing.json"],
         ["check", r3, "--ring", "fp:4", "--json"],
         ["homology", r3, "--named", "nope", "--json"],

@@ -606,9 +606,10 @@ def test_hyper_suite_end_to_end(capsys):
     code = cli.main(["verify", str(SCENARIOS / "dihedral3.json"), "--suite", "hyper",
                      "--max-degree", "7", "--json"])
     assert code == 0
-    hyper = json.loads(capsys.readouterr().out)["hyper"]
-    assert hyper["ok"] is True
-    assert hyper["identities_checked"] == 158
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert report["hyper"]["ok"] is True
+    assert report["hyper"]["identities_checked"] == 158
 
 
 # -- the hyper suite's two processes ------------------------------------------
@@ -1409,15 +1410,35 @@ def test_dump_matrices_into_unwritable_directory_exits_2(tmp_path, capsys):
       "modules": {"m": {"dim": 1, "action": [[0, 0, 1]]}},
       "bimodules": {"b": {"dim": 1, "right_action": [[0, 0, 1]], "left_action": [[0, 0, 1]]}},
       "comultiplication": [[0, 0, 1]]}, "structure.dim: expected a positive integer"),
+    ({"character": {"e": [1, 1]}}, "character: unknown key"),
+    ({"structure": {"kind": "shelf", "table": [[0]], "dim": 1}}, "structure.dim: unknown key"),
+    ({"structure": {"kind": "associative", "dim": 1, "products": [], "brackets": []}},
+     "structure.brackets: unknown key"),
+    ({"structure": {"kind": "leibniz", "dim": 2, "brackets": [[0, 0, 1, 1]],
+                    "adjoin_units": True}}, "structure.adjoin_units: unknown key"),
+    ({"structure": {"kind": "coalgebra", "dim": 1, "coproducts": [], "unit": 0}},
+     "structure.unit: unknown key"),
+    ({"structure": {"kind": "braiding", "dim": 1, "entries": [], "grading": [0]}},
+     "structure.grading: unknown key"),
+    ({"structure": {"kind": "flip", "dim": 1, "table": [[0]]}}, "structure.table: unknown key"),
+    ({"structure": {"kind": "signed_flip", "dim": 1, "q": 2}}, "structure.q: unknown key"),
+    ({"structure": {"kind": "koszul", "grading": [0], "dim": 1}}, "structure.dim: unknown key"),
+    ({"structure": {"kind": "q_flip", "q": 2, "dim": 1}}, "structure.dim: unknown key"),
+    ({"modules": {"m": {"dim": 1, "action": [], "sides": "left"}}},
+     "modules.m.sides: unknown key"),
+    ({"bimodules": {"b": {"dim": 1, "right_action": [], "left_action": [], "action": []}}},
+     "bimodules.b.action: unknown key"),
 ])
 def test_malformed_scenario_block_exits_2(tmp_path, capsys, block, detail):
     """A block of the wrong type, a dimension that is not a positive JSON
-    integer (true included), an adjoin_unit that is not a JSON boolean, or a
-    computations key or value its command's flag would not take, is a
-    located scenario error. A refused counit keeps the declared dimension,
-    and a refused dim is no dimension at all, so the characters and the
-    comultiplication, module and bimodule triples are not measured against
-    a dimension the document never gave."""
+    integer (true included), an adjoin_unit that is not a JSON boolean, a
+    computations key or value its command's flag would not take, or a key
+    that its block does not read (at the top level, in each kind of
+    structure, or in a module or bimodule entry), is a located scenario
+    error. A refused counit keeps the declared dimension, and a refused dim
+    is no dimension at all, so the characters and the comultiplication,
+    module and bimodule triples are not measured against a dimension the
+    document never gave."""
     code = cli.main(["homology", write(tmp_path, dict(R3_DOC, **block)), "--json"])
     out, err = capsys.readouterr()
     assert code == 2
