@@ -1,7 +1,7 @@
 """Work run in a forked child, with its result read back through a pipe.
 
 The package uses the second core in two places: the right side of the
-hyper suite (cli) and the square-zero check of a homology run (homology).
+hyper suite (suites) and the square-zero check of a homology run (homology).
 Each caller keeps one implementation of its work and runs it itself
 whenever the child gives no result.
 """
@@ -27,6 +27,7 @@ class Child:
     def __init__(self, work: Callable[[], bytes]):
         self.pid: Optional[int] = None
         self.read_end: Optional[int] = None
+        self.status: Optional[int] = None  # once reaped by done()
         fork = getattr(os, "fork", None)
         threading = sys.modules.get("threading")
         if fork is None or (threading is not None and threading.active_count() > 1):
@@ -51,6 +52,15 @@ class Child:
         os.close(write_end)
         self.pid, self.read_end = pid, read_end
 
+    def done(self) -> bool:
+        """Whether result() would return without waiting: no child started,
+        or it has exited (it is reaped here, without blocking)."""
+        if self.pid is not None and self.status is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.status = status
+        return self.pid is None or self.status is not None
+
     def result(self) -> Optional[bytes]:
         """Read the pipe to its end and reap the child: the bytes it wrote,
         or None when no child started, or it exited non-zero or was killed."""
@@ -59,19 +69,19 @@ class Child:
         data = b""
         while chunk := os.read(self.read_end, 64):
             data += chunk
-        _, status = os.waitpid(self.pid, 0)
+        status = self.status if self.status is not None else os.waitpid(self.pid, 0)[1]
         self.pid = None
         return data if os.waitstatus_to_exitcode(status) == 0 else None
 
     def close(self) -> None:
-        if self.pid is not None:
+        if self.pid is not None and self.status is None:
             import signal
             try:
                 os.kill(self.pid, signal.SIGKILL)
                 os.waitpid(self.pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass  # already reaped
-            self.pid = None
+        self.pid = None
         if self.read_end is not None:
             os.close(self.read_end)
             self.read_end = None

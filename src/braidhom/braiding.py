@@ -1,4 +1,5 @@
-"""Pre-braidings, braid-monoid lifts, shuffle operators and Hopf-level checks.
+"""Pre-braidings, braid-monoid lifts, the quantum coshuffle and the YBE and
+character checks.
 
 A pre-braiding is an endomorphism of V (x) V satisfying the Yang-Baxter
 equation; it need not be invertible. Once the YBE is verified, the lift of a
@@ -147,30 +148,6 @@ class CharacterReport(Record):
 
     def __bool__(self):
         return self.ok
-
-
-class CompatReport(Record):
-    names: tuple[str, str]
-    ok: bool
-    violation: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-class CoalgebraReport(Record):
-    coassociative: bool
-    compat_left: bool      # D_2 o sigma = sigma_1 o sigma_2 o D_1
-    compat_right: bool     # D_1 o sigma = sigma_2 o sigma_1 o D_2
-    cocommutative: bool    # sigma o D = D
-
-    @property
-    def classification(self) -> str:
-        if self.coassociative and self.compat_left and self.compat_right:
-            return "pre-braided"
-        if self.coassociative and self.compat_left:
-            return "semi-pre-braided"
-        return "neither"
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +549,6 @@ def shuffle_coproduct(space: PreBraidedSpace, p: int, q: int, sign: int = 1) -> 
     return got
 
 
-def shuffle_product(space: PreBraidedSpace, p: int, q: int, sign: int = 1) -> SparseLinearMap:
-    """Quantum shuffle product V^p (x) V^q -> V^(x)(p+q): the sum of the
-    permutation lifts over the (p,q)-shuffles, built as the transposed
-    coshuffle of the transposed twin, which caches it. The coshuffle's
-    crossing L_q has the word s_q...s_1, whose lift on sigma^T transposes to
-    that of s_1...s_q, so the two agree even where the YBE fails."""
-    return shuffle_coproduct(space.transposed(), p, q, sign).transpose()
-
-
 def extended_braiding(space: PreBraidedSpace, k: int, n: int) -> SparseLinearMap:
     """The block crossing V^(x)n (x) V^(x)k -> V^(x)k (x) V^(x)n extending
     the braiding to tensor powers."""
@@ -591,16 +559,8 @@ def extended_braiding(space: PreBraidedSpace, k: int, n: int) -> SparseLinearMap
     return braid_lift(space, block_swap_permutation(n, k), n + k)
 
 
-def antipode(space: PreBraidedSpace, n: int) -> SparseLinearMap:
-    """(-1)^n times the lift of the order-reversal permutation on V^(x)n."""
-    if n == 0:
-        return space.identity_power(0)
-    out = braid_lift(space, Permutation.reversal(n), n)
-    return out.neg() if n % 2 == 1 else out
-
-
 # ---------------------------------------------------------------------------
-# Characters and coalgebra checks
+# Character checks
 # ---------------------------------------------------------------------------
 
 def _check_character(braiding: SparseLinearMap, eps: SparseLinearMap, name: str,
@@ -628,144 +588,3 @@ def check_braided_cocharacter(space: PreBraidedSpace, name: str) -> CharacterRep
     character of the transposed twin. Success is recorded on the space."""
     return _check_character(space.transposed().braiding, space.cocharacter(name).transpose(),
                             name, space.verified_cocharacters)
-
-
-def check_character_compat(space: PreBraidedSpace, name1: str, name2: str) -> CompatReport:
-    """Both exchange identities (f (x) g) o sigma = g (x) f and
-    (g (x) f) o sigma = f (x) g, entrywise on the d^2 source."""
-    f = space.character(name1)
-    g = space.character(name2)
-    fg = tensor(f, g)
-    gf = tensor(g, f)
-    for lhs, rhs in ((fg.compose(space.braiding), gf), (gf.compose(space.braiding), fg)):
-        if lhs != rhs:
-            diff = lhs.sub_map(rhs)
-            _, c, _ = next(diff.entries())
-            return CompatReport((name1, name2), False, (c, lhs.entry(0, c), rhs.entry(0, c)))
-    return CompatReport((name1, name2), True)
-
-
-def check_braided_coalgebra(space: PreBraidedSpace) -> CoalgebraReport:
-    """Coassociativity, the two braiding compatibilities and cocommutativity
-    of the installed comultiplication, as four independent booleans."""
-    delta = space.comultiplication
-    if delta is None:
-        raise ExactError("space has no comultiplication")
-    d = space.dim
-    ring = space.ring
-    idv = SparseLinearMap.identity(d, ring)
-    co1 = tensor(delta, idv).compose(delta)
-    co2 = tensor(idv, delta).compose(delta)
-    sigma = space.braiding
-    s1 = tensor(sigma, idv)
-    s2 = tensor(idv, sigma)
-    d1 = tensor(delta, idv)   # comultiply strand 1 of 2
-    d2 = tensor(idv, delta)   # comultiply strand 2 of 2
-    compat_left = d2.compose(sigma) == s1.compose(s2).compose(d1)
-    compat_right = d1.compose(sigma) == s2.compose(s1).compose(d2)
-    cocomm = sigma.compose(delta) == delta
-    return CoalgebraReport(co1 == co2, compat_left, compat_right, cocomm)
-
-
-# ---------------------------------------------------------------------------
-# Hopf-level checks on the truncated tensor space. All statements are
-# graded, so checking degree by degree up to a cap loses nothing there.
-# ---------------------------------------------------------------------------
-
-class HopfReport(Record):
-    ok: bool
-    failures: list = []
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_shuffle_associativity(space: PreBraidedSpace, max_total: int = 4) -> HopfReport:
-    """Associativity of the shuffle product: the transpose of
-    coassociativity of the coshuffle on the transposed twin."""
-    rep = check_coshuffle_coassociativity(space.transposed(), max_total)
-    return HopfReport(rep.ok, [("associativity",) + f[1:] for f in rep.failures])
-
-
-def check_coshuffle_coassociativity(space: PreBraidedSpace, max_total: int = 4) -> HopfReport:
-    failures = []
-    for total in range(max_total + 1):
-        for p in range(total + 1):
-            for q in range(total - p + 1):
-                r = total - p - q
-                lhs = tensor(shuffle_coproduct(space, p, q), space.identity_power(r)).compose(
-                    shuffle_coproduct(space, p + q, r))
-                rhs = tensor(space.identity_power(p), shuffle_coproduct(space, q, r)).compose(
-                    shuffle_coproduct(space, p, q + r))
-                if lhs != rhs:
-                    failures.append(("coassociativity", p, q, r))
-    return HopfReport(not failures, failures)
-
-
-def check_sigma_commutativity(space: PreBraidedSpace, max_total: int = 4) -> HopfReport:
-    """For involutive braidings the shuffle product absorbs the block
-    crossing: sh(p,q) = sh(q,p) o crossing. Checked transposed: sh(p,q)^T is
-    the coshuffle D(p,q) of the transposed twin, so the law reads
-    D(p,q) = crossing^T o D(q,p)."""
-    if space.braiding.compose(space.braiding) != space.identity_power(2):
-        raise ExactError("sigma-commutativity applies to involutive braidings only")
-    twin = space.transposed()
-    failures = []
-    for total in range(max_total + 1):
-        for p in range(total + 1):
-            q = total - p
-            lhs = shuffle_coproduct(twin, p, q)
-            rhs = extended_braiding(space, q, p).transpose().compose(shuffle_coproduct(twin, q, p))
-            if lhs != rhs:
-                failures.append(("sigma-commutativity", p, q))
-    return HopfReport(not failures, failures)
-
-
-def check_hopf_compatibility(space: PreBraidedSpace, max_total: int = 4) -> HopfReport:
-    """Deconcatenation and the shuffle product satisfy the braided bialgebra
-    law, block by block on the truncated tensor space. Each block is checked
-    transposed, with the coshuffles D of the transposed twin in place of the
-    transposed shuffle products, so that only the crossings are transposed."""
-    twin = space.transposed()
-    failures = []
-    for p in range(max_total + 1):
-        for q in range(max_total - p + 1):
-            n = p + q
-            # block (a, n-a) of deconcat o sh(p,q) is sh(p,q) itself
-            for a in range(n + 1):
-                rhs = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
-                for p1 in range(min(a, p) + 1):
-                    q1 = a - p1
-                    if q1 > q:
-                        continue
-                    p2, q2 = p - p1, q - q1
-                    mid = tensor(space.identity_power(p1),
-                                 tensor(extended_braiding(space, q1, p2).transpose(),
-                                        space.identity_power(q2)))
-                    term = mid.compose(tensor(shuffle_coproduct(twin, p1, q1),
-                                              shuffle_coproduct(twin, p2, q2)))
-                    rhs = rhs.add_map(term)
-                if rhs != shuffle_coproduct(twin, p, q):
-                    failures.append(("hopf-compat", p, q, a))
-    return HopfReport(not failures, failures)
-
-
-def check_antipode_axiom(space: PreBraidedSpace, max_total: int = 4) -> HopfReport:
-    """sum over p+q=n of sh(p,q) o (antipode_p (x) Id_q) is zero in positive
-    degree and the identity in degree zero. Checked transposed, as the sum
-    of (antipode_p^T (x) Id_q) o D(p,q) over the coshuffles D of the
-    transposed twin."""
-    twin = space.transposed()
-    failures = []
-    for n in range(max_total + 1):
-        acc = SparseLinearMap.zero(space.dim ** n, space.dim ** n, space.ring)
-        for p in range(n + 1):
-            q = n - p
-            term = tensor(antipode(space, p).transpose(), space.identity_power(q)).compose(
-                shuffle_coproduct(twin, p, q))
-            acc = acc.add_map(term)
-        if n == 0:
-            acc = acc.sub_map(space.identity_power(0))
-        if not acc.is_zero():
-            failures.append(("antipode", n))
-    return HopfReport(not failures, failures)

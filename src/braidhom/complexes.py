@@ -1,5 +1,5 @@
-"""Builders of braided differentials, faces, degeneracies, hyper-boundaries,
-homotopies, coefficient differentials and the classical named complexes.
+"""Builders of braided differentials, faces, hyper-boundaries, coefficient
+differentials and the classical named complexes.
 
 All maps are plain sparse matrices between tensor-power index spaces. Every
 boundary is one formula (_pull): the negated quantum coshuffle pulls k
@@ -22,7 +22,7 @@ import math
 from typing import Callable, Optional
 
 from ._record import Record
-from .exactlin import ExactError, SparseLinearMap, digits_of, flat_index, tensor
+from .exactlin import ExactError, SparseLinearMap, tensor
 from .braiding import (
     PreBraidedSpace,
     UnverifiedError,
@@ -226,16 +226,6 @@ def face(space: PreBraidedSpace, char: str, n: int, i: int, side: str = "left") 
     return feed.compose(lift)
 
 
-def degeneracy(space: PreBraidedSpace, n: int, i: int) -> SparseLinearMap:
-    """Comultiplication applied to strand i: V^(x)n -> V^(x)(n+1)."""
-    if space.comultiplication is None:
-        raise ExactError("space has no comultiplication")
-    if not 1 <= i <= n:
-        raise ExactError(f"degeneracy index {i} out of 1..{n}")
-    d = space.dim
-    return _around(d ** (i - 1), space.comultiplication, d ** (n - i))
-
-
 def face_sum(space: PreBraidedSpace, char: str, n: int, side: str = "left") -> SparseLinearMap:
     """Alternating sum of faces; equals the corresponding differential."""
     out = SparseLinearMap.zero(space.dim ** (n - 1), space.dim ** n, space.ring)
@@ -268,93 +258,6 @@ def hyper_boundary(space: PreBraidedSpace, char: str, k: int, n: int,
         raise ExactError(f"hyper order {k} out of 0..{n}")
     eps = space.require_character(char)
     return _pull(space, eps, k, n, side)
-
-
-# ---------------------------------------------------------------------------
-# Element operations: crossing actions, concatenation homotopies, naturality
-# ---------------------------------------------------------------------------
-
-def _as_column(space: PreBraidedSpace, w) -> SparseLinearMap:
-    if isinstance(w, SparseLinearMap):
-        if (w.rows, w.cols) != (space.dim, 1):
-            raise ExactError(f"element must be a {space.dim}x1 column")
-        return w
-    return SparseLinearMap.from_entries(
-        space.dim, 1, [(j, 0, v) for j, v in enumerate(w)], space.ring)
-
-
-def adjoint_action(space: PreBraidedSpace, char: str, n: int) -> SparseLinearMap:
-    """The action V^(x)n (x) V -> V^(x)n crossing the last factor over all
-    strands and evaluating the character on it."""
-    eps = space.require_character(char)
-    ext = extended_braiding(space, 1, n)
-    return tensor(eps, space.identity_power(n)).compose(ext)
-
-
-def crossing_action(space: PreBraidedSpace, char: str, w, n: int) -> SparseLinearMap:
-    """The endomorphism of V^(x)n obtained by feeding the fixed element w to
-    the adjoint action. Diagonal translation for shelves, peripheral
-    multiplication for algebras, adjoint action for brackets."""
-    col = _as_column(space, w)
-    act = adjoint_action(space, char, n)
-    return act.compose(tensor(space.identity_power(n), col))
-
-
-def concat_homotopy(space: PreBraidedSpace, w, n: int) -> SparseLinearMap:
-    """v -> (-1)^n v (x) w, the candidate contracting homotopy."""
-    col = _as_column(space, w)
-    out = tensor(space.identity_power(n), col)
-    return out.neg() if n % 2 == 1 else out
-
-
-def rack_contraction(space: PreBraidedSpace, b: int, n: int) -> SparseLinearMap:
-    """Contracting homotopy for the left shelf complex when right
-    translation by b is bijective: undo the diagonal translation, then
-    append b with the alternating sign."""
-    t = space.payload
-    if not isinstance(t, st.ShelfTable):
-        raise ExactError("rack contraction needs a shelf payload")
-    m = t.size
-    back = [0] * m
-    seen = set()
-    for a in range(m):
-        back[t.op(a, b)] = a
-        seen.add(t.op(a, b))
-    if len(seen) != m:
-        raise ExactError(f"right translation by {b} is not bijective")
-    sign = -1 if n % 2 == 1 else 1
-    dims = [m] * n
-    entries = [(flat_index([back[a] for a in digits_of(x, dims)], dims) * m + b, x, sign)
-               for x in range(m ** n)]
-    return SparseLinearMap.from_entries(m ** (n + 1), m ** n, entries, space.ring)
-
-
-class NaturalityReport(Record):
-    left: bool          # sigma(w (x) v) = v (x) w for all v
-    right: bool         # sigma(v (x) w) = w (x) v for all v
-    char_compat: dict   # per character: (Id (x) psi) o sigma o (. (x) w) = psi(.) w
-
-    @property
-    def classification(self) -> str:
-        if self.left and self.right:
-            return "natural"
-        if self.left:
-            return "semi-natural"
-        if self.right:
-            return "demi-natural"
-        return "none"
-
-
-def check_naturality(space: PreBraidedSpace, w) -> NaturalityReport:
-    col = _as_column(space, w)
-    idv = SparseLinearMap.identity(space.dim, space.ring)
-    left = space.braiding.compose(tensor(col, idv)) == tensor(idv, col)
-    right = space.braiding.compose(tensor(idv, col)) == tensor(col, idv)
-    compat = {}
-    for name, psi in space.characters.items():
-        lhs = tensor(idv, psi).compose(space.braiding).compose(tensor(idv, col))
-        compat[name] = lhs == col.compose(psi)
-    return NaturalityReport(left, right, compat)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +362,14 @@ def check_bimodule(space: PreBraidedSpace, B: Bimodule) -> ModuleReport:
     ok = r_ok and l_ok and compat
     B.verified = ok
     return ModuleReport(ok, r_ok and l_ok, compat)
+
+
+def adjoint_action(space: PreBraidedSpace, char: str, n: int) -> SparseLinearMap:
+    """The action V^(x)n (x) V -> V^(x)n crossing the last factor over all
+    strands and evaluating the character on it."""
+    eps = space.require_character(char)
+    ext = extended_braiding(space, 1, n)
+    return tensor(eps, space.identity_power(n)).compose(ext)
 
 
 def adjoint_module(space: PreBraidedSpace, char: str, n: int) -> BraidedModule:
@@ -584,113 +495,6 @@ def coalgebra_self_bicomodule(space: PreBraidedSpace) -> Bicomodule:
         raise ExactError("self bicomodule needs a coalgebra payload")
     delta = payload.operation
     return Bicomodule(space.dim, delta, delta, name="self")
-
-
-# ---------------------------------------------------------------------------
-# Simplicial structure checks
-# ---------------------------------------------------------------------------
-
-class SimplicialReport(Record):
-    left_level: str
-    right_level: str
-    pre_bisimplicial: bool
-    bisimplicial_level: str
-    failures: list = []
-
-
-_LEVELS = ["none", "presimplicial", "very weakly simplicial",
-           "weakly simplicial", "simplicial"]
-
-
-def _face_family(space, char, side, n_max):
-    return {(n, i): face(space, char, n, i, side)
-            for n in range(1, n_max + 1) for i in range(1, n + 1)}
-
-
-def _presimplicial(da, db, n_max, failures, tag, rel="dd"):
-    """d_i d'_j = d'_(j-1) d_i for i < j, with d from the face family da and d'
-    from db: one family twice for the plain identities, both for the mixed."""
-    ok = True
-    for n in range(2, n_max + 1):
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                if da[(n - 1, i)].compose(db[(n, j)]) != db[(n - 1, j - 1)].compose(da[(n, i)]):
-                    failures.append((tag, rel, n, i, j))
-                    ok = False
-    return ok
-
-
-def _degeneracy_level(space, dmaps, smaps, n_max, failures, tag):
-    """Climb the ladder: very weak (ss, ds disjoint), weak (ds equal),
-    simplicial (ds identity)."""
-    very = True
-    for n in range(1, n_max - 1):
-        for j in range(1, n + 1):
-            for i in range(1, j + 1):
-                if smaps[(n + 1, i)].compose(smaps[(n, j)]) != \
-                        smaps[(n + 1, j + 1)].compose(smaps[(n, i)]):
-                    failures.append((tag, "ss", n, i, j))
-                    very = False
-    for n in range(1, n_max):
-        for j in range(1, n + 1):
-            for i in range(1, j):
-                if dmaps[(n + 1, i)].compose(smaps[(n, j)]) != \
-                        smaps[(n - 1, j - 1)].compose(dmaps[(n, i)]):
-                    failures.append((tag, "ds<", n, i, j))
-                    very = False
-            for i in range(j + 2, n + 2):
-                if dmaps[(n + 1, i)].compose(smaps[(n, j)]) != \
-                        smaps[(n - 1, j)].compose(dmaps[(n, i - 1)]):
-                    failures.append((tag, "ds>", n, i, j))
-                    very = False
-    if not very:
-        return "presimplicial"
-    weak = True
-    ident = True
-    idn = {n: space.identity_power(n) for n in range(1, n_max)}
-    for n in range(1, n_max):
-        for i in range(1, n + 1):
-            di_si = dmaps[(n + 1, i)].compose(smaps[(n, i)])
-            if di_si != dmaps[(n + 1, i + 1)].compose(smaps[(n, i)]):
-                failures.append((tag, "dsi", n, i))
-                weak = False
-            if di_si != idn[n]:
-                ident = False
-    if not weak:
-        return "very weakly simplicial"
-    return "simplicial" if ident else "weakly simplicial"
-
-
-def check_simplicial(space: PreBraidedSpace, left_char: str, right_char: str,
-                     n_max: int = 5) -> SimplicialReport:
-    """Verify the face/degeneracy identities up to n_max and report the
-    achieved level for the left and right families and their mixture."""
-    failures: list = []
-    dl = _face_family(space, left_char, "left", n_max)
-    dr = _face_family(space, right_char, "right", n_max)
-    left_pre = _presimplicial(dl, dl, n_max, failures, "left")
-    right_pre = _presimplicial(dr, dr, n_max, failures, "right")
-    mixed = _presimplicial(dl, dr, n_max, failures, "mixed", "dd'")
-    mixed &= _presimplicial(dr, dl, n_max, failures, "mixed", "d'd")
-    left_level = "presimplicial" if left_pre else "none"
-    right_level = "presimplicial" if right_pre else "none"
-    if space.comultiplication is not None:
-        smaps = {(n, i): degeneracy(space, n, i)
-                 for n in range(1, n_max) for i in range(1, n + 1)}
-        if left_pre:
-            left_level = _degeneracy_level(space, dl, smaps, n_max, failures, "left")
-        if right_pre:
-            right_level = _degeneracy_level(space, dr, smaps, n_max, failures, "right")
-    pre_bi = left_pre and right_pre and mixed
-    if not pre_bi:
-        bi = "none"
-    else:
-        bi = _LEVELS[min(_LEVELS.index(left_level), _LEVELS.index(right_level))]
-        bi = {"presimplicial": "pre-bisimplicial",
-              "very weakly simplicial": "very weakly bisimplicial",
-              "weakly simplicial": "weakly bisimplicial",
-              "simplicial": "bisimplicial"}.get(bi, "none")
-    return SimplicialReport(left_level, right_level, pre_bi, bi, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,14 @@ stored as ints. A ring is a coercion plus a modulus (its characteristic,
 0 for Z and Q): maps compute with the number operators and reduce mod p over
 F_p. `coerce` gives the canonical form; an integral result of arithmetic on
 Fractions may stay a Fraction, which equals and hashes like the int.
-Floating point is never used.
+Floating point is never used. `fractions` is imported only where a scalar
+that is not an int is parsed or coerced, so integer data never load it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class ExactError(ValueError):
@@ -54,6 +54,7 @@ class Ring:
     def parse(self, text) -> object:
         """Accept ints and 'p/q' strings (reduced on input)."""
         if isinstance(text, str):
+            from fractions import Fraction
             try:
                 value = Fraction(text)
             except (ValueError, ZeroDivisionError):
@@ -76,6 +77,7 @@ class IntegerRing(Ring):
             raise ExactError("booleans are not ring scalars")
         if isinstance(x, int):
             return x
+        from fractions import Fraction
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ExactError(f"{x} is not an integer")
@@ -95,6 +97,7 @@ class RationalField(Ring):
             raise ExactError("booleans are not ring scalars")
         if isinstance(x, int):
             return x
+        from fractions import Fraction
         if isinstance(x, Fraction):
             return x.numerator if x.denominator == 1 else x
         raise ExactError(f"cannot coerce {x!r} into Q")
@@ -103,7 +106,6 @@ class RationalField(Ring):
         return a != 0
 
     def fmt(self, a) -> str:
-        a = Fraction(a)
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
 
@@ -122,6 +124,7 @@ class PrimeField(Ring):
             raise ExactError("booleans are not ring scalars")
         if isinstance(x, int):
             return x % self.p
+        from fractions import Fraction
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:
@@ -384,19 +387,6 @@ class SparseLinearMap:
             if newcol:
                 out[j] = newcol
         return SparseLinearMap(self.rows, self.cols, ring, out)
-
-    def submatrix(self, row_keep: list[int], col_keep: list[int]) -> "SparseLinearMap":
-        """Reindexed restriction to the given rows/columns (order preserved)."""
-        rpos = {r: i for i, r in enumerate(row_keep)}
-        out: dict[int, dict] = {}
-        for newj, j in enumerate(col_keep):
-            col = self._cols.get(j)
-            if not col:
-                continue
-            newcol = {rpos[r]: v for r, v in col.items() if r in rpos}
-            if newcol:
-                out[newj] = newcol
-        return SparseLinearMap(len(row_keep), len(col_keep), self.ring, out)
 
 
 def compose(f: SparseLinearMap, g: SparseLinearMap) -> SparseLinearMap:
@@ -742,7 +732,8 @@ def is_invertible(m: SparseLinearMap) -> bool:
 
 
 def _eliminate_chain(diffs: dict[int, SparseLinearMap], step: int,
-                     field: Optional[Ring] = None) -> dict[int, object]:
+                     field: Optional[Ring] = None,
+                     before: Optional[Callable[[], None]] = None) -> dict[int, object]:
     """Per degree n, the rank of diffs[n] over field, or its nonzero
     invariant factors over Z when field is None, for maps with
     diffs[n] o diffs[n - step] = 0 over the ring eliminated in.
@@ -752,11 +743,13 @@ def _eliminate_chain(diffs: dict[int, SparseLinearMap], step: int,
     diffs[n] (see the notes that open the elimination section). So chain
     complexes (step < 0, every |step|-th degree for a hyper-boundary) run
     in ascending degree and cochain complexes (step > 0) in descending
-    degree.
+    degree. before(), when given, is called before each boundary.
     """
     out: dict[int, object] = {}
     passed: dict[int, set[int]] = {}
     for n in sorted(diffs, reverse=step > 0):
+        if before is not None:
+            before()
         m = diffs[n] if field is None else diffs[n].with_ring(field)
         out[n], fixed = _eliminate(m, field is None, passed.pop(n + step, frozenset()))
         if n - step in diffs:

@@ -1,5 +1,4 @@
-"""Chain complex assembly, homology over fields and over the integers, and
-acyclicity certification.
+"""Chain complex assembly and homology over fields and over the integers.
 
 Square-zero verification is mandatory at assembly and always runs: it is
 cheap relative to any rank computation and converts silent mathematical
@@ -131,8 +130,9 @@ class _SquareZeroInChild:
     child's verdict. Unless it is a pass, the check runs again here, and
     what it raises replaces what the block raised; so errors, messages and
     exit codes stay those of a run in one process, provided the caller
-    writes its report only after the block. An interrupt kills and reaps
-    the child."""
+    writes its report only after the block. A verdict that is in before a
+    boundary is eliminated is read then (poll), so a refused complex is not
+    eliminated further. An interrupt kills and reaps the child."""
 
     def __init__(self):
         self.used = False
@@ -157,16 +157,35 @@ class _SquareZeroInChild:
         self.token = _in_child.set(self)
         return self
 
+    def poll(self):
+        """Settle the verdict now if the child has given it."""
+        if self.child is not None and self.child.done():
+            self._settle()
+
+    def _settle(self):
+        child, self.child = self.child, None
+        try:
+            if child.result() != b"ok":
+                _check_square_zero(self.diffs, self.step)
+        finally:
+            child.close()
+
     def __exit__(self, exc_type, exc, tb):
         _in_child.reset(self.token)
         if self.child is None:
             return
-        try:
-            if (exc_type is None or issubclass(exc_type, Exception)) \
-                    and self.child.result() != b"ok":
-                _check_square_zero(self.diffs, self.step)
-        finally:
+        if exc_type is None or issubclass(exc_type, Exception):
+            self._settle()
+        else:
             self.child.close()
+
+
+def _poll_verdict():
+    """Before each boundary's elimination: inside a _SquareZeroInChild
+    block, raise the child's refusal as soon as it is in."""
+    block = _in_child.get()
+    if block is not None:
+        block.poll()
 
 
 # The block build_chain_complex is called in, if any.
@@ -216,7 +235,8 @@ def betti(c: ChainComplex, coefficients: Optional[Ring] = None) -> HomologyRepor
         coefficients = c.ring if c.ring.is_field else QQ
     if not coefficients.is_field:
         raise ExactError("betti numbers need field coefficients (use q or fp:<p>)")
-    return _report(c, coefficients.name, _eliminate_chain(c.diffs, c.step, coefficients))
+    return _report(c, coefficients.name,
+                   _eliminate_chain(c.diffs, c.step, coefficients, _poll_verdict))
 
 
 def integral_homology(c: ChainComplex) -> HomologyReport:
@@ -230,42 +250,9 @@ def integral_homology(c: ChainComplex) -> HomologyReport:
     the other columns, so the cycles project onto a saturated lattice. The
     projected next boundary then has the same invariant factors, the 1s
     included."""
-    factors = _eliminate_chain(c.diffs, c.step)
+    factors = _eliminate_chain(c.diffs, c.step, before=_poll_verdict)
     return _report(c, "Z", {n: len(f) for n, f in factors.items()},
                    lambda n: sorted(f for f in factors.get(n - c.step, []) if f > 1))
-
-
-class AcyclicityReport(Record):
-    certified: dict[int, bool]
-    ok: bool
-
-    def __bool__(self):
-        return self.ok
-
-
-def certify_acyclic(c: ChainComplex, homotopy: dict[int, SparseLinearMap]) -> AcyclicityReport:
-    """Verify h d + d h = Id entrywise on every degree the homotopy covers.
-
-    This certificate is independent of any rank computation. For a chain
-    complex, degree n needs h_n, the boundary out of degree n+1 and (when
-    n > 0) h_{n-1}; degree 0 only needs the incoming composite."""
-    certified: dict[int, bool] = {}
-    for n, h in homotopy.items():
-        up = n - c.step
-        if not 0 <= up <= c.n_max:
-            raise ExactError(f"homotopy at degree {n} has no incoming boundary inside range")
-        if (h.rows, h.cols) != (c.dims[up], c.dims[n]):
-            raise ExactError(
-                f"homotopy at degree {n} has shape {h.rows}x{h.cols}, "
-                f"expected {c.dims[up]}x{c.dims[n]}")
-        total = c.boundary(up).compose(h)
-        prev = n + c.step
-        if 0 <= prev <= c.n_max:
-            hn_prev = homotopy.get(prev)
-            if hn_prev is not None and n in c.diffs:
-                total = total.add_map(hn_prev.compose(c.diffs[n]))
-        certified[n] = total == SparseLinearMap.identity(c.dims[n], c.ring)
-    return AcyclicityReport(certified, all(certified.values()))
 
 
 def subquotient(c: ChainComplex, span: Callable[[int, int], bool] | dict[int, list[int]],

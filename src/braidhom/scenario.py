@@ -11,7 +11,6 @@ field paths.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -74,20 +73,20 @@ class Scenario(Record):
 
 
 def _norm_value(v, path, errors):
-    """Normalize a scalar to its canonical JSON form (int or reduced 'p/q')."""
-    try:
-        if isinstance(v, str):
+    """Normalize a scalar to its canonical JSON form (int or reduced 'p/q').
+    An integer is its own form, and only a string is parsed as a rational."""
+    if _is_int(v):
+        return v
+    if isinstance(v, str):
+        from fractions import Fraction
+        try:
             f = Fraction(v)
-        elif _is_int(v):
-            f = Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
         else:
-            raise ValueError
-    except (ValueError, ZeroDivisionError):
-        errors.append(f"{path}: bad scalar {v!r}")
-        return 0
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+            return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    errors.append(f"{path}: bad scalar {v!r}")
+    return 0
 
 
 def _is_int(x) -> bool:

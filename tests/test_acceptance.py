@@ -48,7 +48,7 @@ from braidhom import (
     signed_binomial,
     trivial_shelf,
 )
-from braidhom.braiding import (
+from braidhom.identities import (
     check_antipode_axiom,
     check_coshuffle_coassociativity,
     check_hopf_compatibility,

@@ -33,7 +33,7 @@ from braidhom import (
     tensor,
     trivial_shelf,
 )
-from braidhom import braiding
+from braidhom import braiding, identities
 from braidhom.braiding import block_flip, block_swap_permutation, moving_permutation
 from braidhom.exactlin import ring_from_name
 from braidhom.scenario import build_space, parse as parse_scenario
@@ -322,10 +322,10 @@ def test_twin_records_its_ybe_pass_on_the_space(monkeypatch):
     calls = []
     real = braiding.check_ybe
     monkeypatch.setattr(braiding, "check_ybe", lambda space: calls.append(space) or real(space))
-    assert braiding.check_hopf_compatibility(shelf_braiding(dihedral_shelf(3), ZZ), 3).ok
+    assert identities.check_hopf_compatibility(shelf_braiding(dihedral_shelf(3), ZZ), 3).ok
     assert len(calls) == 1
     space = shelf_braiding(dihedral_shelf(3), ZZ)
-    assert braiding.check_shuffle_associativity(space, 3).ok
+    assert identities.check_shuffle_associativity(space, 3).ok
     assert space.ybe_checked and space.transposed().ybe_checked
     assert len(calls) == 2
 
@@ -391,8 +391,8 @@ def test_hopf_failure_lists_match_lift_sums_without_ybe():
     # every check reports exactly the failures of the literal sums: labels,
     # indices and order alike. The bialgebra law holds on the lift sums even
     # without the YBE, so its list is empty; the other three are not.
-    from braidhom.braiding import (check_antipode_axiom, check_coshuffle_coassociativity,
-                                   check_hopf_compatibility, check_shuffle_associativity)
+    from braidhom.identities import (check_antipode_axiom, check_coshuffle_coassociativity,
+                                     check_hopf_compatibility, check_shuffle_associativity)
     built, oracle = non_ybe_space(), non_ybe_space()
     built.allow_unverified = oracle.allow_unverified = True
     assoc = reference_hopf_failures(oracle, 4, inverse=False)
@@ -409,13 +409,12 @@ def test_hopf_failure_lists_match_lift_sums_without_ybe():
 def test_antipode_axiom_checks_degree_zero(r3, monkeypatch, factor):
     # in degree zero the sum is the antipode's degree-0 block itself, which
     # must be the identity of the ground ring
-    from braidhom import braiding
-    assert braiding.check_antipode_axiom(r3, 3).ok
-    real = braiding.antipode
-    monkeypatch.setattr(braiding, "antipode",
+    assert identities.check_antipode_axiom(r3, 3).ok
+    real = identities.antipode
+    monkeypatch.setattr(identities, "antipode",
                         lambda space, n: real(space, n).scale(factor) if n == 0 else real(space, n))
-    assert braiding.check_antipode_axiom(r3, 0).failures == [("antipode", 0)]
-    assert braiding.check_antipode_axiom(r3, 2).failures[0] == ("antipode", 0)
+    assert identities.check_antipode_axiom(r3, 0).failures == [("antipode", 0)]
+    assert identities.check_antipode_axiom(r3, 2).failures[0] == ("antipode", 0)
 
 
 # -- extended braiding and antipode ----------------------------------------------
@@ -600,7 +599,7 @@ def test_cocharacter_check_is_the_column_condition():
 
 
 def test_coshuffle_coassociativity_degree_five():
-    from braidhom.braiding import check_coshuffle_coassociativity, check_shuffle_associativity
+    from braidhom.identities import check_coshuffle_coassociativity, check_shuffle_associativity
     space = flip_braiding(2, ZZ)
     check_ybe(space)
     assert check_coshuffle_coassociativity(space, 5).ok

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from braidhom import cli, scenario
+from braidhom import cli, scenario, suites
 from braidhom.complexes import COMPLEX_PARAMS, NAMED_COMPLEXES
 from braidhom.exactlin import ExactError
 from braidhom.scenario import ScenarioError, build_space, parse, parse_dict
@@ -694,7 +694,7 @@ def _patch_hyper_boundary(monkeypatch, change):
             built.append(side)
         return change(hyper_boundary(space, char, k, n, side), k, side, here)
 
-    monkeypatch.setattr(cli, "hyper_boundary", patched)
+    monkeypatch.setattr(suites, "hyper_boundary", patched)
     return built
 
 
@@ -775,13 +775,13 @@ def test_hyper_suite_checks_the_right_side_itself_when_the_child_fails(
     a malformed one, leaves the right side to this process: same bytes."""
     expected = hyper_run(5)
     parent = os.getpid()
-    side_check = cli._hyper_side
+    side_check = suites._hyper_side
 
     def patched(space, char, n_max, side):
         result = side_check(space, char, n_max, side)
         return result if os.getpid() == parent else fault(result)
 
-    monkeypatch.setattr(cli, "_hyper_side", patched)
+    monkeypatch.setattr(suites, "_hyper_side", patched)
     assert hyper_run(5) == expected
 
 
@@ -911,6 +911,31 @@ def test_homology_square_zero_failure_gives_the_same_bytes(monkeypatch, homology
     calls = _counted_check(monkeypatch)
     assert homology_run(*SQUARE_ZERO_FAILURE) == expected
     assert len(calls) == 1  # the check that raises, run here after the child's verdict
+
+
+def test_homology_stops_eliminating_once_the_child_refuses(monkeypatch, homology_run):
+    """Once the child's failing verdict can be read, no further boundary is
+    eliminated: this process checks d^2 itself and reports the failure. The
+    first elimination, if the verdict was not in before it, waits until the
+    child has exited; the complex has four boundaries."""
+    from braidhom import exactlin, homology
+    eliminate = exactlin._eliminate
+    calls = []
+
+    def spy(*args, **kwargs):
+        if not calls:
+            child = homology._in_child.get().child
+            os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+        calls.append(args[0])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(exactlin, "_eliminate", spy)
+    code, out, _ = homology_run("dihedral3.json", "--diff", "hyper:2", "--ring", "z",
+                                "--max-degree", "5")
+    assert code == 1
+    assert json.loads(out)["error"].startswith(
+        "boundary composition out of degree 4 is nonzero")
+    assert len(calls) <= 1
 
 
 def _kill_self(diffs, step):
@@ -1286,7 +1311,7 @@ def test_memory_error_exits_3_without_traceback(monkeypatch, capsys):
     def exhausted(space, args, report):
         raise MemoryError
 
-    monkeypatch.setitem(cli._SUITES, "hyper", exhausted)
+    monkeypatch.setitem(suites.SUITES, "hyper", exhausted)
     code = cli.main(["verify", str(SCENARIOS / "dihedral3.json"), "--suite", "hyper"])
     out, err = capsys.readouterr()
     assert code == 3

@@ -224,12 +224,13 @@ def test_universal_coefficients(table):
 # (and the sign of k[Z/2]), the evaluation at 0 of k[x]/(x^m).
 
 @hs.composite
-def unital_algebras(draw):
-    """A pre-braided space of k[Z/m] or k[x]/(x^m), m <= 3, over Z, Q, F2
-    or F3, and the names of its characters."""
+def unital_algebras(draw, groups_only=False):
+    """A pre-braided space of k[Z/m] or k[x]/(x^m) (k[Z/m] only, with
+    groups_only), m <= 3, over Z, Q, F2 or F3, and the names of its
+    characters."""
     m = draw(hs.integers(1, 3))
     ring = draw(hs.sampled_from([ZZ, QQ, PrimeField(2), PrimeField(3)]))
-    if draw(hs.booleans()):
+    if groups_only or draw(hs.booleans()):
         triples = [(i, j, (i + j) % m, 1) for i in range(m) for j in range(m)]
         chars = {"aug": [1] * m}
         if m == 2:
@@ -275,6 +276,55 @@ def test_unital_algebra_hyper_composition_law(algebra, n, data):
                     hyper_boundary(space, char, k, n, side))
                 rhs = hyper_boundary(space, char, m + k, n, side).scale(signed_binomial(m, k))
                 assert lhs == rhs, (side, k, m)
+
+
+# Homology of the cyclic groups, read below the top degree (whose outgoing
+# boundary is not built).
+
+def cyclic_group_homology(m, ring, n):
+    """H_n(Z/m; k) as (free rank, torsion), from the periodic resolution of
+    a cyclic group: over Z it is Z in degree 0, Z/m in odd degrees and 0 in
+    positive even ones. Over a field k the universal coefficient theorem
+    gives k in degree 0, and in positive degrees k when char k divides m,
+    else 0."""
+    if n == 0:
+        return 1, []
+    if ring is ZZ:
+        return 0, [m] if n % 2 == 1 and m > 1 else []
+    p = ring.characteristic
+    return (1 if p and m % p == 0 else 0), []
+
+
+def _homology_below_top(c):
+    hom = integral_homology(c) if c.ring is ZZ else betti(c)
+    return [(hom.degrees[n].free_rank, hom.degrees[n].torsion) for n in range(c.n_max)]
+
+
+@PROPERTY
+@given(unital_algebras(groups_only=True))
+def test_group_complex_of_cyclic_groups_is_group_homology(algebra):
+    """The group complex of k[Z/m] with the augmentation on both sides
+    gives H_n(Z/m; k)."""
+    space, _ = algebra
+    c = named_complex(space, "group", 5, {"left_char": "aug", "right_char": "aug"})
+    assert _homology_below_top(c) == [cyclic_group_homology(space.dim, space.ring, n)
+                                      for n in range(5)]
+
+
+@PROPERTY
+@given(unital_algebras(groups_only=True))
+def test_hochschild_complex_of_cyclic_groups_is_m_copies_of_group_homology(algebra):
+    """HH_n(k[G]) is the sum over the conjugacy classes g of G of
+    H_n(C_G(g); k) (Burghelea, Comment. Math. Helv. 60, 1985). G = Z/m is
+    abelian, so each of its m classes has centraliser Z/m, and
+    HH_n(k[Z/m]) = H_n(Z/m; k)^m."""
+    space, _ = algebra
+    m = space.dim
+    want = []
+    for n in range(4):
+        free, torsion = cyclic_group_homology(m, space.ring, n)
+        want.append((m * free, torsion * m))
+    assert _homology_below_top(named_complex(space, "hochschild", 4)) == want
 
 
 # Every self-distributive table of size at most 3 (234 of them): racks,
